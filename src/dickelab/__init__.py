@@ -25,6 +25,7 @@ from .diagnostics import (
     cat_overlap,
     converge_cutoff,
     degeneracy_classes,
+    lowest_levels,
     oracle_spectrum_equivalence,
     splitting_and_gap,
     spin_model_spectrum,
@@ -119,6 +120,7 @@ __all__ = [
     "flux_radians_from_weber",
     "interference_factor",
     "lanczos_lowest",
+    "lowest_levels",
     "oracle_spectrum_equivalence",
     "parse_config",
     "parse_device_text",

@@ -12,13 +12,10 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .circuit import derive_model_params, read_device_file, validate_regime
-from .diagnostics import converge_cutoff, splitting_and_gap
+from .diagnostics import converge_cutoff, spin_model_spectrum, splitting_and_gap
 from .errors import ResourceError, SweepAborted, ValidationError
-from .model import build_full_hamiltonian, polaron_spin_hamiltonian
-from .solvers import SolverOptions, solve_lowest
+from .solvers import SolverOptions
 from .sweep import SweepConfig, emit_results, landscape_grid, parse_config, run_sweep
 
 _FMT = "{:.17g}".format
@@ -90,16 +87,14 @@ def _cmd_spectrum(args) -> int:
     p = _single_point(cfg)
     opts = SolverOptions(k=cfg.engine.k, seed=cfg.engine.seed)
     if cfg.engine.mode == "spin-only":
-        eigs = np.linalg.eigvalsh(polaron_spin_hamiltonian(p))[: cfg.engine.k]
+        eigs = spin_model_spectrum(p)[: cfg.engine.k]
         m_star = 0
         solver = "dense"
     else:
         conv = converge_cutoff(p, cfg.engine.tol, k=3, options=opts, max_dim=cfg.engine.max_dim)
         m_star = conv.M_star
-        H = build_full_hamiltonian(p, m_star)
-        res = solve_lowest(H, opts.with_k(min(cfg.engine.k, H.dim)), want_vectors=False)
-        eigs = res.eigenvalues
-        solver = res.solver
+        eigs = conv.spectrum.eigenvalues[: cfg.engine.k]
+        solver = conv.spectrum.solver
     print(
         f"# N={p.N} omega={_FMT(p.omega)} g={_FMT(p.g)} v={_FMT(p.v)} "
         f"u={_FMT(p.u)} M_star={m_star} solver={solver}"

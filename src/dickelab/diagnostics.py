@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ResourceError, ValidationError
 from .model import (
@@ -23,6 +24,7 @@ from .model import (
     build_full_hamiltonian,
     collective_spin_matrices,
     polaron_spin_hamiltonian,
+    symmetry_operator,
 )
 from .solvers import SolverOptions, SpectrumResult, solve_lowest
 
@@ -114,14 +116,79 @@ def symmetry_commutator_norm(H, R) -> float:
     return num / den
 
 
+def lowest_levels(
+    p: ModelParams,
+    M: int,
+    k: int,
+    opts: SolverOptions | None = None,
+    *,
+    want_vectors: bool = False,
+    max_nonzeros: int = DEFAULT_MAX_NONZEROS,
+) -> SpectrumResult:
+    """Lowest k levels of the full model at Fock cutoff M, solved block by block.
+
+    H conserves (-1)^(m+S), the parity of the column flat % (N+1), so its
+    connected blocks never mix parities: two blocks for g, v != 0, more on
+    the lines g = 0 (n conserved) and v = 0 (m conserved), where the finer
+    split keeps degenerate and decoupled levels, which ARPACK can miss, out
+    of any one solve.  For odd N the joint parity R swaps even and odd
+    columns, so only even-column blocks are solved and each level is
+    reported twice, the copy's vector being R times the original: the
+    odd-N doublet is exact by construction.  Vectors are in the flat basis.
+    """
+    opts = opts or SolverOptions()
+    H = build_full_hamiltonian(p, M, max_nonzeros=max_nonzeros)
+    if k < 1 or k > H.dim:
+        raise ValidationError(f"k must be in [1, {H.dim}], got {k}")
+    odd = p.N % 2 == 1
+    csr = H.to_csr()
+    n_blocks, block_of = connected_components(csr != 0, directed=False)
+    results: list[SpectrumResult] = []
+    vectors: list[np.ndarray] = []
+    for b in range(n_blocks):
+        idx = np.nonzero(block_of == b)[0]
+        if odd and idx[0] % (p.N + 1) % 2:
+            continue  # the mirror image of an even-column block
+        block = SparseOperator.from_scipy(csr[idx][:, idx])
+        k_block = min(-(-k // 2) if odd else k, idx.size)
+        res = solve_lowest(block, opts.with_k(k_block), want_vectors=want_vectors)
+        results.append(res)
+        if want_vectors:
+            V = np.zeros((H.dim, res.eigenvalues.size))
+            V[idx] = res.eigenvectors
+            vectors.append(V)
+    values = [r.eigenvalues for r in results]
+    residuals = [r.residual_norms for r in results]
+    if odd:  # the skipped odd-column blocks hold the mirror images
+        values, residuals = values * 2, residuals * 2
+        if want_vectors:
+            R = symmetry_operator(p, M).op
+            vectors += [R @ V for V in vectors]
+
+    # stable sort: an odd-N mirror lands right after its original
+    order = np.argsort(np.concatenate(values), kind="stable")[:k]
+    return SpectrumResult(
+        eigenvalues=np.concatenate(values)[order],
+        eigenvectors=np.hstack(vectors)[:, order] if want_vectors else None,
+        solver="+".join(dict.fromkeys(r.solver for r in results)),
+        iterations=sum(r.iterations for r in results),
+        residual_norms=np.concatenate(residuals)[order],
+        converged=all(r.converged for r in results),
+    )
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Accepted Fock cutoff plus the doubling history that justified it."""
+    """Accepted Fock cutoff, the doubling history that justified it, and the solve at M*.
+
+    converged reports whether the solve that confirmed M* converged.
+    """
 
     M_star: int
     history: tuple[tuple[int, float, float, float], ...]
     converged: bool
     tol: float
+    spectrum: SpectrumResult
 
 
 def initial_cutoff(p: ModelParams) -> int:
@@ -145,8 +212,10 @@ def converge_cutoff(
     """Double the Fock cutoff until the lowest k eigenvalues stop moving.
 
     M is accepted once the eigenvalues at M and at 2M agree within tol;
-    the accepted (smaller) M is returned with the full history.  Breaching
-    max_dim before convergence raises a ResourceError carrying the history.
+    the accepted (smaller) M is returned with the full history and with
+    the :func:`lowest_levels` solve at M (max(k, 3, options.k) levels), so
+    callers need not solve again.  Breaching max_dim before convergence
+    raises a ResourceError carrying the history.
     """
     if tol <= 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
@@ -155,7 +224,7 @@ def converge_cutoff(
     opts = options or SolverOptions()
     history: list[tuple[int, float, float, float]] = []
     M = initial_cutoff(p)
-    prev: np.ndarray | None = None
+    prev: SpectrumResult | None = None
     prev_M = M
     while True:
         dim = (M + 1) * (p.N + 1)
@@ -164,20 +233,35 @@ def converge_cutoff(
                 f"cutoff search for N={p.N} exceeded max dimension {max_dim} at M={M}",
                 history=tuple(history),
             )
-        k_solve = min(max(k, 3), dim)
-        H = build_full_hamiltonian(p, M, max_nonzeros=max_nonzeros)
-        res = solve_lowest(H, opts.with_k(k_solve), want_vectors=False)
+        res = lowest_levels(
+            p, M, min(max(k, 3, opts.k), dim), opts, max_nonzeros=max_nonzeros
+        )
         e = res.eigenvalues
         e3 = tuple(float(e[i]) if i < e.size else math.nan for i in range(3))
         history.append((M, *e3))
         if prev is not None:
-            n_cmp = min(k, prev.size, e.size)
-            if np.max(np.abs(e[:n_cmp] - prev[:n_cmp])) < tol:
+            n_cmp = min(k, prev.eigenvalues.size, e.size)
+            if n_cmp and np.max(np.abs(e[:n_cmp] - prev.eigenvalues[:n_cmp])) < tol:
                 return ConvergenceReport(
-                    M_star=prev_M, history=tuple(history), converged=True, tol=tol
+                    M_star=prev_M,
+                    history=tuple(history),
+                    converged=res.converged,
+                    tol=tol,
+                    spectrum=prev,
                 )
-        prev, prev_M = e, M
+        prev, prev_M = res, M
         M *= 2
+
+
+def spin_model_spectrum(p: ModelParams) -> np.ndarray:
+    """All eigenvalues of the displaced-frame spin model, ascending."""
+    return np.linalg.eigvalsh(polaron_spin_hamiltonian(p))
+
+
+def spin_ladder_levels(p: ModelParams, n: int) -> np.ndarray:
+    """Lowest n values of {eps_i + omega j}: spin-model levels plus a free boson ladder."""
+    ladder = np.arange(n + 2) * p.omega
+    return np.sort((spin_model_spectrum(p)[:, None] + ladder[None, :]).ravel())[:n]
 
 
 @dataclass(frozen=True)
@@ -208,11 +292,8 @@ def oracle_spectrum_equivalence(
     """
     opts = options or SolverOptions()
     conv = converge_cutoff(p, conv_tol, k=k, options=opts, max_dim=max_dim)
-    H = build_full_hamiltonian(p, conv.M_star)
-    full = solve_lowest(H, opts.with_k(min(k, H.dim)), want_vectors=False).eigenvalues
-    spin_levels = np.linalg.eigvalsh(polaron_spin_hamiltonian(p))
-    ladder = np.arange(k + 2) * p.omega
-    merged = np.sort((spin_levels[:, None] + ladder[None, :]).ravel())[: full.size]
+    full = conv.spectrum.eigenvalues[:k]
+    merged = spin_ladder_levels(p, full.size)
     dev = float(np.max(np.abs(full - merged)))
     return OracleEquivalence(
         max_abs_deviation=dev,
@@ -262,16 +343,14 @@ def cat_overlap(ground_pair, p: ModelParams, M: int) -> CatOverlap:
     return CatOverlap(f_plus=f_plus, f_minus=f_minus)
 
 
-def spin_model_spectrum(p: ModelParams) -> np.ndarray:
-    """All eigenvalues of the displaced-frame spin model, ascending."""
-    return np.linalg.eigvalsh(polaron_spin_hamiltonian(p))
-
-
 def ground_pair(
     p: ModelParams, M: int, *, options: SolverOptions | None = None
 ) -> tuple[np.ndarray, np.ndarray, SpectrumResult]:
-    """Convenience: lowest two eigenvectors of the full model at cutoff M."""
+    """Lowest two eigenvectors of the full model at cutoff M, via :func:`lowest_levels`.
+
+    For odd N the second vector is the mirror R x0 of the first, so the
+    pair spans the exact doublet.
+    """
     opts = options or SolverOptions()
-    H = build_full_hamiltonian(p, M)
-    res = solve_lowest(H, opts.with_k(max(opts.k, 3)), want_vectors=True)
+    res = lowest_levels(p, M, max(opts.k, 3), opts, want_vectors=True)
     return res.eigenvectors[:, 0], res.eigenvectors[:, 1], res

@@ -1,10 +1,12 @@
 """Lowest-eigenpair solvers for real-symmetric operators.
 
-Two routes: a dense LAPACK reference for moderate dimensions and a block
-Lanczos iteration with full reorthogonalization for sparse operators.
-The block structure (block size >= 2) is what keeps exactly and nearly
-degenerate doublets from collapsing to a single copy, which plain Lanczos
-is prone to.
+:func:`solve_lowest` is the production route: dense LAPACK up to
+``dense_threshold`` and ARPACK (``scipy.sparse.linalg.eigsh``) above it.
+It is meant for one symmetry block of the model at a time (see
+``diagnostics.lowest_levels``), which holds no degenerate low levels.
+:func:`lanczos_lowest`, a block Lanczos iteration with full
+reorthogonalization whose block size >= 2 keeps degenerate doublets in
+the unsplit space, remains as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .errors import ResourceError, ValidationError
 from .model import SparseOperator
@@ -24,15 +27,18 @@ DEFAULT_DENSE_THRESHOLD = 4000
 class SolverOptions:
     """Knobs for the iterative solver; defaults suit the model's spectra.
 
-    residual_tol is relative to the Frobenius norm of the operator; the
-    iteration budget defaults to 10 * dim block steps.
+    residual_tol and block_size apply to block Lanczos only; residual_tol
+    is relative to the Frobenius norm of the operator.  max_iterations
+    caps Lanczos block steps (default 10 * dim) and ARPACK restarts
+    (ARPACK's default when None).  Operators up to dense_threshold go to
+    LAPACK, larger ones to ARPACK.
     """
 
     k: int = 6
     residual_tol: float = 1e-10
     max_iterations: int | None = None
     block_size: int = 4
-    dense_threshold: int = DEFAULT_DENSE_THRESHOLD
+    dense_threshold: int = 500
     seed: int = 0
 
     def validate(self, dim: int) -> None:
@@ -100,12 +106,6 @@ def dense_spectrum(
         residual_norms=residuals,
         converged=True,
     )
-
-
-def _matmat(H, X: np.ndarray) -> np.ndarray:
-    if isinstance(H, SparseOperator):
-        return H.matmat(X)
-    return H @ X
 
 
 def _operator_scale(H) -> float:
@@ -176,7 +176,7 @@ def lanczos_lowest(
     while True:
         iterations += 1
         Qj = blocks[-1]
-        W = _matmat(H, Qj)
+        W = H @ Qj
         if B_blocks:
             W = W - blocks[-2] @ B_blocks[-1].T
         Aj = Qj.T @ W
@@ -223,7 +223,7 @@ def lanczos_lowest(
     n_out = min(k, T.shape[0])
     vectors = Qmat @ Svec[:, :n_out]
     ritz = theta[:n_out]
-    resid = np.linalg.norm(_matmat(H, vectors) - vectors * ritz, axis=0)
+    resid = np.linalg.norm(H @ vectors - vectors * ritz, axis=0)
     converged = bool(n_out == k and np.all(resid <= tol_abs))
     return SpectrumResult(
         eigenvalues=ritz,
@@ -238,12 +238,38 @@ def lanczos_lowest(
 def solve_lowest(
     H, opts: SolverOptions | None = None, *, want_vectors: bool = True
 ) -> SpectrumResult:
-    """Dispatch to the dense path below ``dense_threshold``, else Lanczos."""
+    """Lowest opts.k eigenpairs: LAPACK up to ``dense_threshold``, else ARPACK.
+
+    ARPACK starts from a vector drawn from ``seed`` and iterates to machine
+    precision; it also needs k < dim - 1, so larger requests go dense.  If
+    it runs out of restarts, the Ritz pairs that did converge come back
+    with converged=False.  Plain Lanczos keeps one copy of each eigenvalue,
+    so H should have no degenerate low levels: pass one symmetry sector.
+    """
     if opts is None:
         opts = SolverOptions()
     dim = H.dim if isinstance(H, SparseOperator) else np.asarray(H).shape[0]
-    if dim <= opts.dense_threshold:
-        return dense_spectrum(
-            H, opts.k, dense_threshold=opts.dense_threshold, want_vectors=want_vectors
+    if dim <= opts.dense_threshold or opts.k >= dim - 1:
+        return dense_spectrum(H, opts.k, override=True, want_vectors=want_vectors)
+    opts.validate(dim)
+    A = H.to_csr() if isinstance(H, SparseOperator) else np.asarray(H, dtype=float)
+    rng = np.random.default_rng(opts.seed)
+    converged = True
+    try:
+        evals, evecs = scipy.sparse.linalg.eigsh(
+            A, k=opts.k, which="SA", tol=0, maxiter=opts.max_iterations,
+            v0=rng.uniform(-1.0, 1.0, dim), rng=rng,
         )
-    return lanczos_lowest(H, opts, want_vectors=want_vectors)
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
+        evals, evecs = exc.eigenvalues, exc.eigenvectors
+        converged = False
+    order = np.argsort(evals)
+    evals, evecs = evals[order], evecs[:, order]
+    return SpectrumResult(
+        eigenvalues=evals,
+        eigenvectors=evecs if want_vectors else None,
+        solver="eigsh",
+        iterations=0,
+        residual_norms=np.linalg.norm(A @ evecs - evecs * evals, axis=0),
+        converged=converged,
+    )

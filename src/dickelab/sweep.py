@@ -20,11 +20,17 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import derive_model_params, read_device_file
-from .diagnostics import converge_cutoff, degeneracy_classes, splitting_and_gap
+from .diagnostics import (
+    converge_cutoff,
+    degeneracy_classes,
+    spin_ladder_levels,
+    spin_model_spectrum,
+    splitting_and_gap,
+)
 from .errors import ConfigError, DickeLabError, SweepAborted, ValidationError
-from .model import ModelParams, build_full_hamiltonian, polaron_spin_hamiltonian
+from .model import ModelParams
 from .semiclassics import reduced_surface, splitting_scaling_fit
-from .solvers import SolverOptions, solve_lowest
+from .solvers import SolverOptions
 
 CSV_HEADER = (
     "N,S,omega,g,v,u,M_star,E0,E1,E2,d,Delta,pairing_ok,oracle_deviation,"
@@ -243,7 +249,7 @@ def _evaluate_point(
         opts = SolverOptions(k=engine.k, seed=seed)
         if engine.mode == "spin-only":
             budget.charge(p.N + 1)
-            eigs = np.linalg.eigvalsh(polaron_spin_hamiltonian(p))[: engine.k]
+            eigs = spin_model_spectrum(p)[: engine.k]
             M_star = 0
             oracle_dev = None
             solver_ok = True
@@ -253,14 +259,9 @@ def _evaluate_point(
             )
             M_star = conv.M_star
             budget.charge((M_star + 1) * (p.N + 1))
-            H = build_full_hamiltonian(p, M_star)
-            res = solve_lowest(H, opts.with_k(min(engine.k, H.dim)), want_vectors=False)
-            eigs = res.eigenvalues
-            spin_levels = np.linalg.eigvalsh(polaron_spin_hamiltonian(p))
-            ladder = np.arange(eigs.size + 2) * p.omega
-            merged = np.sort((spin_levels[:, None] + ladder[None, :]).ravel())[: eigs.size]
-            oracle_dev = float(np.max(np.abs(eigs - merged)))
-            solver_ok = res.converged and conv.converged
+            eigs = conv.spectrum.eigenvalues[: engine.k]
+            oracle_dev = float(np.max(np.abs(eigs - spin_ladder_levels(p, eigs.size))))
+            solver_ok = conv.spectrum.converged and conv.converged
 
         base["M_star"] = M_star
         base["oracle_deviation"] = oracle_dev

@@ -11,6 +11,7 @@ from dickelab import (
     converge_cutoff,
     degeneracy_classes,
     dense_spectrum,
+    lowest_levels,
     oracle_spectrum_equivalence,
     polaron_spin_hamiltonian,
     spin_model_spectrum,
@@ -278,3 +279,39 @@ def test_converge_with_lanczos_path():
     np.testing.assert_allclose(
         rep.history[-1][1:], dense_rep.history[-1][1:], atol=1e-8
     )
+
+
+SECTOR_GRID = [(N, float(np.sqrt(r)), 1.0) for N in range(1, 9) for r in (0, 0.2, 0.5, 0.9, 1.0)] + [
+    (N, float(np.sqrt(0.5)), 0.0) for N in range(1, 9)
+]
+FORCE_ARPACK = [{}, {"dense_threshold": 10}]  # default options, then every block to ARPACK
+
+
+@pytest.mark.parametrize("extra", FORCE_ARPACK)
+def test_lowest_levels_match_unsplit_dense(extra):
+    M, k = 30, 6
+    opts = SolverOptions(k=k, seed=3, **extra)
+    for N, g, v in SECTOR_GRID:
+        p = ModelParams(N=N, omega=1.0, g=g, v=v)
+        res = lowest_levels(p, M, k, opts)
+        ref = dense_spectrum(build_full_hamiltonian(p, M), k).eigenvalues
+        assert res.converged
+        dev = np.max(np.abs(res.eigenvalues - ref))
+        assert dev <= 1e-12 * abs(ref[0]), (N, g, v, dev)
+        if N % 2:
+            assert res.eigenvalues[1] == res.eigenvalues[0]
+
+
+@pytest.mark.parametrize("extra", FORCE_ARPACK)
+def test_odd_n_ground_pair_is_an_exact_doublet(extra):
+    M = 30
+    for N in (1, 3, 5, 7):
+        p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(0.5)), v=1.0)
+        x0, x1, res = ground_pair(p, M, options=SolverOptions(**extra))
+        H = build_full_hamiltonian(p, M)
+        X = np.column_stack([x0, x1])
+        np.testing.assert_allclose(X.T @ X, np.eye(2), atol=1e-12)
+        e = res.eigenvalues[:2]
+        assert e[1] == e[0]
+        resid = np.linalg.norm(H @ X - X * e, axis=0)
+        assert np.all(resid <= 1e-10 * H.frobenius_norm()), (N, resid)

@@ -159,6 +159,24 @@ def test_solve_lowest_dispatch():
     H = build_full_hamiltonian(p, 10)
     assert solve_lowest(H, SolverOptions(k=3)).solver == "dense"
     res = solve_lowest(H, SolverOptions(k=3, dense_threshold=10, seed=2))
-    assert res.solver == "lanczos"
+    assert res.solver == "eigsh"
     ref = dense_spectrum(H, 3)
     np.testing.assert_allclose(res.eigenvalues, ref.eigenvalues, atol=1e-9)
+
+
+def test_eigsh_nonconvergence_reports_best_effort():
+    p = ModelParams(N=4, omega=1.0, g=0.7, v=1.0)
+    H = build_full_hamiltonian(p, 200)
+    opts = SolverOptions(k=6, seed=0, max_iterations=1, dense_threshold=100)
+    res = solve_lowest(H, opts)
+    assert res.solver == "eigsh"
+    assert not res.converged
+    assert res.eigenvalues.size == res.residual_norms.size <= 6
+
+
+def test_solve_lowest_near_full_k_goes_dense():
+    # ARPACK needs k < dim - 1
+    H = SparseOperator.from_scipy(np.diag(np.arange(12.0)))
+    res = solve_lowest(H, SolverOptions(k=11, dense_threshold=5))
+    assert res.solver == "dense"
+    np.testing.assert_allclose(res.eigenvalues, np.arange(11.0), atol=1e-14)

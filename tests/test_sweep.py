@@ -293,15 +293,47 @@ def test_emit_landscape_grid(tmp_path):
     assert e == pytest.approx(-0.16 * 2.25, rel=1e-12)  # -u S^2 at the pole
 
 
+# the cutoff search's 2M solves have blocks of 738, 615 (N = 10) and 858
+# (N = 11), above dense_threshold, so they run ARPACK
+FULL_ARPACK = """
+[model]
+N_list = 10, 11
+omega = 1.0
+g_list = 0.70710678118654757
+v_list = 1.0
+
+[engine]
+mode = full
+k = 6
+seed = 0
+
+[outputs]
+path = rows.csv
+emit = splitting, degeneracy, spectrum
+"""
+
+
 def test_workers_do_not_change_bytes(tmp_path):
-    texts = []
-    for workers in (1, 8):
-        out = tmp_path / f"rows_{workers}.csv"
-        cfg = parse_config(SPIN_EVEN.replace("path = rows.csv", f"path = {out}"))
-        rows = run_sweep(cfg, workers=workers)
-        emit_results(rows, cfg)
-        texts.append(out.read_bytes())
-    assert texts[0] == texts[1]
+    for name, text in (("spin", SPIN_EVEN), ("full", FULL_ARPACK)):
+        blobs = []
+        for workers in (1, 8):
+            out = tmp_path / f"{name}_{workers}.csv"
+            cfg = parse_config(text.replace("path = rows.csv", f"path = {out}"))
+            rows = run_sweep(cfg, workers=workers)
+            blobs.append(b"".join(path.read_bytes() for path in emit_results(rows, cfg)))
+        assert blobs[0] == blobs[1], name
+
+
+def test_full_sweep_never_calls_block_lanczos(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("block Lanczos is a cross-check only")
+
+    monkeypatch.setattr("dickelab.solvers.lanczos_lowest", refuse)
+    rows = run_sweep(parse_config(FULL_ARPACK), workers=1)
+    assert [row.N for row in rows] == [10, 11]
+    assert all(row.converged for row in rows)
+    assert rows[0].d > 0
+    assert rows[1].d == 0.0
 
 
 def test_emit_rejects_missing_directory(tmp_path):
