@@ -16,7 +16,7 @@ from .circuit import derive_model_params, read_device_file, validate_regime
 from .diagnostics import converge_cutoff, spin_model_spectrum, splitting_and_gap
 from .errors import ResourceError, SweepAborted, ValidationError
 from .solvers import SolverOptions
-from .sweep import SweepConfig, emit_results, landscape_grid, parse_config, run_sweep
+from .sweep import SweepConfig, emit_results, parse_config, run_sweep, write_landscape
 
 _FMT = "{:.17g}".format
 
@@ -24,7 +24,9 @@ _FMT = "{:.17g}".format
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output path (overrides the config)")
     sub.add_argument("--format", choices=["csv", "jsonl"], help="table format")
-    sub.add_argument("--workers", type=int, help="worker pool size (default: all cores)")
+    sub.add_argument(
+        "--workers", type=int, help="worker threads (default: min(32, cores + 4))"
+    )
     sub.add_argument("--seed", type=int, help="solver seed (overrides the config)")
     sub.add_argument(
         "--freq-display",
@@ -131,12 +133,7 @@ def _cmd_landscape(args) -> int:
     out = args.out or cfg.outputs.path
     if not out:
         raise ValidationError("no output path configured (set outputs.path or --out)")
-    lines = ["theta,phi,energy"]
-    for th, ph, e in landscape_grid(
-        p, cfg.outputs.landscape_theta_points, cfg.outputs.landscape_phi_points
-    ):
-        lines.append(f"{_FMT(th)},{_FMT(ph)},{_FMT(e)}")
-    Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_landscape(p, cfg.outputs.landscape_theta_points, cfg.outputs.landscape_phi_points, out)
     print(f"wrote {out}")
     return 0
 

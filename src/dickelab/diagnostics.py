@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ResourceError, ValidationError
@@ -23,7 +24,6 @@ from .model import (
     SparseOperator,
     build_full_hamiltonian,
     collective_spin_matrices,
-    polaron_spin_hamiltonian,
     symmetry_operator,
 )
 from .solvers import SolverOptions, SpectrumResult, solve_lowest
@@ -253,9 +253,34 @@ def converge_cutoff(
         M *= 2
 
 
+def _spin_sector_levels(p: ModelParams, s: int) -> np.ndarray:
+    """Eigenvalues of -u Sz^2 - v Sx^2 on the sector m + S = s (mod 2), ascending.
+
+    In the Sz basis the sector is tridiagonal: diagonal
+    -u m^2 - v (S(S+1) - m^2)/2 and (m, m+2) element
+    -v sqrt(S(S+1) - m(m+1)) sqrt(S(S+1) - (m+1)(m+2)) / 4.
+    """
+    S = p.S
+    m = -S + np.arange(s, p.N + 1, 2)
+    ss = S * (S + 1)
+    diag = -p.u * m**2 - p.v * (ss - m**2) / 2
+    lo = m[:-1]
+    off = -p.v * np.sqrt(ss - lo * (lo + 1)) * np.sqrt(ss - (lo + 1) * (lo + 2)) / 4
+    return eigvalsh_tridiagonal(diag, off)
+
+
 def spin_model_spectrum(p: ModelParams) -> np.ndarray:
-    """All eigenvalues of the displaced-frame spin model, ascending."""
-    return np.linalg.eigvalsh(polaron_spin_hamiltonian(p))
+    """All N+1 eigenvalues of the displaced-frame spin model -u Sz^2 - v Sx^2, ascending.
+
+    The model conserves (-1)^(m+S), so it is solved as two tridiagonal
+    parity sectors (:func:`polaron_spin_hamiltonian` stays the dense
+    reference).  For odd N the joint parity maps one sector onto the
+    other, so only m + S even is solved and each level is reported twice:
+    the odd-N doublets are exact by construction.
+    """
+    if p.N % 2:
+        return np.repeat(_spin_sector_levels(p, 0), 2)
+    return np.sort(np.concatenate([_spin_sector_levels(p, 0), _spin_sector_levels(p, 1)]))
 
 
 def spin_ladder_levels(p: ModelParams, n: int) -> np.ndarray:

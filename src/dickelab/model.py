@@ -281,6 +281,10 @@ def polaron_spin_hamiltonian(p: ModelParams) -> np.ndarray:
     the same transform applies to the Sx^2 term.  The reduction is exact
     when g = 0 or v = 0; otherwise the dressing shifts the spectrum, so
     treat this as the reference spin model, not an identity.
+
+    This dense (N+1) x (N+1) matrix is the reference that tests check
+    against; :func:`~dickelab.diagnostics.spin_model_spectrum` computes the
+    spectrum from the two tridiagonal parity sectors without building it.
     """
     spin = collective_spin_matrices(p.S)
     return -p.u * (spin.sz @ spin.sz) - p.v * (spin.sx @ spin.sx)

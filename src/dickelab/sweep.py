@@ -29,7 +29,7 @@ from .diagnostics import (
 )
 from .errors import ConfigError, DickeLabError, SweepAborted, ValidationError
 from .model import ModelParams
-from .semiclassics import reduced_surface, splitting_scaling_fit
+from .semiclassics import splitting_scaling_fit
 from .solvers import SolverOptions
 
 CSV_HEADER = (
@@ -258,7 +258,8 @@ def _evaluate_point(
                 p, engine.tol, k=3, options=opts, max_dim=engine.max_dim
             )
             M_star = conv.M_star
-            budget.charge((M_star + 1) * (p.N + 1))
+            # every solve of the cutoff search, not only the accepted one
+            budget.charge(sum((M + 1) * (p.N + 1) for M, *_ in conv.history))
             eigs = conv.spectrum.eigenvalues[: engine.k]
             oracle_dev = float(np.max(np.abs(eigs - spin_ladder_levels(p, eigs.size))))
             solver_ok = conv.spectrum.converged and conv.converged
@@ -394,17 +395,42 @@ def _extra_path(main: Path, tag: str) -> Path:
     return main.parent / f"{main.stem}.{tag}.csv"
 
 
-def landscape_grid(
-    p: ModelParams, theta_points: int, phi_points: int
-) -> list[tuple[float, float, float]]:
-    """Reduced-surface samples on a regular (theta, phi) grid."""
+def landscape_grid(p: ModelParams, theta_points: int, phi_points: int) -> np.ndarray:
+    """Reduced-surface samples on a regular (theta, phi) grid, one (theta, phi, energy) row per point.
+
+    Rows run theta-major, theta in [0, pi] and phi in [0, 2 pi).  The
+    energies equal :func:`~dickelab.semiclassics.reduced_surface` bit for
+    bit: each axis value's squared cosine or sine is the same Python
+    expression reduced_surface evaluates (numpy's ``cos`` and ``** 2`` can
+    each differ from it by an ulp), and the broadcast keeps its operation
+    order.
+    """
     thetas = np.linspace(0.0, math.pi, theta_points)
     phis = np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False)
-    return [
-        (float(th), float(ph), reduced_surface(p, float(th), float(ph)))
-        for th in thetas
-        for ph in phis
-    ]
+    ct2 = np.array([math.cos(t) ** 2 for t in thetas.tolist()])
+    st2 = np.array([math.sin(t) ** 2 for t in thetas.tolist()])
+    cp2 = np.array([math.cos(f) ** 2 for f in phis.tolist()])
+    S = p.S
+    energy = (-p.u * S**2 * ct2)[:, None] - (p.v * S**2 * st2)[:, None] * cp2[None, :]
+    return np.column_stack(
+        [np.repeat(thetas, phi_points), np.tile(phis, theta_points), energy.ravel()]
+    )
+
+
+def write_landscape(
+    p: ModelParams, theta_points: int, phi_points: int, path: str | Path
+) -> None:
+    """Write :func:`landscape_grid` as ``theta,phi,energy`` CSV with 17-digit numbers."""
+    grid = landscape_grid(p, theta_points, phi_points)
+    thetas = [_fmt_float(t) for t in grid[::phi_points, 0].tolist()]
+    phis = [_fmt_float(f) for f in grid[:phi_points, 1].tolist()]
+    energy_rows = grid[:, 2].reshape(theta_points, phi_points).tolist()
+    # one %-template per theta row formats that row's energies in a single call
+    body = "".join(
+        "".join(f"{t},{f},%.17g\n" for f in phis) % tuple(row)
+        for t, row in zip(thetas, energy_rows)
+    )
+    Path(path).write_text("theta,phi,energy\n" + body, encoding="utf-8")
 
 
 def emit_results(
@@ -456,13 +482,10 @@ def emit_results(
             raise ValidationError(
                 f"landscape emit needs a single grid point, config has {len(points)}"
             )
-        lines = ["theta,phi,energy"]
-        for th, ph, e in landscape_grid(
-            points[0], cfg.outputs.landscape_theta_points, cfg.outputs.landscape_phi_points
-        ):
-            lines.append(f"{_fmt_float(th)},{_fmt_float(ph)},{_fmt_float(e)}")
         path = _extra_path(main, "landscape")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_landscape(
+            points[0], cfg.outputs.landscape_theta_points, cfg.outputs.landscape_phi_points, path
+        )
         written.append(path)
 
     if "scaling-fit" in cfg.outputs.emit:

@@ -1,8 +1,12 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+from dickelab import ModelParams
 from dickelab.cli import main
+from dickelab.semiclassics import reduced_surface
 
 SWEEP_CFG = """
 [model]
@@ -80,6 +84,33 @@ def test_landscape_subcommand(cfg_file, tmp_path):
     assert len(lines) == 1 + 61 * 120
 
 
+def _landscape_reference(p, theta_points, phi_points):
+    """The landscape file as a per-point reduced_surface loop writes it."""
+    lines = ["theta,phi,energy"]
+    for th in np.linspace(0.0, math.pi, theta_points).tolist():
+        for ph in np.linspace(0.0, 2.0 * math.pi, phi_points, endpoint=False).tolist():
+            lines.append(f"{th:.17g},{ph:.17g},{reduced_surface(p, th, ph):.17g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("N, g", [(20, 0.70710678118654757), (7, 0.44721359549995793)])
+def test_landscape_command_and_emit_write_reference_bytes(tmp_path, N, g):
+    rows = tmp_path / "rows.csv"
+    cfg = tmp_path / "landscape.cfg"
+    cfg.write_text(
+        f"[model]\nN_list = {N}\nomega = 1.0\ng_list = {g!r}\nv_list = 1.0\n"
+        f"[engine]\nmode = spin-only\n"
+        f"[outputs]\npath = {rows}\nemit = landscape\n"
+        f"landscape_theta_points = 37\nlandscape_phi_points = 72\n"
+    )
+    direct = tmp_path / "direct.csv"
+    assert main(["landscape", str(cfg), "--out", str(direct)]) == 0
+    assert main(["sweep", str(cfg)]) == 0
+    reference = _landscape_reference(ModelParams(N=N, omega=1.0, g=g, v=1.0), 37, 72)
+    assert direct.read_bytes() == reference.encode()
+    assert (tmp_path / "rows.landscape.csv").read_bytes() == reference.encode()
+
+
 def test_convergence_subcommand(cfg_file, capsys):
     path, _ = cfg_file
     assert main(["convergence", str(path)]) == 0
@@ -152,7 +183,7 @@ def test_sweep_budget_breach_flushes_partial_rows(tmp_path, capsys):
     cfg = tmp_path / "budget.cfg"
     cfg.write_text(
         f"[model]\nN_list = 3\nomega = 1\ng_list = 0.3, 0.31, 0.32\nv_list = 1\n"
-        f"[engine]\nmode = full\nbudget_dim_total = 60\n"
+        f"[engine]\nmode = full\nbudget_dim_total = 200\n"
         f"[outputs]\npath = {out}\n"
     )
     assert main(["sweep", str(cfg), "--workers", "1"]) == 2

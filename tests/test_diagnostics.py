@@ -269,6 +269,22 @@ def test_spin_model_spectrum_matches_dense_reference():
     )
 
 
+SPIN_UV = ((0.2, 1.0), (0.5, 1.0), (0.9, 1.0), (1.0, 1.0), (0.0, 1.0), (0.7, 0.0), (0.37, 0.37))
+
+
+def test_spin_model_sectors_match_dense_eigvalsh():
+    for N in range(1, 61):
+        for u, v in SPIN_UV:
+            p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(u)), v=v)
+            levels = spin_model_spectrum(p)
+            ref = np.linalg.eigvalsh(polaron_spin_hamiltonian(p))
+            assert levels.shape == (N + 1,)
+            dev = np.max(np.abs(levels - ref))
+            assert dev <= 1e-12 * max(1.0, abs(ref[0])), (N, u, v, dev)
+            if N % 2:  # doublets exact by construction
+                assert np.array_equal(levels[0::2], levels[1::2]), (N, u, v)
+
+
 def test_converge_with_lanczos_path():
     # force the iterative solver inside the cutoff search
     p = ModelParams(N=3, omega=1.0, g=0.3, v=1.0)

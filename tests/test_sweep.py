@@ -193,6 +193,19 @@ def test_global_budget_aborts_with_partial_rows():
     assert len(err.value.rows) < 9
 
 
+def test_budget_charges_every_cutoff_search_solve():
+    # N = 3, g = 0.3 solves at M = 11 and M = 22 and accepts M* = 11: the
+    # search costs 12*4 + 23*4 = 140, the accepted cutoff alone 48
+    text = (
+        "[model]\nN_list = 3\nomega = 1\ng_list = 0.3\nv_list = 1\n"
+        "[engine]\nmode = full\nbudget_dim_total = {limit}\n"
+    )
+    assert run_sweep(parse_config(text.format(limit=140)), workers=1)[0].M_star == 11
+    with pytest.raises(SweepAborted) as err:
+        run_sweep(parse_config(text.format(limit=100)), workers=1)
+    assert err.value.rows == []
+
+
 def test_emit_csv_exact_header_and_digits(tmp_path):
     out = tmp_path / "rows.csv"
     cfg = parse_config(SPIN_EVEN.replace("path = rows.csv", f"path = {out}"))
