@@ -25,7 +25,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="output path (overrides the config)")
     sub.add_argument("--format", choices=["csv", "jsonl"], help="table format")
     sub.add_argument(
-        "--workers", type=int, help="worker threads (default: min(32, cores + 4))"
+        "--workers",
+        type=int,
+        help="accepted for compatibility; has no effect (sweep points run serially)",
     )
     sub.add_argument("--seed", type=int, help="solver seed (overrides the config)")
     sub.add_argument(

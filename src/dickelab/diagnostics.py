@@ -30,6 +30,13 @@ from .solvers import SolverOptions, SpectrumResult, solve_lowest
 
 _NEG_CLIP = 1e-12
 DEFAULT_MAX_DIM = 200_000
+# float64 spacings of |E0| below which two computed levels are not resolved
+RESOLUTION_FLOOR_ULPS = 32
+
+
+def resolution_floor(E0: float) -> float:
+    """Smallest level spacing float64 resolves at energy scale E0: 32 eps |E0|, at least 1e-15."""
+    return max(RESOLUTION_FLOOR_ULPS * np.finfo(float).eps * abs(E0), 1e-15)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,12 @@
 
 :func:`solve_lowest` is the production route: dense LAPACK up to
 ``dense_threshold`` and ARPACK (``scipy.sparse.linalg.eigsh``) above it.
+ARPACK runs in shift-invert mode, with the shift sigma just below the
+operator's Gershgorin lower bound.  No eigenvalue lies below that bound,
+so H - sigma I is positive definite, its LU factorization is nonsingular,
+and the k largest 1 / (lambda - sigma) belong to exactly the k lowest
+lambda: the low end of the spectrum, slow to converge as extremal Ritz
+values of H, becomes the well-separated top of the inverted spectrum.
 It is meant for one symmetry block of the model at a time (see
 ``diagnostics.lowest_levels``), which holds no degenerate low levels.
 :func:`lanczos_lowest`, a block Lanczos iteration with full
@@ -31,14 +37,15 @@ class SolverOptions:
     is relative to the Frobenius norm of the operator.  max_iterations
     caps Lanczos block steps (default 10 * dim) and ARPACK restarts
     (ARPACK's default when None).  Operators up to dense_threshold go to
-    LAPACK, larger ones to ARPACK.
+    LAPACK, larger ones to ARPACK; 400 is about where shift-invert ARPACK
+    overtakes LAPACK on the model's parity blocks.
     """
 
     k: int = 6
     residual_tol: float = 1e-10
     max_iterations: int | None = None
     block_size: int = 4
-    dense_threshold: int = 500
+    dense_threshold: int = 400
     seed: int = 0
 
     def validate(self, dim: int) -> None:
@@ -235,15 +242,32 @@ def lanczos_lowest(
     )
 
 
+def _gershgorin_shift(A) -> float:
+    """A shift strictly below the spectrum of symmetric A.
+
+    Every eigenvalue lies in a Gershgorin disc, so none is below
+    min_i(a_ii - sum_{j != i} |a_ij|); the shift sits a further 1 % of
+    max(1, |bound|) below that bound.
+    """
+    diag = A.diagonal()
+    radius = np.ravel(abs(A).sum(axis=1)) - np.abs(diag)
+    bound = float(np.min(diag - radius))
+    return bound - 1e-2 * max(1.0, abs(bound))
+
+
 def solve_lowest(
     H, opts: SolverOptions | None = None, *, want_vectors: bool = True
 ) -> SpectrumResult:
     """Lowest opts.k eigenpairs: LAPACK up to ``dense_threshold``, else ARPACK.
 
-    ARPACK starts from a vector drawn from ``seed`` and iterates to machine
-    precision; it also needs k < dim - 1, so larger requests go dense.  If
-    it runs out of restarts, the Ritz pairs that did converge come back
-    with converged=False.  Plain Lanczos keeps one copy of each eigenvalue,
+    ARPACK runs in shift-invert mode (``which="LM"`` around sigma from
+    :func:`_gershgorin_shift`): sigma lies below every eigenvalue, so
+    H - sigma I factorizes without meeting a singular matrix and the k
+    eigenvalues nearest sigma are the k lowest.  ARPACK starts from a
+    vector drawn from ``seed`` and iterates to machine precision; it also
+    needs k < dim - 1, so larger requests go dense.  If it runs out of
+    restarts, the Ritz pairs that did converge come back with
+    converged=False.  Plain Lanczos keeps one copy of each eigenvalue,
     so H should have no degenerate low levels: pass one symmetry sector.
     """
     if opts is None:
@@ -257,8 +281,8 @@ def solve_lowest(
     converged = True
     try:
         evals, evecs = scipy.sparse.linalg.eigsh(
-            A, k=opts.k, which="SA", tol=0, maxiter=opts.max_iterations,
-            v0=rng.uniform(-1.0, 1.0, dim), rng=rng,
+            A, k=opts.k, sigma=_gershgorin_shift(A), which="LM", tol=0,
+            maxiter=opts.max_iterations, v0=rng.uniform(-1.0, 1.0, dim), rng=rng,
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         evals, evecs = exc.eigenvalues, exc.eigenvectors

@@ -1,19 +1,16 @@
 """Parameter-sweep engine: config parsing, grid execution, table emission.
 
 A sweep evaluates the grid N_list x g_list x v_list (or one circuit-derived
-point), each point independently on a worker pool, and renders the rows to
-CSV or JSON lines with 17-significant-digit numbers so the files round-trip
-64-bit floats losslessly.  Grid order is deterministic and independent of
-the worker count.
+point) one point after another, and renders the rows to CSV or JSON lines
+with 17-significant-digit numbers so the files round-trip 64-bit floats
+losslessly.  Grid order is deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +20,7 @@ from .circuit import derive_model_params, read_device_file
 from .diagnostics import (
     converge_cutoff,
     degeneracy_classes,
+    resolution_floor,
     spin_ladder_levels,
     spin_model_spectrum,
     splitting_and_gap,
@@ -273,8 +271,7 @@ def _evaluate_point(
         if eigs.size >= 3:
             sg = splitting_and_gap(eigs[:3])
             base["d"], base["Delta"] = sg.d, sg.Delta
-        cluster_tol = max(1e-10 * abs(base["E0"]), 1e-15)
-        base["pairing_ok"] = degeneracy_classes(eigs, cluster_tol).pairing_ok
+        base["pairing_ok"] = degeneracy_classes(eigs, resolution_floor(base["E0"])).pairing_ok
         row = SweepRow(
             wall_time_seconds=time.perf_counter() - t0,
             eigenvalues=tuple(float(x) for x in eigs),
@@ -288,61 +285,40 @@ def _evaluate_point(
 
 
 class _Budget:
-    """Cumulative dimension budget shared across workers."""
+    """Cumulative dimension budget of one sweep."""
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
-        self._lock = threading.Lock()
 
     def charge(self, amount: int) -> None:
-        with self._lock:
-            if self.used + amount > self.limit:
-                raise SweepAborted(
-                    f"global dimension budget exceeded ({self.used + amount} > {self.limit})"
-                )
-            self.used += amount
+        if self.used + amount > self.limit:
+            raise SweepAborted(
+                f"global dimension budget exceeded ({self.used + amount} > {self.limit})"
+            )
+        self.used += amount
 
 
 def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[SweepRow]:
-    """Evaluate every grid point; rows come back in grid order.
+    """Evaluate every grid point in grid order, one after another.
 
     Per-point failures are recorded in-row with converged=False.  A breach
     of the global dimension budget aborts the sweep with the completed
-    rows attached to the SweepAborted exception.
+    rows attached to the SweepAborted exception.  ``workers`` is accepted
+    and has no effect: a thread pool made sweeps slower (the evaluation is
+    mostly Python under the interpreter lock) and put waiting time into
+    each row's wall_time_seconds.
     """
     points = cfg.grid_points()
     if not points:
         raise ValidationError("sweep grid is empty")
     budget = _Budget(cfg.engine.budget_dim_total)
-    jobs = [(i, p) for i, p in enumerate(points)]
-    results: dict[int, SweepRow] = {}
-    aborted: SweepAborted | None = None
-
-    def work(item):
-        i, p = item
-        return i, _evaluate_point(p, cfg.engine, seed=cfg.engine.seed + i, budget=budget)
-
-    n_workers = workers if workers and workers > 0 else None
-    if n_workers == 1:
-        iterator = map(work, jobs)
-        try:
-            for i, row in iterator:
-                results[i] = row
-        except SweepAborted as exc:
-            aborted = exc
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(work, job) for job in jobs]
-            for fut in futures:
-                try:
-                    i, row = fut.result()
-                    results[i] = row
-                except SweepAborted as exc:
-                    aborted = exc
-    rows = [results[i] for i in sorted(results)]
-    if aborted is not None:
-        raise SweepAborted(str(aborted), rows=rows)
+    rows: list[SweepRow] = []
+    try:
+        for i, p in enumerate(points):
+            rows.append(_evaluate_point(p, cfg.engine, seed=cfg.engine.seed + i, budget=budget))
+    except SweepAborted as exc:
+        raise SweepAborted(str(exc), rows=rows) from exc
     return rows
 
 

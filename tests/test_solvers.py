@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from dickelab import (
     ModelParams,
@@ -180,3 +181,41 @@ def test_solve_lowest_near_full_k_goes_dense():
     res = solve_lowest(H, SolverOptions(k=11, dense_threshold=5))
     assert res.solver == "dense"
     np.testing.assert_allclose(res.eigenvalues, np.arange(11.0), atol=1e-14)
+
+
+def _diag_with_decoupled_zero(dim: int, seed: int) -> np.ndarray:
+    # diag(-1, 0, 1, ...) plus a weak random symmetric coupling that spares
+    # the zero level, which stays an exactly decoupled basis state
+    rng = np.random.default_rng(seed)
+    C = 1e-2 * rng.standard_normal((dim, dim))
+    C = (C + C.T) / 2
+    np.fill_diagonal(C, 0.0)
+    C[1, :] = C[:, 1] = 0.0
+    return np.diag(np.arange(dim) - 1.0) + C
+
+
+def test_shift_invert_returns_every_level_of_an_unsplit_operator():
+    A = _diag_with_decoupled_zero(80, seed=4)
+    ref = np.linalg.eigvalsh(A)[:6]
+    opts = SolverOptions(k=6, dense_threshold=10, seed=1)
+    res = solve_lowest(SparseOperator.from_scipy(A), opts)
+    assert res.solver == "eigsh" and res.converged
+    assert abs(ref[1]) <= 1e-12  # the decoupled zero level is among those compared
+    assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12
+
+
+def test_shift_invert_sigma_lies_below_the_spectrum(monkeypatch):
+    shifts = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def spy(A, *args, **kwargs):
+        shifts.append(kwargs["sigma"])
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    p = ModelParams(N=4, omega=1.0, g=0.7, v=1.0)
+    unsplit = SparseOperator.from_scipy(_diag_with_decoupled_zero(80, seed=4))
+    for H in (build_full_hamiltonian(p, 60), unsplit):
+        solve_lowest(H, SolverOptions(k=4, dense_threshold=10))
+        assert shifts[-1] < dense_spectrum(H, 1).eigenvalues[0]
+    assert len(shifts) == 2

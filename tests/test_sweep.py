@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -335,6 +336,18 @@ def test_workers_do_not_change_bytes(tmp_path):
             rows = run_sweep(cfg, workers=workers)
             blobs.append(b"".join(path.read_bytes() for path in emit_results(rows, cfg)))
         assert blobs[0] == blobs[1], name
+
+
+def test_point_wall_times_do_not_overlap():
+    # each point's wall time is its own work: the times of a sweep's points
+    # add up to no more than the sweep took, whatever the worker count
+    n_list = ", ".join(str(N) for N in range(2, 400))
+    cfg = parse_config(SPIN_EVEN.replace("N_list = 4, 6, 8", f"N_list = {n_list}"))
+    t0 = time.perf_counter()
+    rows = run_sweep(cfg, workers=2)
+    elapsed = time.perf_counter() - t0
+    assert len(rows) == 398
+    assert sum(row.wall_time_seconds for row in rows) <= 1.05 * elapsed + 1e-3
 
 
 def test_full_sweep_never_calls_block_lanczos(monkeypatch):
