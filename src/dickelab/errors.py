@@ -34,7 +34,12 @@ class ResourceError(DickeLabError):
 
 
 class DescentError(DickeLabError):
-    """All descent starts failed; ``candidates`` lists the best attempts."""
+    """All descent starts failed; ``candidates`` lists the best attempts.
+
+    Kept in the public error hierarchy for callers that catch it;
+    ``find_minima`` enumerates its points in closed form and no longer
+    raises it.
+    """
 
     def __init__(self, message: str, candidates=None):
         self.candidates = candidates or []

@@ -5,12 +5,16 @@ the collective-spin direction (theta, phi) is
 
     E = omega (x^2 + y^2) + 2 S g x cos(theta) - v S^2 sin^2(theta) cos^2(phi).
 
-For u = g^2/omega < v the two degenerate minima sit on the equator at
-phi = 0 and phi = pi with the cavity in vacuum; for u > v they move to the
-poles with a displaced cavity.  The parity factor |cos(N pi / 2)| decides
-whether tunneling between the equatorial minima interferes destructively
-(odd N) or not (even N), and the even-N splitting decays like exp(-c N),
-which splitting_scaling_fit extracts from diagonalization data.
+It reduces exactly over the cavity (x = -S g cos(theta) / omega, y = 0),
+so find_minima enumerates its stationary points in closed form: the two
+poles and the equator at phi in {0, pi/2, pi, 3 pi/2}, with flat rings on
+the special lines u = v, u = 0 and v = 0.  For u = g^2/omega < v the two
+degenerate minima sit on the equator at phi = 0 and phi = pi with the
+cavity in vacuum; for u > v they move to the poles with a displaced
+cavity.  The parity factor |cos(N pi / 2)| decides whether tunneling
+between the equatorial minima interferes destructively (odd N) or not
+(even N), and the even-N splitting decays like exp(-c N), which
+splitting_scaling_fit extracts from diagonalization data.
 """
 
 from __future__ import annotations
@@ -19,15 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import DescentError, ValidationError
+from .errors import ValidationError
 from .model import ModelParams
-
-_GRAD_TOL = 1e-10
-_HESS_STEP = 1e-4
-_POLE_TOL = 1e-6
-_DEDUP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,7 @@ class StationaryPoint:
     point: PhasePoint
     energy: float
     gradient_norm: float
-    classification: str  # minimum | saddle | maximum | degenerate
+    classification: str  # minimum | degenerate
 
 
 @dataclass(frozen=True)
@@ -119,7 +117,7 @@ def interference_factor(N: int) -> float:
     paths between the equatorial minima; its zero at odd N is what locks
     the ground doublet degenerate.
     """
-    if not isinstance(N, (int, np.integer)) or N < 1:
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
         raise ValidationError(f"N must be a positive integer, got {N!r}")
     return 0.0 if N % 2 else 1.0
 
@@ -147,142 +145,57 @@ def splitting_scaling_fit(points) -> ScalingFit:
     )
 
 
-def _normalize_angles(z: np.ndarray) -> np.ndarray:
-    x, y, th, ph = z
-    th = math.fmod(th, 2 * math.pi)
-    if th < 0:
-        th += 2 * math.pi
-    if th > math.pi:  # the chart double-covers: E(2pi - theta, phi) = E(theta, phi)
-        th = 2 * math.pi - th
-    ph = math.fmod(ph, 2 * math.pi)
-    if ph < 0:
-        ph += 2 * math.pi
-    if 2 * math.pi - ph < 1e-8:  # wrapped representative of phi = 0
-        ph = 0.0
-    if th < _POLE_TOL or math.pi - th < _POLE_TOL:
-        ph = 0.0  # phi is gauge at the poles
-    return np.array([x, y, th, ph])
+def find_minima(p: ModelParams, *, seed: int = 2024) -> list[StationaryPoint]:
+    """The minima (and flat points) of the surface, enumerated in closed form.
 
+    The surface is an exact quadratic in (x, y) with minimum at
+    x = -S g cos(theta) / omega, y = 0, so its stationary points are those
+    of the reduced surface -S^2 (u cos^2 theta + v sin^2 theta cos^2 phi):
+    the two poles and the equatorial points phi in {0, pi/2, pi, 3 pi/2}.
+    On the special lines the surface is flat along a ring through some of
+    them: the phi in {0, pi} meridian when u = v, the phi in {pi/2, 3 pi/2}
+    meridian when u = 0, the whole equator when v = 0, and the whole
+    sphere when u = v = 0.  A ring is represented by the enumerated points
+    on it.
 
-def _embedding(z: np.ndarray) -> np.ndarray:
-    x, y, th, ph = z
-    return np.array(
-        [x, y, math.cos(th), math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph)]
-    )
-
-
-def _hessian_fd(p: ModelParams, z: np.ndarray, dims: list[int]) -> np.ndarray:
-    h = _HESS_STEP
-    H = np.zeros((len(dims), len(dims)))
-    for a, i in enumerate(dims):
-        for b_, j in enumerate(dims):
-            if b_ < a:
-                H[a, b_] = H[b_, a]
-                continue
-            zpp = z.copy(); zpp[i] += h; zpp[j] += h
-            zpm = z.copy(); zpm[i] += h; zpm[j] -= h
-            zmp = z.copy(); zmp[i] -= h; zmp[j] += h
-            zmm = z.copy(); zmm[i] -= h; zmm[j] -= h
-            H[a, b_] = (_energy(p, zpp) - _energy(p, zpm) - _energy(p, zmp) + _energy(p, zmm)) / (4 * h * h)
-    return H
-
-
-def _classify(p: ModelParams, z: np.ndarray) -> str:
-    """Sign pattern of the finite-difference Hessian eigenvalues.
-
-    At the poles the phi direction is pure gauge and the theta curvature
-    depends on the meridian, so the chart Hessian is evaluated along the
-    phi = 0 and phi = pi/2 meridians and the eigenvalue sets are pooled.
+    Each point is classified from the analytic Hessian.  The (x, y) block
+    is 2 omega times the identity, so by Haynsworth inertia the full
+    Hessian has two positive eigenvalues plus the signs of the reduced
+    Hessian (the Schur complement).  That Hessian is diagonal: at the
+    equator, in (theta, phi), it is (2 S^2 (v cos^2 phi - u), 2 v S^2 cos 2 phi);
+    at a pole, in the tangent coordinates (sin theta cos phi,
+    sin theta sin phi), where phi is gauge, it is (2 S^2 (u - v), 2 S^2 u).
+    A point is kept as "minimum" when both entries are positive and as
+    "degenerate" when one is zero (within rounding of u) and neither is
+    negative.  The result is sorted by (energy, theta, phi).  ``seed`` is
+    accepted for compatibility and unused: nothing is random.
     """
-    if math.sin(z[2]) < _POLE_TOL:
-        eigs = []
-        for ph_probe in (0.0, math.pi / 2):
-            zp = z.copy()
-            zp[3] = ph_probe
-            eigs.extend(np.linalg.eigvalsh(_hessian_fd(p, zp, [0, 1, 2])))
-        eigs = np.array(eigs)
-    else:
-        eigs = np.linalg.eigvalsh(_hessian_fd(p, z, [0, 1, 2, 3]))
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    ztol = 1e-6 * scale
-    n_pos = int(np.sum(eigs > ztol))
-    n_neg = int(np.sum(eigs < -ztol))
-    n_zero = eigs.size - n_pos - n_neg
-    if n_neg > 0 and n_pos > 0:
-        return "saddle"
-    if n_zero > 0:
-        return "degenerate"
-    return "minimum" if n_neg == 0 else "maximum"
-
-
-def find_minima(
-    p: ModelParams, *, seed: int = 2024, gradient_tol: float = _GRAD_TOL
-) -> list[StationaryPoint]:
-    """Multi-start descent on the full surface; returns minima (and flat points).
-
-    Starts on a jittered 3 x 4 (theta, phi) grid with the cavity at
-    x = y = 0, descends with the analytic gradient, deduplicates in the
-    gauge-free embedding, classifies each survivor, and keeps the points
-    classified minimum or degenerate, sorted by energy.  Raises
-    DescentError if no start reaches the stationarity tolerance.
-    """
-    rng = np.random.default_rng(seed)
-    starts = []
-    for th in (math.pi / 4, math.pi / 2, 3 * math.pi / 4):
-        for ph in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
-            jitter = rng.uniform(-0.05, 0.05, size=2)
-            starts.append(np.array([0.0, 0.0, th + jitter[0], ph + jitter[1]]))
-
-    candidates: list[tuple[np.ndarray, float, float]] = []
-    failures: list[tuple[np.ndarray, float, float]] = []
-    for z0 in starts:
-        res = minimize(
-            lambda z: _energy(p, z),
-            z0,
-            jac=lambda z: surface_gradient(p, z),
-            method="BFGS",
-            options={"gtol": gradient_tol / 10, "maxiter": 500},
-        )
-        z = _normalize_angles(res.x)
-        gnorm = float(np.linalg.norm(surface_gradient(p, z)))
-        entry = (z, float(_energy(p, z)), gnorm)
-        if gnorm <= gradient_tol:
-            candidates.append(entry)
-        else:
-            failures.append(entry)
-    if not candidates:
-        best = sorted(failures, key=lambda c: c[2])[:3]
-        raise DescentError(
-            "no descent start reached the stationarity tolerance",
-            candidates=[
-                StationaryPoint(
-                    point=PhasePoint(*map(float, z)),
-                    energy=e,
-                    gradient_norm=g,
-                    classification="saddle",
-                )
-                for z, e, g in best
-            ],
-        )
-
-    unique: list[tuple[np.ndarray, float, float]] = []
-    for z, e, g in sorted(candidates, key=lambda c: (c[1], c[2])):
-        emb = _embedding(z)
-        if any(np.linalg.norm(emb - _embedding(uz)) < _DEDUP_TOL for uz, _, _ in unique):
-            continue
-        unique.append((z, e, g))
-
+    S2, u, v = p.S**2, p.u, p.v
+    zero_tol = 8 * np.finfo(float).eps * 2 * S2 * max(u, v)
+    pole = (2 * S2 * (u - v), 2 * S2 * u)
+    # equator with the spin along +-x (phi = 0, pi) and along +-y (phi = pi/2, 3 pi/2)
+    x_axis, y_axis = (2 * S2 * (v - u), 2 * v * S2), (-2 * S2 * u, -2 * v * S2)
+    x_pole = p.S * p.g / p.omega
+    candidates = [  # (x, theta, phi, reduced Hessian diagonal)
+        (-x_pole, 0.0, 0.0, pole),
+        (x_pole, math.pi, 0.0, pole),
+        (0.0, math.pi / 2, 0.0, x_axis),
+        (0.0, math.pi / 2, math.pi / 2, y_axis),
+        (0.0, math.pi / 2, math.pi, x_axis),
+        (0.0, math.pi / 2, 3 * math.pi / 2, y_axis),
+    ]
     out = []
-    for z, e, g in unique:
-        cls = _classify(p, z)
-        if cls in ("minimum", "degenerate"):
-            out.append(
-                StationaryPoint(
-                    point=PhasePoint(*map(float, z)),
-                    energy=e,
-                    gradient_norm=g,
-                    classification=cls,
-                )
+    for x, theta, phi, curvatures in candidates:
+        if min(curvatures) < -zero_tol:
+            continue
+        z = np.array([x, 0.0, theta, phi])
+        out.append(
+            StationaryPoint(
+                point=PhasePoint(*map(float, z)),
+                energy=float(_energy(p, z)),
+                gradient_norm=float(np.linalg.norm(surface_gradient(p, z))),
+                classification="degenerate" if min(curvatures) <= zero_tol else "minimum",
             )
+        )
     out.sort(key=lambda s: (s.energy, s.point.theta, s.point.phi))
     return out

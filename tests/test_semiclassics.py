@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import dickelab
 from dickelab import (
     ModelParams,
     PhasePoint,
@@ -134,6 +139,74 @@ def test_find_minima_degenerate_ring_at_u_equals_v():
     assert all(s.energy == pytest.approx(-p.u * p.S**2, rel=1e-9) for s in points)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 2024])
+@pytest.mark.parametrize("ratio", [0.2, 0.5, 0.9])
+@pytest.mark.parametrize("N", [10, 11, 20, 21, 40, 41, 80, 81])
+def test_find_minima_returns_both_equatorial_wells_on_benchmark_grid(N, ratio, seed):
+    p = ModelParams(N=N, omega=1.0, g=math.sqrt(ratio), v=1.0)
+    minima = find_minima(p, seed=seed)
+    assert len(minima) == 2
+    assert all(m.classification == "minimum" for m in minima)
+    phis = sorted(m.point.phi for m in minima)
+    assert phis[0] == pytest.approx(0.0, abs=1e-8)
+    assert phis[1] == pytest.approx(math.pi, abs=1e-8)
+    vS2 = p.v * p.S**2
+    for m in minima:
+        assert m.point.theta == pytest.approx(math.pi / 2, abs=1e-8)
+        assert abs(m.point.x) < 1e-8 and abs(m.point.y) < 1e-8
+        assert abs(m.energy + vS2) <= 1e-10 * vS2
+
+
+def test_find_minima_isolated_equatorial_wells_at_zero_coupling():
+    # u = 0: the phi = pi/2 meridian is a ring of maxima, phi = 0 and pi stay isolated minima
+    p = ModelParams(N=5, omega=1.0, g=0.0, v=1.0)
+    minima = find_minima(p)
+    assert [m.classification for m in minima] == ["minimum", "minimum"]
+    assert [m.point.phi for m in minima] == pytest.approx([0.0, math.pi], abs=1e-12)
+    for m in minima:
+        assert m.point.theta == pytest.approx(math.pi / 2, abs=1e-12)
+        assert m.energy == pytest.approx(-p.v * p.S**2, rel=1e-14)
+
+
+def test_find_minima_polar_wells_without_interaction():
+    # v = 0: the equator is a ring of saddles, so only the two displaced poles remain
+    p = ModelParams(N=5, omega=1.0, g=1.5, v=0.0)
+    minima = find_minima(p)
+    assert [m.classification for m in minima] == ["minimum", "minimum"]
+    assert [m.point.theta for m in minima] == [0.0, math.pi]
+    disp = p.S * p.g / p.omega
+    assert [m.point.x for m in minima] == pytest.approx([-disp, disp], rel=1e-14)
+    for m in minima:
+        assert m.energy == pytest.approx(-p.u * p.S**2, rel=1e-14)
+
+
+def test_find_minima_ring_survives_rounding_of_u():
+    # g = sqrt(v omega) gives u = v + 1 ulp; the phi in {0, pi} meridian is still one flat ring
+    p = ModelParams(N=3, omega=1.0, g=math.sqrt(0.7), v=0.7)
+    assert p.u != p.v
+    points = find_minima(p)
+    assert len(points) == 4
+    assert all(s.classification == "degenerate" for s in points)
+    assert all(s.energy == pytest.approx(-p.v * p.S**2, rel=1e-14) for s in points)
+
+
+def test_find_minima_gradient_at_rounding_level_for_large_n():
+    p = ModelParams(N=2001, omega=1.0, g=math.sqrt(0.5), v=1.0)
+    minima = find_minima(p)
+    assert len(minima) == 2
+    for m in minima:
+        assert m.gradient_norm <= 1e-14 * (p.u + p.v) * p.S**2
+
+
+def test_package_import_leaves_scipy_optimize_out():
+    src = Path(dickelab.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, dickelab, dickelab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_surface_symmetries_in_phi():
     p = ModelParams(N=3, omega=1.1, g=0.5, v=0.8)
     rng = np.random.default_rng(4)
@@ -166,7 +239,7 @@ def test_interference_factor_parity():
 
 
 def test_interference_factor_rejects_bad_n():
-    for bad in (0, -3, 2.5):
+    for bad in (0, -3, 2.5, True):
         with pytest.raises(ValidationError):
             interference_factor(bad)
 
