@@ -21,54 +21,54 @@ from .sweep import SweepConfig, emit_results, parse_config, run_sweep, write_lan
 _FMT = "{:.17g}".format
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", help="output path (overrides the config)")
-    sub.add_argument("--format", choices=["csv", "jsonl"], help="table format")
-    sub.add_argument(
-        "--workers",
-        type=int,
-        help="accepted for compatibility; has no effect (sweep points run serially)",
-    )
-    sub.add_argument("--seed", type=int, help="solver seed (overrides the config)")
-    sub.add_argument(
-        "--freq-display",
-        choices=["angular", "linear"],
-        default="angular",
-        help="report frequencies as angular (rad/s) or linear (value / 2 pi)",
-    )
-    sub.add_argument(
-        "--timing",
-        action="store_true",
-        help="record real wall times in output files (breaks byte-identical reruns)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dickelab",
         description="Exact diagonalization and semiclassics for the extended Dicke model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, helptext in (
         ("spectrum", "solve one grid point and print its eigenvalues"),
         ("sweep", "run the configured parameter sweep and write tables"),
         ("landscape", "export the reduced energy surface on a (theta, phi) grid"),
         ("convergence", "print the Fock-cutoff doubling history per grid point"),
     ):
-        s = sub.add_parser(name, help=helptext)
-        s.add_argument("config", help="path to a sweep config file")
-        _add_common(s)
+        commands[name] = sub.add_parser(name, help=helptext)
+        commands[name].add_argument("config", help="path to a sweep config file")
+    # each flag goes only on the subcommands that read it
+    for name in ("sweep", "landscape"):
+        commands[name].add_argument("--out", help="output path (overrides the config)")
+    for name in ("spectrum", "sweep", "convergence"):
+        commands[name].add_argument("--seed", type=int, help="solver seed (overrides the config)")
+    sweep = commands["sweep"]
+    sweep.add_argument("--format", choices=["csv", "jsonl"], help="table format")
+    sweep.add_argument(
+        "--workers",
+        type=int,
+        help="accepted for compatibility; has no effect (sweep points run serially)",
+    )
+    sweep.add_argument(
+        "--timing",
+        action="store_true",
+        help="record real wall times in output files (breaks byte-identical reruns)",
+    )
     s = sub.add_parser("map-circuit", help="derive model parameters from a device file")
     s.add_argument("device", help="path to a key = value device-parameter file")
-    _add_common(s)
+    s.add_argument(
+        "--freq-display",
+        choices=["angular", "linear"],
+        default="angular",
+        help="report frequencies as angular (rad/s) or linear (value / 2 pi)",
+    )
     return parser
 
 
 def _load_config(args) -> SweepConfig:
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg.engine.seed = args.seed
-    if args.format:
+    if getattr(args, "format", None):
         cfg.outputs.format = {"jsonl": "json-lines"}.get(args.format, args.format)
     return cfg
 
@@ -93,7 +93,7 @@ def _cmd_spectrum(args) -> int:
     if cfg.engine.mode == "spin-only":
         eigs = spin_model_spectrum(p)[: cfg.engine.k]
         m_star = 0
-        solver = "dense"
+        solver = "tridiagonal"
     else:
         conv = converge_cutoff(p, cfg.engine.tol, k=3, options=opts, max_dim=cfg.engine.max_dim)
         m_star = conv.M_star

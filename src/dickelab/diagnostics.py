@@ -18,12 +18,12 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import ResourceError, ValidationError
 from .model import (
-    DEFAULT_MAX_NONZEROS,
     ModelParams,
     ParityOperator,
     SparseOperator,
-    build_full_hamiltonian,
     collective_spin_matrices,
+    sector_hamiltonian,
+    spin_sector,
     symmetry_operator,
 )
 from .solvers import SolverOptions, SpectrumResult, solve_lowest
@@ -130,43 +130,49 @@ def lowest_levels(
     opts: SolverOptions | None = None,
     *,
     want_vectors: bool = False,
-    max_nonzeros: int = DEFAULT_MAX_NONZEROS,
 ) -> SpectrumResult:
-    """Lowest k levels of the full model at Fock cutoff M, solved block by block.
+    """Lowest k levels of the full model at Fock cutoff M, solved sector by sector.
 
-    H conserves (-1)^(m+S), the parity of the column flat % (N+1), so its
-    connected blocks never mix parities: two blocks for g, v != 0, more on
-    the lines g = 0 (n conserved) and v = 0 (m conserved), where the finer
-    split keeps degenerate and decoupled levels, which ARPACK can miss, out
-    of any one solve.  For odd N the joint parity R swaps even and odd
-    columns, so only even-column blocks are solved and each level is
-    reported twice, the copy's vector being R times the original: the
-    odd-N doublet is exact by construction.  Vectors are in the flat basis.
+    H conserves (-1)^(m+S), so each parity sector m + S = s (mod 2) is
+    assembled on its own by :func:`~dickelab.model.sector_hamiltonian`,
+    never the whole H.  A sector that falls apart further (on the lines
+    g = 0, where n is conserved, and v = 0, where m is) is solved one
+    connected piece at a time, which keeps degenerate and decoupled
+    levels, which ARPACK can miss, out of any one solve.  For odd N the
+    joint parity R swaps the two sectors, so only s = 0 is solved and each
+    level is reported twice, the copy's vector being R times the original:
+    the odd-N doublet is exact by construction.  Vectors are in the flat
+    basis, filled in from the sector's flat indices n (N+1) + s + 2j.
     """
     opts = opts or SolverOptions()
-    H = build_full_hamiltonian(p, M, max_nonzeros=max_nonzeros)
-    if k < 1 or k > H.dim:
-        raise ValidationError(f"k must be in [1, {H.dim}], got {k}")
+    dim = (M + 1) * (p.N + 1)
+    if k < 1 or k > dim:
+        raise ValidationError(f"k must be in [1, {dim}], got {k}")
     odd = p.N % 2 == 1
-    csr = H.to_csr()
-    n_blocks, block_of = connected_components(csr != 0, directed=False)
     results: list[SpectrumResult] = []
     vectors: list[np.ndarray] = []
-    for b in range(n_blocks):
-        idx = np.nonzero(block_of == b)[0]
-        if odd and idx[0] % (p.N + 1) % 2:
-            continue  # the mirror image of an even-column block
-        block = SparseOperator.from_scipy(csr[idx][:, idx])
-        k_block = min(-(-k // 2) if odd else k, idx.size)
-        res = solve_lowest(block, opts.with_k(k_block), want_vectors=want_vectors)
-        results.append(res)
-        if want_vectors:
-            V = np.zeros((H.dim, res.eigenvalues.size))
-            V[idx] = res.eigenvectors
-            vectors.append(V)
+    for s in (0,) if odd else (0, 1):
+        H = sector_hamiltonian(p, M, s)
+        w = H.dim // (M + 1)
+        flat = (np.arange(M + 1)[:, None] * (p.N + 1) + s + 2 * np.arange(w)).ravel()
+        csr = H.to_csr()
+        n_blocks, block_of = connected_components(csr, directed=False)
+        for b in range(n_blocks):
+            if n_blocks == 1:
+                block, idx = H, flat
+            else:
+                pick = np.nonzero(block_of == b)[0]
+                block, idx = SparseOperator.from_scipy(csr[pick][:, pick]), flat[pick]
+            k_block = min(-(-k // 2) if odd else k, idx.size)
+            res = solve_lowest(block, opts.with_k(k_block), want_vectors=want_vectors)
+            results.append(res)
+            if want_vectors:
+                V = np.zeros((dim, res.eigenvalues.size))
+                V[idx] = res.eigenvectors
+                vectors.append(V)
     values = [r.eigenvalues for r in results]
     residuals = [r.residual_norms for r in results]
-    if odd:  # the skipped odd-column blocks hold the mirror images
+    if odd:  # the unsolved s = 1 sector holds the mirror images
         values, residuals = values * 2, residuals * 2
         if want_vectors:
             R = symmetry_operator(p, M).op
@@ -214,7 +220,6 @@ def converge_cutoff(
     *,
     options: SolverOptions | None = None,
     max_dim: int = DEFAULT_MAX_DIM,
-    max_nonzeros: int = DEFAULT_MAX_NONZEROS,
 ) -> ConvergenceReport:
     """Double the Fock cutoff until the lowest k eigenvalues stop moving.
 
@@ -240,9 +245,7 @@ def converge_cutoff(
                 f"cutoff search for N={p.N} exceeded max dimension {max_dim} at M={M}",
                 history=tuple(history),
             )
-        res = lowest_levels(
-            p, M, min(max(k, 3, opts.k), dim), opts, max_nonzeros=max_nonzeros
-        )
+        res = lowest_levels(p, M, min(max(k, 3, opts.k), dim), opts)
         e = res.eigenvalues
         e3 = tuple(float(e[i]) if i < e.size else math.nan for i in range(3))
         history.append((M, *e3))
@@ -261,18 +264,8 @@ def converge_cutoff(
 
 
 def _spin_sector_levels(p: ModelParams, s: int) -> np.ndarray:
-    """Eigenvalues of -u Sz^2 - v Sx^2 on the sector m + S = s (mod 2), ascending.
-
-    In the Sz basis the sector is tridiagonal: diagonal
-    -u m^2 - v (S(S+1) - m^2)/2 and (m, m+2) element
-    -v sqrt(S(S+1) - m(m+1)) sqrt(S(S+1) - (m+1)(m+2)) / 4.
-    """
-    S = p.S
-    m = -S + np.arange(s, p.N + 1, 2)
-    ss = S * (S + 1)
-    diag = -p.u * m**2 - p.v * (ss - m**2) / 2
-    lo = m[:-1]
-    off = -p.v * np.sqrt(ss - lo * (lo + 1)) * np.sqrt(ss - (lo + 1) * (lo + 2)) / 4
+    """Eigenvalues of -u Sz^2 - v Sx^2 on the sector m + S = s (mod 2), ascending."""
+    _, diag, off = spin_sector(p, s, p.u)
     return eigvalsh_tridiagonal(diag, off)
 
 

@@ -104,7 +104,7 @@ class SparseOperator:
     """Real-symmetric sparse operator with both triangles stored.
 
     Duplicate (row, col) entries are summed during assembly, so the
-    canonical storage has none; matvec acts as the full symmetric matrix.
+    canonical storage has none; products act as the full symmetric matrix.
     """
 
     def __init__(self, dim: int, rows, cols, vals):
@@ -124,13 +124,6 @@ class SparseOperator:
     def from_scipy(cls, mat) -> "SparseOperator":
         coo = sparse.coo_matrix(mat)
         return cls(coo.shape[0], coo.row, coo.col, coo.data)
-
-    @property
-    def nnz(self) -> int:
-        return self._csr.nnz
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._csr @ x
 
     def matmat(self, X: np.ndarray) -> np.ndarray:
         return self._csr @ X
@@ -271,6 +264,59 @@ def build_full_hamiltonian(
         np.concatenate(cols),
         np.concatenate(vals),
     )
+
+
+def spin_sector(
+    p: ModelParams, s: int, u: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sz values, diagonal and off-diagonal of -u Sz^2 - v Sx^2 on the sector m + S = s (mod 2).
+
+    In the ascending Sz basis the sector is tridiagonal: diagonal
+    -u m^2 - v (S(S+1) - m^2)/2 and (m, m+2) element
+    -v sqrt(S(S+1) - m(m+1)) sqrt(S(S+1) - (m+1)(m+2)) / 4.
+    """
+    S = p.S
+    m = -S + np.arange(s, p.N + 1, 2)
+    ss = S * (S + 1)
+    diag = -u * m**2 - p.v * (ss - m**2) / 2
+    lo = m[:-1]
+    off = -p.v * np.sqrt(ss - lo * (lo + 1)) * np.sqrt(ss - (lo + 1) * (lo + 2)) / 4
+    return m, diag, off
+
+
+def sector_hamiltonian(p: ModelParams, M: int, s: int) -> SparseOperator:
+    """The block of H on the parity sector m + S = s (mod 2), truncated at n <= M.
+
+    H conserves (-1)^(m+S), so this block is H restricted to the flat
+    indices n (N+1) + s + 2j.  Rows are boson-major: row n w + j holds
+    (n, m_j), with m_j the w Sz values of :func:`spin_sector`.  The block
+    is banded: omega n plus the spin diagonal on the diagonal, the spin
+    off-diagonal inside each boson block, and g sqrt(n+1) m_j at distance
+    w.  Zero entries are not stored.  The nonzero budget is that of the
+    whole H, as in :func:`build_full_hamiltonian`.
+    """
+    if M < 0:
+        raise ValidationError(f"fock cutoff M must be >= 0, got {M}")
+    if s not in (0, 1):
+        raise ValidationError(f"sector s must be 0 or 1, got {s!r}")
+    if _estimate_nonzeros(p.N, M, p.g, p.v) > DEFAULT_MAX_NONZEROS:
+        raise ResourceError(
+            f"Hamiltonian for N={p.N}, M={M} needs more than {DEFAULT_MAX_NONZEROS} nonzeros"
+        )
+    m, diag, off = spin_sector(p, s, 0.0)
+    w = m.size
+    n = np.arange(M + 1)[:, None]
+    dim = (M + 1) * w
+    on = np.arange(dim)
+    inner = (n * w + np.arange(w - 1)).ravel()
+    below = np.arange(M * w)
+    spin_off = np.tile(off, M + 1)
+    boson = (p.g * np.sqrt(n[1:]) * m).ravel()
+    rows = np.concatenate([on, inner, inner + 1, below, below + w])
+    cols = np.concatenate([on, inner + 1, inner, below + w, below])
+    vals = np.concatenate([(p.omega * n + diag).ravel(), spin_off, spin_off, boson, boson])
+    keep = vals != 0
+    return SparseOperator(dim, rows[keep], cols[keep], vals[keep])
 
 
 def polaron_spin_hamiltonian(p: ModelParams) -> np.ndarray:

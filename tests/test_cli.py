@@ -58,6 +58,27 @@ def test_spectrum_prints_eigenvalues(cfg_file, capsys):
     assert lines[7].startswith("# d=")
 
 
+def test_spectrum_spin_only_reports_tridiagonal_solver(tmp_path, capsys):
+    cfg = tmp_path / "spin.cfg"
+    cfg.write_text(
+        "[model]\nN_list = 4\nomega = 1\ng_list = 0.5\nv_list = 1\n"
+        "[engine]\nmode = spin-only\n"
+    )
+    assert main(["spectrum", str(cfg)]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.endswith(" M_star=0 solver=tridiagonal")
+
+
+@pytest.mark.parametrize(
+    "argv", [["spectrum", "x.cfg", "--timing"], ["map-circuit", "dev.txt", "--seed", "1"]]
+)
+def test_flags_only_on_the_commands_that_read_them(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_sweep_writes_table(cfg_file, capsys):
     path, out = cfg_file
     assert main(["sweep", str(path), "--workers", "2"]) == 0

@@ -11,6 +11,7 @@ from dickelab import (
     polaron_spin_hamiltonian,
     symmetry_operator,
 )
+from dickelab.model import sector_hamiltonian
 from oracles import dense_hamiltonian
 
 
@@ -139,6 +140,31 @@ def test_nonzero_budget_enforced():
     p = ModelParams(N=3, omega=1.0, g=0.3, v=1.0)
     with pytest.raises(ResourceError):
         build_full_hamiltonian(p, 100, max_nonzeros=100)
+
+
+@pytest.mark.parametrize("N", range(1, 10))
+def test_sector_hamiltonian_is_the_parity_block_of_full_h(N):
+    for g, v in ((0.0, 1.0), (0.7, 0.0), (0.7, 1.0)):
+        for M in (0, 1, 7):
+            p = ModelParams(N=N, omega=1.0, g=g, v=v)
+            full = build_full_hamiltonian(p, M).to_dense()
+            tol = 4 * np.finfo(float).eps * np.max(np.abs(full))
+            parity = np.arange(full.shape[0]) % (N + 1) % 2
+            for s in (0, 1):
+                flat = np.nonzero(parity == s)[0]
+                rest = np.nonzero(parity != s)[0]
+                block = sector_hamiltonian(p, M, s)
+                assert block.dim == flat.size
+                assert np.all(block.to_csr().data != 0), (N, g, v, M, s)
+                dev = np.max(np.abs(block.to_dense() - full[np.ix_(flat, flat)]))
+                assert dev <= tol, (N, g, v, M, s, dev)
+                assert not np.any(full[np.ix_(flat, rest)]), (N, g, v, M, s)
+
+
+def test_sector_hamiltonian_keeps_the_nonzero_budget():
+    p = ModelParams(N=3, omega=1.0, g=0.3, v=1.0)
+    with pytest.raises(ResourceError):
+        sector_hamiltonian(p, 10**6, 0)
 
 
 def test_polaron_decoupled_limit():

@@ -362,6 +362,19 @@ def test_full_sweep_never_calls_block_lanczos(monkeypatch):
     assert rows[1].d == 0.0
 
 
+def test_full_sweep_never_assembles_full_hamiltonian(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full H is a test reference only")
+
+    monkeypatch.setattr("dickelab.model.build_full_hamiltonian", refuse)
+    monkeypatch.setattr("dickelab.diagnostics.build_full_hamiltonian", refuse, raising=False)
+    rows = run_sweep(parse_config(FULL_ARPACK), workers=1)
+    assert [row.N for row in rows] == [10, 11]
+    assert all(row.converged for row in rows)
+    assert rows[0].d > 0
+    assert rows[1].d == 0.0
+
+
 def test_emit_rejects_missing_directory(tmp_path):
     cfg = parse_config(SPIN_EVEN.replace("path = rows.csv", f"path = {tmp_path}/nope/rows.csv"))
     rows = run_sweep(cfg, workers=1)
