@@ -12,6 +12,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .circuit import derive_model_params, read_device_file, validate_regime
 from .diagnostics import converge_cutoff, spin_model_spectrum, splitting_and_gap
 from .errors import ResourceError, SweepAborted, ValidationError
@@ -194,7 +196,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:  # includes ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ResourceError, SweepAborted, OSError) as exc:
+    except (ResourceError, SweepAborted, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -205,12 +205,20 @@ class ConvergenceReport:
 
 
 def initial_cutoff(p: ModelParams) -> int:
-    """Start value for the cutoff search: ceil(4 (g S / omega)^2) + 10.
+    """Start value for the cutoff search: ceil(4 g^2 <Sz^2>* / omega^2) + 10.
 
-    The displacement per Sz sector scales like g m / omega, so occupation
-    scales as its square; the factor 4 and the +10 floor are margin.
+    The cavity holds about g^2 <Sz^2> / omega^2 photons, with <Sz^2>*
+    the semiclassical estimate of <Sz^2> in the ground state.  For u >= v
+    the wells sit at the poles, Sz = +/-S, and <Sz^2>* = S^2.  For u < v
+    they sit on the equator, Sz = 0, and <Sz^2>* is the harmonic
+    (Holstein-Primakoff) fluctuation (S/2) sqrt(v / (v - u)) about it,
+    capped at S^2.  The factor 4 and the +10 floor are margin.
     """
-    return math.ceil(4.0 * (p.g * p.S / p.omega) ** 2) + 10
+    sz2 = p.S**2
+    if p.u < p.v:
+        sz2 = min(sz2, p.S / 2 * math.sqrt(p.v / (p.v - p.u)))
+    # sqrt(S^2) == S exactly, so u >= v gives ceil(4 (g S / omega)^2) + 10 bit for bit
+    return math.ceil(4.0 * (p.g * math.sqrt(sz2) / p.omega) ** 2) + 10
 
 
 def converge_cutoff(

@@ -4,11 +4,14 @@
 ``dense_threshold`` and ARPACK (``scipy.sparse.linalg.eigsh``) above it.
 ARPACK runs in shift-invert mode, with the shift sigma just below the
 operator's Gershgorin lower bound.  No eigenvalue lies below that bound,
-so H - sigma I is positive definite, its LU factorization is nonsingular,
-and the k largest 1 / (lambda - sigma) belong to exactly the k lowest
-lambda: the low end of the spectrum, slow to converge as extremal Ritz
-values of H, becomes the well-separated top of the inverted spectrum.
-It is meant for one symmetry block of the model at a time (see
+so H - sigma I is positive definite and has a banded Cholesky factor
+(the model's parity blocks are banded, of half-bandwidth the number of
+Sz values in the sector); every inner solve of ARPACK is one pair of
+triangular band solves with that factor.  The k largest 1 / (lambda -
+sigma) belong to exactly the k lowest lambda: the low end of the
+spectrum, slow to converge as extremal Ritz values of H, becomes the
+well-separated top of the inverted spectrum.  It is meant for one
+symmetry block of the model at a time (see
 ``diagnostics.lowest_levels``), which holds no degenerate low levels.
 :func:`lanczos_lowest`, a block Lanczos iteration with full
 reorthogonalization whose block size >= 2 keeps degenerate doublets in
@@ -37,8 +40,7 @@ class SolverOptions:
     is relative to the Frobenius norm of the operator.  max_iterations
     caps Lanczos block steps (default 10 * dim) and ARPACK restarts
     (ARPACK's default when None).  Operators up to dense_threshold go to
-    LAPACK, larger ones to ARPACK; 400 is about where shift-invert ARPACK
-    overtakes LAPACK on the model's parity blocks.
+    LAPACK, larger ones to ARPACK.
     """
 
     k: int = 6
@@ -255,15 +257,35 @@ def _gershgorin_shift(A) -> float:
     return bound - 1e-2 * max(1.0, abs(bound))
 
 
+def _shifted_band_factor(A, sigma: float) -> np.ndarray:
+    """Lower banded Cholesky factor of A - sigma I.
+
+    The half-bandwidth is read from A itself: the largest i - j over its
+    stored lower-triangle entries.  Raises ``numpy.linalg.LinAlgError``
+    unless A - sigma I is positive definite, so a factor certifies that
+    sigma lies below the spectrum of A.
+    """
+    coo = scipy.sparse.coo_matrix(A)
+    low = coo.row >= coo.col
+    rows, cols = coo.row[low], coo.col[low]
+    ab = np.zeros((int(np.max(rows - cols, initial=0)) + 1, A.shape[0]))
+    ab[rows - cols, cols] = coo.data[low]
+    ab[0] -= sigma
+    return scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
+
+
 def solve_lowest(
     H, opts: SolverOptions | None = None, *, want_vectors: bool = True
 ) -> SpectrumResult:
     """Lowest opts.k eigenpairs: LAPACK up to ``dense_threshold``, else ARPACK.
 
     ARPACK runs in shift-invert mode (``which="LM"`` around sigma from
-    :func:`_gershgorin_shift`): sigma lies below every eigenvalue, so
-    H - sigma I factorizes without meeting a singular matrix and the k
-    eigenvalues nearest sigma are the k lowest.  ARPACK starts from a
+    :func:`_gershgorin_shift`).  H - sigma I is factored once, as a band
+    matrix, by ``scipy.linalg.cholesky_banded``; ARPACK applies its
+    inverse through ``cho_solve_banded``, and ``iterations`` counts those
+    applications.  The factorization succeeds only if sigma lies below
+    every eigenvalue (otherwise ``numpy.linalg.LinAlgError``), and then the
+    k eigenvalues nearest sigma are the k lowest.  ARPACK starts from a
     vector drawn from ``seed`` and iterates to machine precision; it also
     needs k < dim - 1, so larger requests go dense.  If it runs out of
     restarts, the Ritz pairs that did converge come back with
@@ -277,11 +299,21 @@ def solve_lowest(
         return dense_spectrum(H, opts.k, override=True, want_vectors=want_vectors)
     opts.validate(dim)
     A = H.to_csr() if isinstance(H, SparseOperator) else np.asarray(H, dtype=float)
+    sigma = _gershgorin_shift(A)
+    factor = (_shifted_band_factor(A, sigma), True)
+    applied = 0
+
+    def apply_inverse(x: np.ndarray) -> np.ndarray:
+        nonlocal applied
+        applied += 1
+        return scipy.linalg.cho_solve_banded(factor, x, check_finite=False)
+
+    inverse = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=apply_inverse, dtype=float)
     rng = np.random.default_rng(opts.seed)
     converged = True
     try:
         evals, evecs = scipy.sparse.linalg.eigsh(
-            A, k=opts.k, sigma=_gershgorin_shift(A), which="LM", tol=0,
+            A, k=opts.k, sigma=sigma, which="LM", tol=0, OPinv=inverse,
             maxiter=opts.max_iterations, v0=rng.uniform(-1.0, 1.0, dim), rng=rng,
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
@@ -293,7 +325,7 @@ def solve_lowest(
         eigenvalues=evals,
         eigenvectors=evecs if want_vectors else None,
         solver="eigsh",
-        iterations=0,
+        iterations=applied,
         residual_norms=np.linalg.norm(A @ evecs - evecs * evals, axis=0),
         converged=converged,
     )

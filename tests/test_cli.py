@@ -213,3 +213,17 @@ def test_sweep_budget_breach_flushes_partial_rows(tmp_path, capsys):
     assert out.exists()  # completed rows flushed before exiting
     assert "partial" in captured.err
     assert len(out.read_text().splitlines()) >= 2  # header + at least one row
+
+
+@pytest.mark.parametrize("command", ["spectrum", "convergence"])
+def test_failed_factorization_exits_two_with_one_line(cfg_file, monkeypatch, capsys, command):
+    import dickelab.diagnostics as diagnostics
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("2-th leading minor not positive definite")
+
+    monkeypatch.setattr(diagnostics, "solve_lowest", fail)
+    path, _ = cfg_file
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: 2-th leading minor not positive definite\n"

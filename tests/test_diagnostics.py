@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from dickelab import (
     symmetry_commutator_norm,
     symmetry_operator,
 )
+import dickelab.diagnostics as diagnostics
 from dickelab.diagnostics import ground_pair, initial_cutoff
 
 
@@ -331,3 +334,80 @@ def test_odd_n_ground_pair_is_an_exact_doublet(extra):
         assert e[1] == e[0]
         resid = np.linalg.norm(H @ X - X * e, axis=0)
         assert np.all(resid <= 1e-10 * H.frobenius_norm()), (N, resid)
+
+
+def _pole_cutoff(p):
+    """The search start that assumes the full displacement g S / omega."""
+    return math.ceil(4.0 * (p.g * p.S / p.omega) ** 2) + 10
+
+
+START_GRID = [
+    ModelParams(N=N, omega=omega, g=float(np.sqrt(r * omega * v)), v=v)
+    for N in (1, 2, 3, 7, 16, 41, 200)
+    for omega in (0.5, 1.0, 3.0)
+    for v in (0.3, 1.0)
+    for r in (0.0, 0.2, 0.5, 0.9, 0.99, 1.0, 1.5, 4.0)
+] + [ModelParams(N=N, omega=1.0, g=g, v=0.0) for N in (1, 2, 16) for g in (0.0, 0.5, 2.0)]
+
+
+def test_initial_cutoff_at_the_poles_is_the_full_displacement():
+    for p in START_GRID:
+        assert initial_cutoff(p) <= _pole_cutoff(p), p
+        if p.u >= p.v:
+            assert initial_cutoff(p) == _pole_cutoff(p), p
+
+
+def test_initial_cutoff_on_the_equator_is_the_harmonic_fluctuation():
+    for p in START_GRID:
+        if p.u < p.v:
+            sz2 = min(p.S**2, p.S / 2 * math.sqrt(p.v / (p.v - p.u)))
+            assert initial_cutoff(p) == math.ceil(4.0 * (p.g * math.sqrt(sz2) / p.omega) ** 2) + 10, p
+    # 4 u (S/2) sqrt(v / (v - u)) photons: 4 * 0.5 * 4 sqrt(2) = 11.3 at N = 16, u/v = 0.5
+    # (against 4 * 0.5 * 64 = 128), and 4 * 0.9 * 3 sqrt(10) = 34.2 at N = 12, u/v = 0.9
+    assert initial_cutoff(ModelParams(N=16, omega=1.0, g=float(np.sqrt(0.5)), v=1.0)) == 22
+    assert initial_cutoff(ModelParams(N=12, omega=1.0, g=float(np.sqrt(0.9)), v=1.0)) == 45
+
+
+SEARCH_GRID = [
+    ModelParams(N=N, omega=1.0, g=float(np.sqrt(r)), v=1.0)
+    for N in range(1, 13)
+    for r in (0.0, 0.2, 0.5, 0.9, 0.99, 1.0, 1.5)
+] + [ModelParams(N=N, omega=1.0, g=g, v=v) for N in range(1, 13) for g, v in ((0.0, 0.5), (0.5, 0.0))]
+
+
+def test_search_from_the_semiclassical_start_reaches_the_same_levels(monkeypatch):
+    tol = 1e-10
+    compared = 0
+    for p in SEARCH_GRID:
+        if initial_cutoff(p) == _pole_cutoff(p):
+            continue  # same start (u >= v, g = 0, v = 0): the same search, bit for bit
+        rep = converge_cutoff(p, tol)
+        with monkeypatch.context() as m:
+            m.setattr(diagnostics, "initial_cutoff", _pole_cutoff)
+            ref = converge_cutoff(p, tol)
+        assert rep.history[0][0] < ref.history[0][0]
+        e, e_ref = rep.spectrum.eigenvalues[:3], ref.spectrum.eigenvalues[:3]
+        assert np.max(np.abs(e - e_ref)) <= 2 * tol, (p, rep.M_star, ref.M_star)
+        if p.N % 2:
+            assert e[1] == e[0] and e_ref[1] == e_ref[0]
+        compared += 1
+    # of the 48 points with 0 < u < v, 16 keep the old start: the cap S^2 binds
+    # (N <= 10 at u/v = 0.99) or the ceiling hides the difference (N <= 3)
+    assert compared == 32
+
+
+def test_lowest_levels_sums_arpack_operator_applications(monkeypatch):
+    sector_results = []
+    solve_lowest = diagnostics.solve_lowest
+
+    def spy(*args, **kwargs):
+        sector_results.append(solve_lowest(*args, **kwargs))
+        return sector_results[-1]
+
+    monkeypatch.setattr(diagnostics, "solve_lowest", spy)
+    # N = 16, M = 50: sector blocks of 51 * 9 = 459 and 51 * 8 = 408 rows
+    p = ModelParams(N=16, omega=1.0, g=float(np.sqrt(0.5)), v=1.0)
+    res = lowest_levels(p, 50, 3)
+    assert [r.solver for r in sector_results] == ["eigsh", "eigsh"]
+    assert all(r.iterations > 0 for r in sector_results)
+    assert res.iterations == sum(r.iterations for r in sector_results)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from dickelab import (
@@ -13,6 +14,7 @@ from dickelab import (
     lanczos_lowest,
     solve_lowest,
 )
+from dickelab.model import sector_hamiltonian
 from oracles import random_sparse_symmetric
 
 
@@ -219,3 +221,32 @@ def test_shift_invert_sigma_lies_below_the_spectrum(monkeypatch):
         solve_lowest(H, SolverOptions(k=4, dense_threshold=10))
         assert shifts[-1] < dense_spectrum(H, 1).eigenvalues[0]
     assert len(shifts) == 2
+
+
+def test_eigsh_iterations_count_inverse_applications(monkeypatch):
+    calls = []
+    cho_solve_banded = scipy.linalg.cho_solve_banded
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return cho_solve_banded(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", spy)
+    p = ModelParams(N=16, omega=1.0, g=0.7, v=1.0)
+    H = sector_hamiltonian(p, 50, 0)  # 459 rows: past dense_threshold
+    res = solve_lowest(H, SolverOptions(k=6, seed=1))
+    assert res.solver == "eigsh" and res.converged
+    assert res.iterations == len(calls) > 0
+    ref = dense_spectrum(H, 6, override=True).eigenvalues
+    assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12 * abs(ref[0])
+
+
+def test_shift_above_the_ground_level_fails_the_band_factorization(monkeypatch):
+    import dickelab.solvers as solvers
+
+    p = ModelParams(N=4, omega=1.0, g=0.7, v=1.0)
+    H = sector_hamiltonian(p, 60, 0)
+    e0 = dense_spectrum(H, 1).eigenvalues[0]
+    monkeypatch.setattr(solvers, "_gershgorin_shift", lambda A: e0 + 0.5)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_lowest(H, SolverOptions(k=4, dense_threshold=10))
