@@ -15,10 +15,18 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import derive_model_params, read_device_file, validate_regime
-from .diagnostics import converge_cutoff, spin_model_spectrum, splitting_and_gap
+from .diagnostics import converge_cutoff
 from .errors import ResourceError, SweepAborted, ValidationError
 from .solvers import SolverOptions
-from .sweep import SweepConfig, emit_results, parse_config, run_sweep, write_landscape
+from .sweep import (
+    Budget,
+    SweepConfig,
+    emit_results,
+    evaluate_point,
+    parse_config,
+    run_sweep,
+    write_landscape,
+)
 
 _FMT = "{:.17g}".format
 
@@ -91,25 +99,15 @@ def _freq(value: float, display: str) -> float:
 def _cmd_spectrum(args) -> int:
     cfg = _load_config(args)
     p = _single_point(cfg)
-    opts = SolverOptions(k=cfg.engine.k, seed=cfg.engine.seed)
-    if cfg.engine.mode == "spin-only":
-        eigs = spin_model_spectrum(p)[: cfg.engine.k]
-        m_star = 0
-        solver = "tridiagonal"
-    else:
-        conv = converge_cutoff(p, cfg.engine.tol, k=3, options=opts, max_dim=cfg.engine.max_dim)
-        m_star = conv.M_star
-        eigs = conv.spectrum.eigenvalues[: cfg.engine.k]
-        solver = conv.spectrum.solver
+    row = evaluate_point(p, cfg.engine, cfg.engine.seed, Budget(cfg.engine.budget_dim_total))
     print(
         f"# N={p.N} omega={_FMT(p.omega)} g={_FMT(p.g)} v={_FMT(p.v)} "
-        f"u={_FMT(p.u)} M_star={m_star} solver={solver}"
+        f"u={_FMT(p.u)} M_star={row.M_star} solver={row.solver}"
     )
-    for e in eigs:
-        print(_FMT(float(e)))
-    if eigs.size >= 3:
-        sg = splitting_and_gap(eigs[:3])
-        print(f"# d={_FMT(sg.d)} Delta={_FMT(sg.Delta)}")
+    for e in row.eigenvalues:
+        print(_FMT(e))
+    if len(row.eigenvalues) >= 3:
+        print(f"# d={_FMT(row.d)} Delta={_FMT(row.Delta)}")
     return 0
 
 

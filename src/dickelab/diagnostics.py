@@ -20,13 +20,12 @@ from .errors import ResourceError, ValidationError
 from .model import (
     ModelParams,
     ParityOperator,
-    SparseOperator,
     collective_spin_matrices,
     sector_hamiltonian,
     spin_sector,
     symmetry_operator,
 )
-from .solvers import SolverOptions, SpectrumResult, solve_lowest
+from .solvers import SolverOptions, SpectrumResult, as_matrix, frobenius_norm, solve_lowest
 
 _NEG_CLIP = 1e-12
 DEFAULT_MAX_DIM = 200_000
@@ -95,32 +94,17 @@ def degeneracy_classes(eigs, cluster_tol: float) -> DegeneracyReport:
     )
 
 
-def _frobenius(mat) -> float:
-    if isinstance(mat, SparseOperator):
-        return mat.frobenius_norm()
-    return float(np.linalg.norm(np.asarray(mat)))
-
-
-def _as_csr_or_dense(mat):
-    if isinstance(mat, SparseOperator):
-        return mat.to_csr()
-    return np.asarray(mat, dtype=float)
-
-
 def symmetry_commutator_norm(H, R) -> float:
     """||HR - RH||_F / ||H||_F for same-dimension operators."""
     if isinstance(R, ParityOperator):
         R = R.op
-    A = _as_csr_or_dense(H)
-    B = _as_csr_or_dense(R)
+    A, B = as_matrix(H), as_matrix(R)
     if A.shape != B.shape:
         raise ValidationError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    C = A @ B - B @ A
-    num = float(np.sqrt((C.multiply(C)).sum())) if hasattr(C, "multiply") else float(np.linalg.norm(C))
-    den = _frobenius(H)
+    den = frobenius_norm(A)
     if den == 0:
         return 0.0
-    return num / den
+    return frobenius_norm(A @ B - B @ A) / den
 
 
 def lowest_levels(
@@ -162,7 +146,7 @@ def lowest_levels(
                 block, idx = H, flat
             else:
                 pick = np.nonzero(block_of == b)[0]
-                block, idx = SparseOperator.from_scipy(csr[pick][:, pick]), flat[pick]
+                block, idx = csr[pick][:, pick], flat[pick]
             k_block = min(-(-k // 2) if odd else k, idx.size)
             res = solve_lowest(block, opts.with_k(k_block), want_vectors=want_vectors)
             results.append(res)

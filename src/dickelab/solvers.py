@@ -15,7 +15,9 @@ symmetry block of the model at a time (see
 ``diagnostics.lowest_levels``), which holds no degenerate low levels.
 :func:`lanczos_lowest`, a block Lanczos iteration with full
 reorthogonalization whose block size >= 2 keeps degenerate doublets in
-the unsplit space, remains as an independent cross-check.
+the unsplit space, remains as an independent cross-check.  Every solver
+takes a ``SparseOperator``, a scipy sparse matrix or a dense array, and
+converts it once, by :func:`as_matrix`.
 """
 
 from __future__ import annotations
@@ -74,13 +76,26 @@ class SpectrumResult:
     converged: bool = True
 
 
-def _as_dense(H) -> np.ndarray:
+def as_matrix(H):
+    """H as a scipy CSR matrix (from a SparseOperator or any scipy sparse matrix) or a float ndarray.
+
+    Every solver entry point converts its operator here, once; a dense
+    array stays dense.  Raises ValidationError unless H is square.
+    """
     if isinstance(H, SparseOperator):
-        return H.to_dense()
-    arr = np.asarray(H, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
-    return arr
+        A = H.to_csr()
+    elif scipy.sparse.issparse(H):
+        A = H.tocsr()
+    else:
+        A = np.asarray(H, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {A.shape}")
+    return A
+
+
+def frobenius_norm(A) -> float:
+    """Frobenius norm of a sparse or dense matrix."""
+    return float(np.linalg.norm(A.data if scipy.sparse.issparse(A) else A))
 
 
 def dense_spectrum(
@@ -92,7 +107,9 @@ def dense_spectrum(
     want_vectors: bool = True,
 ) -> SpectrumResult:
     """First k eigenpairs from a full symmetric eigendecomposition."""
-    A = _as_dense(H)
+    A = as_matrix(H)
+    if scipy.sparse.issparse(A):
+        A = A.toarray()
     dim = A.shape[0]
     if k < 1 or k > dim:
         raise ValidationError(f"k must be in [1, {dim}], got {k}")
@@ -115,14 +132,6 @@ def dense_spectrum(
         residual_norms=residuals,
         converged=True,
     )
-
-
-def _operator_scale(H) -> float:
-    if isinstance(H, SparseOperator):
-        s = H.frobenius_norm()
-    else:
-        s = float(np.linalg.norm(np.asarray(H)))
-    return s if s > 0 else 1.0
 
 
 def _orthonormal_block(
@@ -152,11 +161,12 @@ def lanczos_lowest(
     """
     if opts is None:
         opts = SolverOptions()
-    dim = H.dim if isinstance(H, SparseOperator) else np.asarray(H).shape[0]
+    H = as_matrix(H)
+    dim = H.shape[0]
     opts.validate(dim)
     k = opts.k
     rng = np.random.default_rng(opts.seed)
-    scale = _operator_scale(H)
+    scale = frobenius_norm(H) or 1.0
     tol_abs = opts.residual_tol * scale
     breakdown = 1e-13 * scale
     max_iter = opts.max_iterations if opts.max_iterations is not None else 10 * dim
@@ -294,11 +304,12 @@ def solve_lowest(
     """
     if opts is None:
         opts = SolverOptions()
-    dim = H.dim if isinstance(H, SparseOperator) else np.asarray(H).shape[0]
+    A = as_matrix(H)
+    dim = A.shape[0]
     if dim <= opts.dense_threshold or opts.k >= dim - 1:
-        return dense_spectrum(H, opts.k, override=True, want_vectors=want_vectors)
+        dense = A.toarray() if scipy.sparse.issparse(A) else A
+        return dense_spectrum(dense, opts.k, override=True, want_vectors=want_vectors)
     opts.validate(dim)
-    A = H.to_csr() if isinstance(H, SparseOperator) else np.asarray(H, dtype=float)
     sigma = _gershgorin_shift(A)
     factor = (_shifted_band_factor(A, sigma), True)
     applied = 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +108,7 @@ class SweepRow:
     converged: bool
     wall_time_seconds: float
     eigenvalues: tuple[float, ...] = field(default=(), repr=False)  # for spectrum emit
+    solver: str = field(default="", repr=False)  # for the spectrum command, not the table
 
 
 def _parse_scalar(val: str, key: str, lineno: int, kind):
@@ -233,59 +234,8 @@ def parse_config(text: str) -> SweepConfig:
     return cfg
 
 
-def _evaluate_point(
-    p: ModelParams, engine: EngineConfig, seed: int, budget: "_Budget"
-) -> SweepRow:
-    t0 = time.perf_counter()
-    base = dict(
-        N=p.N, S=p.S, omega=p.omega, g=p.g, v=p.v, u=p.u,
-        M_star=0, E0=math.nan, E1=math.nan, E2=math.nan,
-        d=math.nan, Delta=math.nan, pairing_ok=False,
-        oracle_deviation=None, converged=False,
-    )
-    try:
-        opts = SolverOptions(k=engine.k, seed=seed)
-        if engine.mode == "spin-only":
-            budget.charge(p.N + 1)
-            eigs = spin_model_spectrum(p)[: engine.k]
-            M_star = 0
-            oracle_dev = None
-            solver_ok = True
-        else:
-            conv = converge_cutoff(
-                p, engine.tol, k=3, options=opts, max_dim=engine.max_dim
-            )
-            M_star = conv.M_star
-            # every solve of the cutoff search, not only the accepted one
-            budget.charge(sum((M + 1) * (p.N + 1) for M, *_ in conv.history))
-            eigs = conv.spectrum.eigenvalues[: engine.k]
-            oracle_dev = float(np.max(np.abs(eigs - spin_ladder_levels(p, eigs.size))))
-            solver_ok = conv.spectrum.converged and conv.converged
-
-        base["M_star"] = M_star
-        base["oracle_deviation"] = oracle_dev
-        base["converged"] = bool(solver_ok)
-        for name, i in (("E0", 0), ("E1", 1), ("E2", 2)):
-            if i < eigs.size:
-                base[name] = float(eigs[i])
-        if eigs.size >= 3:
-            sg = splitting_and_gap(eigs[:3])
-            base["d"], base["Delta"] = sg.d, sg.Delta
-        base["pairing_ok"] = degeneracy_classes(eigs, resolution_floor(base["E0"])).pairing_ok
-        row = SweepRow(
-            wall_time_seconds=time.perf_counter() - t0,
-            eigenvalues=tuple(float(x) for x in eigs),
-            **base,
-        )
-    except SweepAborted:
-        raise
-    except (DickeLabError, np.linalg.LinAlgError):
-        row = SweepRow(wall_time_seconds=time.perf_counter() - t0, **base)
-    return row
-
-
-class _Budget:
-    """Cumulative dimension budget of one sweep."""
+class Budget:
+    """Cumulative dimension budget of one sweep (or of one ``spectrum`` point)."""
 
     def __init__(self, limit: int):
         self.limit = limit
@@ -297,6 +247,63 @@ class _Budget:
                 f"global dimension budget exceeded ({self.used + amount} > {self.limit})"
             )
         self.used += amount
+
+
+def _point_row(p: ModelParams, wall_time_seconds: float, **fields) -> SweepRow:
+    """A row for point p; fields left out read as a failed point's (NaN levels, not converged)."""
+    base = dict(
+        N=p.N, S=p.S, omega=p.omega, g=p.g, v=p.v, u=p.u,
+        M_star=0, E0=math.nan, E1=math.nan, E2=math.nan,
+        d=math.nan, Delta=math.nan, pairing_ok=False,
+        oracle_deviation=None, converged=False,
+    )
+    return SweepRow(wall_time_seconds=wall_time_seconds, **{**base, **fields})
+
+
+def evaluate_point(
+    p: ModelParams, engine: EngineConfig, seed: int, budget: Budget
+) -> SweepRow:
+    """Solve one grid point and derive its row; the one evaluation path of ``sweep`` and ``spectrum``.
+
+    Spin-only mode charges N + 1 to the budget, full mode every solve of
+    the cutoff search.  Solve errors (``DickeLabError``,
+    ``numpy.linalg.LinAlgError``) propagate; :func:`run_sweep` records
+    them as failed rows.
+    """
+    t0 = time.perf_counter()
+    if engine.mode == "spin-only":
+        budget.charge(p.N + 1)
+        eigs = spin_model_spectrum(p)[: engine.k]
+        M_star, oracle_dev, converged, solver = 0, None, True, "tridiagonal"
+    else:
+        conv = converge_cutoff(
+            p, engine.tol, k=3, options=SolverOptions(k=engine.k, seed=seed),
+            max_dim=engine.max_dim,
+        )
+        M_star = conv.M_star
+        # every solve of the cutoff search, not only the accepted one
+        budget.charge(sum((M + 1) * (p.N + 1) for M, *_ in conv.history))
+        eigs = conv.spectrum.eigenvalues[: engine.k]
+        oracle_dev = float(np.max(np.abs(eigs - spin_ladder_levels(p, eigs.size))))
+        converged = conv.spectrum.converged and conv.converged
+        solver = conv.spectrum.solver
+
+    levels = dict(zip(("E0", "E1", "E2"), map(float, eigs[:3])))
+    if eigs.size >= 3:
+        sg = splitting_and_gap(eigs[:3])
+        levels.update(d=sg.d, Delta=sg.Delta)
+    E0 = levels.get("E0", math.nan)
+    return _point_row(
+        p,
+        time.perf_counter() - t0,
+        M_star=M_star,
+        oracle_deviation=oracle_dev,
+        converged=bool(converged),
+        pairing_ok=degeneracy_classes(eigs, resolution_floor(E0)).pairing_ok,
+        eigenvalues=tuple(float(x) for x in eigs),
+        solver=solver,
+        **levels,
+    )
 
 
 def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[SweepRow]:
@@ -312,13 +319,16 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[SweepRow]:
     points = cfg.grid_points()
     if not points:
         raise ValidationError("sweep grid is empty")
-    budget = _Budget(cfg.engine.budget_dim_total)
+    budget = Budget(cfg.engine.budget_dim_total)
     rows: list[SweepRow] = []
-    try:
-        for i, p in enumerate(points):
-            rows.append(_evaluate_point(p, cfg.engine, seed=cfg.engine.seed + i, budget=budget))
-    except SweepAborted as exc:
-        raise SweepAborted(str(exc), rows=rows) from exc
+    for i, p in enumerate(points):
+        t0 = time.perf_counter()
+        try:
+            rows.append(evaluate_point(p, cfg.engine, cfg.engine.seed + i, budget))
+        except SweepAborted as exc:
+            raise SweepAborted(str(exc), rows=rows) from exc
+        except (DickeLabError, np.linalg.LinAlgError):
+            rows.append(_point_row(p, time.perf_counter() - t0))
     return rows
 
 
@@ -326,9 +336,10 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _render_value_csv(name: str, value) -> str:
-    if value is None:
-        return ""
+def _render_value(name: str, value, fmt: str) -> str:
+    """One table cell.  JSON has no NaN or inf, so a non-finite value is null there, like a missing one."""
+    if value is None or (fmt == "json-lines" and not math.isfinite(value)):
+        return "" if fmt == "csv" else "null"
     if name in ("N", "M_star"):
         return str(int(value))
     if name in ("pairing_ok", "converged"):
@@ -336,35 +347,18 @@ def _render_value_csv(name: str, value) -> str:
     return _fmt_float(float(value))
 
 
-def _render_value_json(name: str, value) -> str:
-    if value is None:
-        return "null"
-    if name in ("N", "M_star"):
-        return str(int(value))
-    if name in ("pairing_ok", "converged"):
-        return "true" if value else "false"
-    f = float(value)
-    if math.isnan(f) or math.isinf(f):
-        return "null"
-    return _fmt_float(f)
-
-
 def render_rows(rows: list[SweepRow], fmt: str) -> str:
+    if fmt not in ("csv", "json-lines"):
+        raise ValidationError(f"unknown output format {fmt!r}")
     names = CSV_HEADER.split(",")
-    if fmt == "csv":
-        lines = [CSV_HEADER]
-        for row in rows:
-            lines.append(",".join(_render_value_csv(n, getattr(row, n)) for n in names))
-        return "\n".join(lines) + "\n"
-    if fmt == "json-lines":
-        lines = []
-        for row in rows:
-            fields = ", ".join(
-                f'"{n}": {_render_value_json(n, getattr(row, n))}' for n in names
-            )
-            lines.append("{" + fields + "}")
-        return "\n".join(lines) + "\n"
-    raise ValidationError(f"unknown output format {fmt!r}")
+    lines = [CSV_HEADER] if fmt == "csv" else []
+    for row in rows:
+        cells = [_render_value(n, getattr(row, n), fmt) for n in names]
+        if fmt == "csv":
+            lines.append(",".join(cells))
+        else:
+            lines.append("{" + ", ".join(f'"{n}": {c}' for n, c in zip(names, cells)) + "}")
+    return "\n".join(lines) + "\n"
 
 
 def _extra_path(main: Path, tag: str) -> Path:
@@ -415,7 +409,6 @@ def emit_results(
     *,
     include_timing: bool = False,
     out_override: str | None = None,
-    format_override: str | None = None,
 ) -> list[Path]:
     """Write the main table plus any extra emit targets; returns the paths.
 
@@ -427,17 +420,14 @@ def emit_results(
     path_str = out_override or cfg.outputs.path
     if not path_str:
         raise ValidationError("no output path configured (set outputs.path or --out)")
-    fmt = format_override or cfg.outputs.format
     main = Path(path_str)  # unwritable paths surface as OSError from write_text
 
     emit_rows = rows
     if not include_timing:
-        emit_rows = [
-            SweepRow(**{**row.__dict__, "wall_time_seconds": 0.0}) for row in rows
-        ]
+        emit_rows = [replace(row, wall_time_seconds=0.0) for row in rows]
 
     written: list[Path] = []
-    main.write_text(render_rows(emit_rows, fmt), encoding="utf-8")
+    main.write_text(render_rows(emit_rows, cfg.outputs.format), encoding="utf-8")
     written.append(main)
 
     if "spectrum" in cfg.outputs.emit:

@@ -69,6 +69,47 @@ def test_spectrum_spin_only_reports_tridiagonal_solver(tmp_path, capsys):
     assert header.endswith(" M_star=0 solver=tridiagonal")
 
 
+
+def test_spectrum_charges_the_dimension_budget(tmp_path, capsys):
+    # N = 3, g = 0.3 solves at M = 11 and M = 22: the cutoff search costs 140
+    cfg = tmp_path / "budget.cfg"
+    cfg.write_text(
+        "[model]\nN_list = 3\nomega = 1\ng_list = 0.3\nv_list = 1\n"
+        "[engine]\nmode = full\nbudget_dim_total = 100\n"
+    )
+    assert main(["spectrum", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "budget" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        "N_list = 6\nomega = 1\ng_list = 0.7071\nv_list = 1\n[engine]\nmode = full\nseed = 3\n",
+        "N_list = 11\nomega = 1\ng_list = 0.9\nv_list = 1\n[engine]\nmode = spin-only\n",
+    ],
+    ids=["full", "spin-only"],
+)
+def test_spectrum_prints_the_sweep_row(tmp_path, capsys, point):
+    out = tmp_path / "rows.csv"
+    cfg = tmp_path / "point.cfg"
+    cfg.write_text(f"[model]\n{point}[outputs]\npath = {out}\nemit = splitting, spectrum\n")
+    assert main(["spectrum", str(cfg)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert main(["sweep", str(cfg)]) == 0
+    header, values = out.read_text().splitlines()
+    row = dict(zip(header.split(","), values.split(",")))
+    spectrum = (tmp_path / "rows.spectrum.csv").read_text().splitlines()[1:]
+    levels = [line.rsplit(",", 1)[1] for line in spectrum]
+
+    assert f"M_star={row['M_star']}" in printed[0].split()
+    assert printed[1:-1] == levels
+    assert levels[:3] == [row["E0"], row["E1"], row["E2"]]
+    assert printed[-1] == f"# d={row['d']} Delta={row['Delta']}"
+
 @pytest.mark.parametrize(
     "argv", [["spectrum", "x.cfg", "--timing"], ["map-circuit", "dev.txt", "--seed", "1"]]
 )
