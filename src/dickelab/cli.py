@@ -15,9 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import derive_model_params, read_device_file, validate_regime
-from .diagnostics import converge_cutoff
 from .errors import ResourceError, SweepAborted, ValidationError
-from .solvers import SolverOptions
 from .sweep import (
     Budget,
     SweepConfig,
@@ -77,6 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> SweepConfig:
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         cfg.engine.seed = args.seed
     if getattr(args, "format", None):
         cfg.outputs.format = {"jsonl": "json-lines"}.get(args.format, args.format)
@@ -142,9 +142,10 @@ def _cmd_landscape(args) -> int:
 
 def _cmd_convergence(args) -> int:
     cfg = _load_config(args)
-    opts = SolverOptions(k=cfg.engine.k, seed=cfg.engine.seed)
+    cfg.engine.mode = "full"  # the cutoff search is the full model's, whatever the mode
+    budget = Budget(cfg.engine.budget_dim_total)
     for p in cfg.grid_points():
-        rep = converge_cutoff(p, cfg.engine.tol, k=3, options=opts, max_dim=cfg.engine.max_dim)
+        rep = evaluate_point(p, cfg.engine, cfg.engine.seed, budget).convergence
         print(f"# N={p.N} omega={_FMT(p.omega)} g={_FMT(p.g)} v={_FMT(p.v)}")
         print("M,E0,E1,E2")
         for M, e0, e1, e2 in rep.history:

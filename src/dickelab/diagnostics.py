@@ -10,7 +10,7 @@ full diagonalization against the displaced-frame spin model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -148,7 +148,7 @@ def lowest_levels(
                 pick = np.nonzero(block_of == b)[0]
                 block, idx = csr[pick][:, pick], flat[pick]
             k_block = min(-(-k // 2) if odd else k, idx.size)
-            res = solve_lowest(block, opts.with_k(k_block), want_vectors=want_vectors)
+            res = solve_lowest(block, replace(opts, k=k_block), want_vectors=want_vectors)
             results.append(res)
             if want_vectors:
                 V = np.zeros((dim, res.eigenvalues.size))
@@ -221,8 +221,8 @@ def converge_cutoff(
     callers need not solve again.  Breaching max_dim before convergence
     raises a ResourceError carrying the history.
     """
-    if tol <= 0:
-        raise ValidationError(f"tol must be > 0, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and > 0, got {tol}")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     opts = options or SolverOptions()

@@ -1,7 +1,7 @@
 """Lowest-eigenpair solvers for real-symmetric operators.
 
 :func:`solve_lowest` is the production route: dense LAPACK up to
-``dense_threshold`` and ARPACK (``scipy.sparse.linalg.eigsh``) above it.
+``DENSE_SOLVE_MAX_DIM`` rows, ARPACK (``scipy.sparse.linalg.eigsh``) above.
 ARPACK runs in shift-invert mode, with the shift sigma just below the
 operator's Gershgorin lower bound.  No eigenvalue lies below that bound,
 so H - sigma I is positive definite and has a banded Cholesky factor
@@ -22,7 +22,7 @@ converts it once, by :func:`as_matrix`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -31,7 +31,9 @@ import scipy.sparse.linalg
 from .errors import ResourceError, ValidationError
 from .model import SparseOperator
 
-DEFAULT_DENSE_THRESHOLD = 4000
+DEFAULT_DENSE_THRESHOLD = 4000  # dense_spectrum's guard: larger matrices need override=True
+DENSE_SOLVE_MAX_DIM = 400
+"""Path choice, not a guard: :func:`solve_lowest` runs LAPACK up to this many rows, ARPACK above."""
 
 
 @dataclass
@@ -41,15 +43,14 @@ class SolverOptions:
     residual_tol and block_size apply to block Lanczos only; residual_tol
     is relative to the Frobenius norm of the operator.  max_iterations
     caps Lanczos block steps (default 10 * dim) and ARPACK restarts
-    (ARPACK's default when None).  Operators up to dense_threshold go to
-    LAPACK, larger ones to ARPACK.
+    (ARPACK's default when None).  Which solver :func:`solve_lowest` runs
+    is not an option: it follows ``DENSE_SOLVE_MAX_DIM``.
     """
 
     k: int = 6
     residual_tol: float = 1e-10
     max_iterations: int | None = None
     block_size: int = 4
-    dense_threshold: int = 400
     seed: int = 0
 
     def validate(self, dim: int) -> None:
@@ -59,9 +60,6 @@ class SolverOptions:
             raise ValidationError(f"k = {self.k} exceeds operator dimension {dim}")
         if self.block_size < 2:
             raise ValidationError(f"block_size must be >= 2, got {self.block_size}")
-
-    def with_k(self, k: int) -> "SolverOptions":
-        return replace(self, k=k)
 
 
 @dataclass
@@ -287,7 +285,7 @@ def _shifted_band_factor(A, sigma: float) -> np.ndarray:
 def solve_lowest(
     H, opts: SolverOptions | None = None, *, want_vectors: bool = True
 ) -> SpectrumResult:
-    """Lowest opts.k eigenpairs: LAPACK up to ``dense_threshold``, else ARPACK.
+    """Lowest opts.k eigenpairs: LAPACK up to ``DENSE_SOLVE_MAX_DIM`` rows, else ARPACK.
 
     ARPACK runs in shift-invert mode (``which="LM"`` around sigma from
     :func:`_gershgorin_shift`).  H - sigma I is factored once, as a band
@@ -306,7 +304,7 @@ def solve_lowest(
         opts = SolverOptions()
     A = as_matrix(H)
     dim = A.shape[0]
-    if dim <= opts.dense_threshold or opts.k >= dim - 1:
+    if dim <= DENSE_SOLVE_MAX_DIM or opts.k >= dim - 1:
         dense = A.toarray() if scipy.sparse.issparse(A) else A
         return dense_spectrum(dense, opts.k, override=True, want_vectors=want_vectors)
     opts.validate(dim)

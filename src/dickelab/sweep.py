@@ -18,6 +18,7 @@ import numpy as np
 
 from .circuit import derive_model_params, read_device_file
 from .diagnostics import (
+    ConvergenceReport,
     converge_cutoff,
     degeneracy_classes,
     resolution_floor,
@@ -109,6 +110,7 @@ class SweepRow:
     wall_time_seconds: float
     eigenvalues: tuple[float, ...] = field(default=(), repr=False)  # for spectrum emit
     solver: str = field(default="", repr=False)  # for the spectrum command, not the table
+    convergence: ConvergenceReport | None = field(default=None, repr=False)  # full mode only
 
 
 def _parse_scalar(val: str, key: str, lineno: int, kind):
@@ -197,8 +199,10 @@ def parse_config(text: str) -> SweepConfig:
             setattr(engine, key, _parse_scalar(engine_sec[key][0], key, engine_sec[key][1], kind))
     if engine.k < 1:
         raise ConfigError("k must be >= 1")
-    if engine.tol <= 0:
-        raise ConfigError("tol must be > 0")
+    if not 0 < engine.tol < math.inf:
+        raise ConfigError(f"tol must be finite and > 0, got {engine.tol}", engine_sec["tol"][1])
+    if engine.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {engine.seed}", engine_sec["seed"][1])
 
     outputs = OutputConfig()
     if "path" in out_sec:
@@ -235,7 +239,7 @@ def parse_config(text: str) -> SweepConfig:
 
 
 class Budget:
-    """Cumulative dimension budget of one sweep (or of one ``spectrum`` point)."""
+    """Cumulative dimension budget of one command's points (a sweep, spectrum or convergence)."""
 
     def __init__(self, limit: int):
         self.limit = limit
@@ -263,18 +267,18 @@ def _point_row(p: ModelParams, wall_time_seconds: float, **fields) -> SweepRow:
 def evaluate_point(
     p: ModelParams, engine: EngineConfig, seed: int, budget: Budget
 ) -> SweepRow:
-    """Solve one grid point and derive its row; the one evaluation path of ``sweep`` and ``spectrum``.
+    """Solve one grid point and derive its row; the one evaluation path of every solving command.
 
     Spin-only mode charges N + 1 to the budget, full mode every solve of
-    the cutoff search.  Solve errors (``DickeLabError``,
-    ``numpy.linalg.LinAlgError``) propagate; :func:`run_sweep` records
-    them as failed rows.
+    the cutoff search (whose report is the row's ``convergence``).  Solve
+    errors (``DickeLabError``, ``numpy.linalg.LinAlgError``) propagate;
+    :func:`run_sweep` records them as failed rows.
     """
     t0 = time.perf_counter()
     if engine.mode == "spin-only":
         budget.charge(p.N + 1)
         eigs = spin_model_spectrum(p)[: engine.k]
-        M_star, oracle_dev, converged, solver = 0, None, True, "tridiagonal"
+        M_star, oracle_dev, converged, solver, conv = 0, None, True, "tridiagonal", None
     else:
         conv = converge_cutoff(
             p, engine.tol, k=3, options=SolverOptions(k=engine.k, seed=seed),
@@ -302,6 +306,7 @@ def evaluate_point(
         pairing_ok=degeneracy_classes(eigs, resolution_floor(E0)).pairing_ok,
         eigenvalues=tuple(float(x) for x in eigs),
         solver=solver,
+        convergence=conv,
         **levels,
     )
 

@@ -181,6 +181,67 @@ def test_convergence_subcommand(cfg_file, capsys):
     assert "M_star=" in out
 
 
+def _budget_cfg(tmp_path, g_list, budget, mode="full"):
+    cfg = tmp_path / f"budget-{budget}-{mode}.cfg"
+    cfg.write_text(
+        f"[model]\nN_list = 3\nomega = 1\ng_list = {g_list}\nv_list = 1\n"
+        f"[engine]\nmode = {mode}\nbudget_dim_total = {budget}\n"
+    )
+    return str(cfg)
+
+
+def test_convergence_charges_the_dimension_budget(tmp_path, capsys):
+    # the config of test_spectrum_charges_the_dimension_budget: the search costs 140
+    assert main(["convergence", _budget_cfg(tmp_path, "0.3", 100)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "budget" in lines[0]
+
+
+def test_convergence_shares_one_budget_across_points(tmp_path, capsys):
+    # each point's search costs 140, so a budget of 200 covers the first only
+    assert main(["convergence", _budget_cfg(tmp_path, "0.3", 10_000)]) == 0
+    first = capsys.readouterr().out
+    assert main(["convergence", _budget_cfg(tmp_path, "0.3, 0.31", 10_000)]) == 0
+    assert capsys.readouterr().out.startswith(first)
+    assert main(["convergence", _budget_cfg(tmp_path, "0.3, 0.31", 200)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == first
+    assert captured.err == "error: global dimension budget exceeded (280 > 200)\n"
+
+
+def test_convergence_runs_the_full_search_in_spin_only_mode(tmp_path, capsys):
+    outputs = []
+    for mode in ("full", "spin-only"):
+        assert main(["convergence", _budget_cfg(tmp_path, "0.3, 0.5", 10_000, mode)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("M,E0,E1,E2") == 2
+
+
+ARPACK_POINT = "[model]\nN_list = 12\nomega = 1\ng_list = 0.9487\nv_list = 1\n[engine]\n"
+
+
+@pytest.mark.parametrize(
+    "engine, flags, message",
+    [
+        ("seed = -1\n", [], "error: line 7: seed must be >= 0, got -1\n"),
+        ("seed = 0\n", ["--seed", "-1"], "error: --seed must be >= 0, got -1\n"),
+    ],
+    ids=["config", "flag"],
+)
+def test_negative_seed_exits_one_with_one_line(tmp_path, capsys, engine, flags, message):
+    # the 2M search solve at N = 12 runs ARPACK, whose generator rejects a negative seed
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text(ARPACK_POINT + engine)
+    assert main(["spectrum", str(cfg), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_map_circuit_reports(tmp_path, capsys):
     dev = tmp_path / "device.txt"
     dev.write_text(DEVICE)

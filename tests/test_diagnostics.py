@@ -22,6 +22,7 @@ from dickelab import (
     symmetry_operator,
 )
 import dickelab.diagnostics as diagnostics
+import dickelab.solvers as solvers
 from dickelab.diagnostics import ground_pair, initial_cutoff
 
 
@@ -167,8 +168,10 @@ def test_converge_resource_error_carries_history():
 
 def test_converge_rejects_bad_tolerance():
     p = ModelParams(N=2, omega=1.0, g=0.1, v=1.0)
-    with pytest.raises(ValidationError):
-        converge_cutoff(p, 0.0)
+    # nan would search to max_dim, inf would accept the first pair of cutoffs
+    for tol in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            converge_cutoff(p, tol)
 
 
 def test_oracle_equivalence_exact_at_g_zero():
@@ -288,12 +291,12 @@ def test_spin_model_sectors_match_dense_eigvalsh():
                 assert np.array_equal(levels[0::2], levels[1::2]), (N, u, v)
 
 
-def test_converge_with_lanczos_path():
+def test_converge_with_lanczos_path(monkeypatch):
     # force the iterative solver inside the cutoff search
     p = ModelParams(N=3, omega=1.0, g=0.3, v=1.0)
-    opts = SolverOptions(dense_threshold=10, seed=1)
-    rep = converge_cutoff(p, 1e-9, options=opts)
     dense_rep = converge_cutoff(p, 1e-9)
+    monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
+    rep = converge_cutoff(p, 1e-9, options=SolverOptions(seed=1))
     assert rep.converged
     np.testing.assert_allclose(
         rep.history[-1][1:], dense_rep.history[-1][1:], atol=1e-8
@@ -303,13 +306,19 @@ def test_converge_with_lanczos_path():
 SECTOR_GRID = [(N, float(np.sqrt(r)), 1.0) for N in range(1, 9) for r in (0, 0.2, 0.5, 0.9, 1.0)] + [
     (N, float(np.sqrt(0.5)), 0.0) for N in range(1, 9)
 ]
-FORCE_ARPACK = [{}, {"dense_threshold": 10}]  # default options, then every block to ARPACK
+FORCE_ARPACK = [{}, {"DENSE_SOLVE_MAX_DIM": 10}]  # the default crossover, then all to ARPACK
+
+
+def _patch_solvers(monkeypatch, extra):
+    for name, value in extra.items():
+        monkeypatch.setattr(solvers, name, value)
 
 
 @pytest.mark.parametrize("extra", FORCE_ARPACK)
-def test_lowest_levels_match_unsplit_dense(extra):
+def test_lowest_levels_match_unsplit_dense(extra, monkeypatch):
     M, k = 30, 6
-    opts = SolverOptions(k=k, seed=3, **extra)
+    _patch_solvers(monkeypatch, extra)
+    opts = SolverOptions(k=k, seed=3)
     for N, g, v in SECTOR_GRID:
         p = ModelParams(N=N, omega=1.0, g=g, v=v)
         res = lowest_levels(p, M, k, opts)
@@ -322,11 +331,12 @@ def test_lowest_levels_match_unsplit_dense(extra):
 
 
 @pytest.mark.parametrize("extra", FORCE_ARPACK)
-def test_odd_n_ground_pair_is_an_exact_doublet(extra):
+def test_odd_n_ground_pair_is_an_exact_doublet(extra, monkeypatch):
     M = 30
+    _patch_solvers(monkeypatch, extra)
     for N in (1, 3, 5, 7):
         p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(0.5)), v=1.0)
-        x0, x1, res = ground_pair(p, M, options=SolverOptions(**extra))
+        x0, x1, res = ground_pair(p, M)
         H = build_full_hamiltonian(p, M)
         X = np.column_stack([x0, x1])
         np.testing.assert_allclose(X.T @ X, np.eye(2), atol=1e-12)

@@ -100,6 +100,21 @@ def test_parse_small_k_with_splitting_rejected():
     assert "splitting" in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+def test_parse_rejects_tol_that_is_not_finite_and_positive(value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + f"[engine]\nk = 6\ntol = {value}\n")
+    assert "tol" in str(err.value)
+    assert err.value.line == 8
+
+
+def test_parse_rejects_negative_seed():
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + "[engine]\nseed = -1\n")
+    assert "seed" in str(err.value)
+    assert err.value.line == 7
+
+
 def test_parse_duplicate_key_rejected():
     with pytest.raises(ConfigError):
         parse_config("[model]\nN_list = 3\nN_list = 4\nomega = 1\ng_list = 1\nv_list = 1\n")
@@ -308,7 +323,7 @@ def test_emit_landscape_grid(tmp_path):
 
 
 # the cutoff search's 2M solves have blocks of 738, 615 (N = 10) and 858
-# (N = 11), above dense_threshold, so they run ARPACK
+# (N = 11), above DENSE_SOLVE_MAX_DIM, so they run ARPACK
 FULL_ARPACK = """
 [model]
 N_list = 10, 11
