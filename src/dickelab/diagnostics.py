@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ResourceError, ValidationError
 from .model import (
@@ -107,6 +106,20 @@ def symmetry_commutator_norm(H, R) -> float:
     return frobenius_norm(A @ B - B @ A) / den
 
 
+def _sector_pieces(ab: np.ndarray) -> list[tuple[slice, np.ndarray]]:
+    """(rows, band array) of each uncoupled piece of a sector band array, by first row.
+
+    A zero coupling row w (g = 0) leaves a spin block per n, rows n w ..
+    n w + w - 1; a zero spin row 1 (v = 0) a chain per m_j, rows j, j + w, ....
+    """
+    w = ab.shape[0] - 1
+    if not ab[w].any():
+        return [(slice(c, c + w), ab[:2, c : c + w]) for c in range(0, ab.shape[1], w)]
+    if not ab[1].any():
+        return [(slice(j, None, w), ab[[0, w], j::w]) for j in range(w)]
+    return [(slice(None), ab)]
+
+
 def lowest_levels(
     p: ModelParams,
     M: int,
@@ -119,13 +132,12 @@ def lowest_levels(
 
     H conserves (-1)^(m+S), so each parity sector m + S = s (mod 2) is
     assembled on its own by :func:`~dickelab.model.sector_hamiltonian`,
-    never the whole H.  A sector that falls apart further (on the lines
-    g = 0, where n is conserved, and v = 0, where m is) is solved one
-    connected piece at a time, which keeps degenerate and decoupled
-    levels, which ARPACK can miss, out of any one solve.  For odd N the
-    joint parity R swaps the two sectors, so only s = 0 is solved and each
-    level is reported twice, the copy's vector being R times the original:
-    the odd-N doublet is exact by construction.  Vectors are in the flat
+    never the whole H, and solved one uncoupled piece at a time
+    (:func:`_sector_pieces`), which keeps degenerate and decoupled levels,
+    which ARPACK can miss, out of any one solve.  For odd N the joint
+    parity R swaps the two sectors, so only s = 0 is solved and each level
+    is reported twice, the copy's vector being R times the original: the
+    odd-N doublet is exact by construction.  Vectors are in the flat
     basis, filled in from the sector's flat indices n (N+1) + s + 2j.
     """
     opts = opts or SolverOptions()
@@ -136,23 +148,16 @@ def lowest_levels(
     results: list[SpectrumResult] = []
     vectors: list[np.ndarray] = []
     for s in (0,) if odd else (0, 1):
-        H = sector_hamiltonian(p, M, s)
-        w = H.dim // (M + 1)
+        ab = sector_hamiltonian(p, M, s)
+        w = ab.shape[0] - 1
         flat = (np.arange(M + 1)[:, None] * (p.N + 1) + s + 2 * np.arange(w)).ravel()
-        csr = H.to_csr()
-        n_blocks, block_of = connected_components(csr, directed=False)
-        for b in range(n_blocks):
-            if n_blocks == 1:
-                block, idx = H, flat
-            else:
-                pick = np.nonzero(block_of == b)[0]
-                block, idx = csr[pick][:, pick], flat[pick]
-            k_block = min(-(-k // 2) if odd else k, idx.size)
-            res = solve_lowest(block, replace(opts, k=k_block), want_vectors=want_vectors)
+        for rows, piece in _sector_pieces(ab):
+            k_piece = min(-(-k // 2) if odd else k, piece.shape[1])
+            res = solve_lowest(piece, replace(opts, k=k_piece), want_vectors=want_vectors)
             results.append(res)
             if want_vectors:
                 V = np.zeros((dim, res.eigenvalues.size))
-                V[idx] = res.eigenvectors
+                V[flat[rows]] = res.eigenvectors
                 vectors.append(V)
     values = [r.eigenvalues for r in results]
     residuals = [r.residual_norms for r in results]

@@ -284,16 +284,17 @@ def spin_sector(
     return m, diag, off
 
 
-def sector_hamiltonian(p: ModelParams, M: int, s: int) -> SparseOperator:
-    """The block of H on the parity sector m + S = s (mod 2), truncated at n <= M.
+def sector_hamiltonian(p: ModelParams, M: int, s: int) -> np.ndarray:
+    """The block of H on the parity sector m + S = s (mod 2), truncated at n <= M, as a band array.
 
-    H conserves (-1)^(m+S), so this block is H restricted to the flat
-    indices n (N+1) + s + 2j.  Rows are boson-major: row n w + j holds
-    (n, m_j), with m_j the w Sz values of :func:`spin_sector`.  The block
-    is banded: omega n plus the spin diagonal on the diagonal, the spin
-    off-diagonal inside each boson block, and g sqrt(n+1) m_j at distance
-    w.  Zero entries are not stored.  The nonzero budget is that of the
-    whole H, as in :func:`build_full_hamiltonian`.
+    H conserves (-1)^(m+S), so the block is H on the flat indices
+    n (N+1) + s + 2j, boson-major: row n w + j holds (n, m_j), with m_j the
+    w Sz values of :func:`spin_sector`.  It is returned in lower band
+    storage ab[i, c] = H[c + i, c], of shape (w + 1, (M + 1) w): row 0 holds
+    omega n plus the spin diagonal, row 1 the spin off-diagonal inside each
+    boson block and row w the coupling g sqrt(n+1) m_j (rows 1 and w are one
+    row when w = 1); entries past the block's edge are 0.  The nonzero
+    budget is that of the whole H, as in :func:`build_full_hamiltonian`.
     """
     if M < 0:
         raise ValidationError(f"fock cutoff M must be >= 0, got {M}")
@@ -306,17 +307,11 @@ def sector_hamiltonian(p: ModelParams, M: int, s: int) -> SparseOperator:
     m, diag, off = spin_sector(p, s, 0.0)
     w = m.size
     n = np.arange(M + 1)[:, None]
-    dim = (M + 1) * w
-    on = np.arange(dim)
-    inner = (n * w + np.arange(w - 1)).ravel()
-    below = np.arange(M * w)
-    spin_off = np.tile(off, M + 1)
-    boson = (p.g * np.sqrt(n[1:]) * m).ravel()
-    rows = np.concatenate([on, inner, inner + 1, below, below + w])
-    cols = np.concatenate([on, inner + 1, inner, below + w, below])
-    vals = np.concatenate([(p.omega * n + diag).ravel(), spin_off, spin_off, boson, boson])
-    keep = vals != 0
-    return SparseOperator(dim, rows[keep], cols[keep], vals[keep])
+    ab = np.zeros((w + 1, (M + 1) * w))
+    ab[0] = (p.omega * n + diag).ravel()
+    ab[1] = np.tile(np.append(off, 0.0), M + 1)
+    ab[w, : M * w] = (p.g * np.sqrt(n[1:]) * m).ravel()
+    return ab
 
 
 def polaron_spin_hamiltonian(p: ModelParams) -> np.ndarray:

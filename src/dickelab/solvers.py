@@ -1,23 +1,14 @@
 """Lowest-eigenpair solvers for real-symmetric operators.
 
-:func:`solve_lowest` is the production route: dense LAPACK up to
-``DENSE_SOLVE_MAX_DIM`` rows, ARPACK (``scipy.sparse.linalg.eigsh``) above.
-ARPACK runs in shift-invert mode, with the shift sigma just below the
-operator's Gershgorin lower bound.  No eigenvalue lies below that bound,
-so H - sigma I is positive definite and has a banded Cholesky factor
-(the model's parity blocks are banded, of half-bandwidth the number of
-Sz values in the sector); every inner solve of ARPACK is one pair of
-triangular band solves with that factor.  The k largest 1 / (lambda -
-sigma) belong to exactly the k lowest lambda: the low end of the
-spectrum, slow to converge as extremal Ritz values of H, becomes the
-well-separated top of the inverted spectrum.  It is meant for one
-symmetry block of the model at a time (see
-``diagnostics.lowest_levels``), which holds no degenerate low levels.
-:func:`lanczos_lowest`, a block Lanczos iteration with full
-reorthogonalization whose block size >= 2 keeps degenerate doublets in
-the unsplit space, remains as an independent cross-check.  Every solver
-takes a ``SparseOperator``, a scipy sparse matrix or a dense array, and
-converts it once, by :func:`as_matrix`.
+:func:`solve_lowest` is the production route.  It takes one symmetry
+block of the model (see ``diagnostics.lowest_levels``) as the lower band
+array that ``model.sector_hamiltonian`` builds, and solves it with dense
+LAPACK up to ``DENSE_SOLVE_MAX_DIM`` rows, above with ARPACK
+(``scipy.sparse.linalg.eigsh``) in shift-invert mode through a banded
+Cholesky factor.  :func:`dense_spectrum` and :func:`lanczos_lowest`
+(block Lanczos with full reorthogonalization, whose block size >= 2 keeps
+degenerate doublets) remain as references; they take a ``SparseOperator``,
+a scipy sparse matrix or a dense array, converted once by :func:`as_matrix`.
 """
 
 from __future__ import annotations
@@ -52,6 +43,10 @@ class SolverOptions:
     max_iterations: int | None = None
     block_size: int = 4
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     def validate(self, dim: int) -> None:
         if self.k < 1:
@@ -252,64 +247,63 @@ def lanczos_lowest(
     )
 
 
-def _gershgorin_shift(A) -> float:
-    """A shift strictly below the spectrum of symmetric A.
+def _gershgorin_shift(ab: np.ndarray) -> float:
+    """A shift strictly below the spectrum of the symmetric matrix with lower band array ab.
 
-    Every eigenvalue lies in a Gershgorin disc, so none is below
-    min_i(a_ii - sum_{j != i} |a_ij|); the shift sits a further 1 % of
-    max(1, |bound|) below that bound.
+    No eigenvalue is below min_i(a_ii - sum_{j != i} |a_ij|) (Gershgorin);
+    the shift sits a further 1 % of max(1, |bound|) below that bound.  Band
+    row k holds the entries k left of the diagonal and, mirrored, k right.
     """
-    diag = A.diagonal()
-    radius = np.ravel(abs(A).sum(axis=1)) - np.abs(diag)
-    bound = float(np.min(diag - radius))
+    dim = ab.shape[1]
+    radius = np.zeros(dim)
+    for k, row in enumerate(np.abs(ab[1:]), start=1):
+        radius[k:] += row[: dim - k]
+        radius[: dim - k] += row[: dim - k]
+    bound = float(np.min(ab[0] - radius))
     return bound - 1e-2 * max(1.0, abs(bound))
 
 
-def _shifted_band_factor(A, sigma: float) -> np.ndarray:
-    """Lower banded Cholesky factor of A - sigma I.
+def _dense_from_band(ab: np.ndarray) -> np.ndarray:
+    dim = ab.shape[1]
+    A = np.zeros((dim, dim))
+    for k, row in enumerate(ab):
+        i = np.arange(dim - k)
+        A[i + k, i] = A[i, i + k] = row[: dim - k]
+    return A
 
-    The half-bandwidth is read from A itself: the largest i - j over its
-    stored lower-triangle entries.  Raises ``numpy.linalg.LinAlgError``
-    unless A - sigma I is positive definite, so a factor certifies that
-    sigma lies below the spectrum of A.
-    """
-    coo = scipy.sparse.coo_matrix(A)
-    low = coo.row >= coo.col
-    rows, cols = coo.row[low], coo.col[low]
-    ab = np.zeros((int(np.max(rows - cols, initial=0)) + 1, A.shape[0]))
-    ab[rows - cols, cols] = coo.data[low]
-    ab[0] -= sigma
-    return scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
+
+def _no_matvec(x: np.ndarray) -> np.ndarray:
+    raise AssertionError("shift-invert eigsh applies OPinv only")
 
 
 def solve_lowest(
-    H, opts: SolverOptions | None = None, *, want_vectors: bool = True
+    ab: np.ndarray, opts: SolverOptions | None = None, *, want_vectors: bool = True
 ) -> SpectrumResult:
     """Lowest opts.k eigenpairs: LAPACK up to ``DENSE_SOLVE_MAX_DIM`` rows, else ARPACK.
 
-    ARPACK runs in shift-invert mode (``which="LM"`` around sigma from
-    :func:`_gershgorin_shift`).  H - sigma I is factored once, as a band
-    matrix, by ``scipy.linalg.cholesky_banded``; ARPACK applies its
-    inverse through ``cho_solve_banded``, and ``iterations`` counts those
-    applications.  The factorization succeeds only if sigma lies below
-    every eigenvalue (otherwise ``numpy.linalg.LinAlgError``), and then the
-    k eigenvalues nearest sigma are the k lowest.  ARPACK starts from a
-    vector drawn from ``seed`` and iterates to machine precision; it also
-    needs k < dim - 1, so larger requests go dense.  If it runs out of
-    restarts, the Ritz pairs that did converge come back with
-    converged=False.  Plain Lanczos keeps one copy of each eigenvalue,
-    so H should have no degenerate low levels: pass one symmetry sector.
+    ab is the lower band array ab[i, c] = H[c + i, c] of symmetric H.
+    ARPACK runs in shift-invert mode around sigma from
+    :func:`_gershgorin_shift`, below the spectrum, so the k eigenvalues
+    nearest sigma are the k lowest.  It sees H only through its shape and
+    ``OPinv``: ``cholesky_banded`` factors ab with sigma subtracted on row 0
+    (``numpy.linalg.LinAlgError`` unless sigma lies below the spectrum) and
+    ``cho_solve_banded`` applies the inverse, as often as ``iterations``
+    counts.  ARPACK starts from a vector drawn from ``seed`` and iterates
+    to machine precision; it needs k < dim - 1, so larger requests go
+    dense.  If it runs out of restarts, the Ritz pairs that did converge
+    come back with converged=False.  Residuals come from BLAS ``dsbmv``.
+    Plain Lanczos keeps one copy of each eigenvalue: pass one sector.
     """
     if opts is None:
         opts = SolverOptions()
-    A = as_matrix(H)
-    dim = A.shape[0]
+    ab = np.asarray(ab, dtype=float)
+    dim = ab.shape[1]
     if dim <= DENSE_SOLVE_MAX_DIM or opts.k >= dim - 1:
-        dense = A.toarray() if scipy.sparse.issparse(A) else A
-        return dense_spectrum(dense, opts.k, override=True, want_vectors=want_vectors)
+        return dense_spectrum(_dense_from_band(ab), opts.k, override=True, want_vectors=want_vectors)
     opts.validate(dim)
-    sigma = _gershgorin_shift(A)
-    factor = (_shifted_band_factor(A, sigma), True)
+    sigma = _gershgorin_shift(ab)
+    shifted = np.vstack([ab[:1] - sigma, ab[1:]])
+    factor = (scipy.linalg.cholesky_banded(shifted, lower=True, check_finite=False), True)
     applied = 0
 
     def apply_inverse(x: np.ndarray) -> np.ndarray:
@@ -317,12 +311,13 @@ def solve_lowest(
         applied += 1
         return scipy.linalg.cho_solve_banded(factor, x, check_finite=False)
 
+    shape_only = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=_no_matvec, dtype=float)
     inverse = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=apply_inverse, dtype=float)
     rng = np.random.default_rng(opts.seed)
     converged = True
     try:
         evals, evecs = scipy.sparse.linalg.eigsh(
-            A, k=opts.k, sigma=sigma, which="LM", tol=0, OPinv=inverse,
+            shape_only, k=opts.k, sigma=sigma, which="LM", tol=0, OPinv=inverse,
             maxiter=opts.max_iterations, v0=rng.uniform(-1.0, 1.0, dim), rng=rng,
         )
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
@@ -330,11 +325,14 @@ def solve_lowest(
         converged = False
     order = np.argsort(evals)
     evals, evecs = evals[order], evecs[:, order]
+    Hv = np.empty_like(evecs)
+    for j, x in enumerate(evecs.T):
+        Hv[:, j] = scipy.linalg.blas.dsbmv(ab.shape[0] - 1, 1.0, ab, x, lower=1)
     return SpectrumResult(
         eigenvalues=evals,
         eigenvectors=evecs if want_vectors else None,
         solver="eigsh",
         iterations=applied,
-        residual_norms=np.linalg.norm(A @ evecs - evecs * evals, axis=0),
+        residual_norms=np.linalg.norm(Hv - evecs * evals, axis=0),
         converged=converged,
     )

@@ -197,8 +197,9 @@ def parse_config(text: str) -> SweepConfig:
     for key, kind in (("k", int), ("seed", int), ("max_dim", int), ("budget_dim_total", int), ("tol", float)):
         if key in engine_sec:
             setattr(engine, key, _parse_scalar(engine_sec[key][0], key, engine_sec[key][1], kind))
-    if engine.k < 1:
-        raise ConfigError("k must be >= 1")
+    for key in ("k", "max_dim", "budget_dim_total"):
+        if getattr(engine, key) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {getattr(engine, key)}", engine_sec[key][1])
     if not 0 < engine.tol < math.inf:
         raise ConfigError(f"tol must be finite and > 0, got {engine.tol}", engine_sec["tol"][1])
     if engine.seed < 0:
@@ -230,7 +231,7 @@ def parse_config(text: str) -> SweepConfig:
             setattr(outputs, key, n)
 
     if "splitting" in outputs.emit and engine.k < 3:
-        raise ConfigError("k must be >= 3 when splitting is requested")
+        raise ConfigError("k must be >= 3 when splitting is requested", engine_sec["k"][1])
 
     cfg = SweepConfig(model=model, engine=engine, outputs=outputs)
     if model.circuit_file is None and not (model.N_list and model.g_list and model.v_list):

@@ -52,3 +52,21 @@ def random_sparse_symmetric(rng: np.random.Generator, dim: int, density: float =
     diag = rng.standard_normal(dim)
     all_vals = np.concatenate([vals / 2, vals / 2, diag])
     return all_rows, all_cols, all_vals
+
+
+def lower_band(A) -> np.ndarray:
+    """Lower band storage ab[i, c] = A[c + i, c] of a symmetric dense array or SparseOperator.
+
+    The bandwidth is the largest i - c of a nonzero entry.
+    """
+    A = np.asarray(A.to_dense() if hasattr(A, "to_dense") else A, dtype=float)
+    rows, cols = np.nonzero(np.tril(A))
+    width = int(np.max(rows - cols, initial=0))
+    return np.array([np.pad(np.diagonal(A, -i), (0, i)) for i in range(width + 1)])
+
+
+def dense_from_band(ab: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose lower band storage is ab."""
+    dim = ab.shape[1]
+    A = sum(np.diag(ab[i, : dim - i], -i) for i in range(ab.shape[0]))
+    return A + np.tril(A, -1).T

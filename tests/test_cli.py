@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,17 +233,31 @@ ARPACK_POINT = "[model]\nN_list = 12\nomega = 1\ng_list = 0.9487\nv_list = 1\n[e
     [
         ("seed = -1\n", [], "error: line 7: seed must be >= 0, got -1\n"),
         ("seed = 0\n", ["--seed", "-1"], "error: --seed must be >= 0, got -1\n"),
+        ("max_dim = -5\n", [], "error: line 7: max_dim must be >= 1, got -5\n"),
+        ("max_dim = 0\n", [], "error: line 7: max_dim must be >= 1, got 0\n"),
+        ("budget_dim_total = 0\n", [], "error: line 7: budget_dim_total must be >= 1, got 0\n"),
+        ("k = 0\n", [], "error: line 7: k must be >= 1, got 0\n"),
+        ("k = 2\n", [], "error: line 7: k must be >= 3 when splitting is requested\n"),
     ],
-    ids=["config", "flag"],
+    ids=["config", "flag", "max_dim-negative", "max_dim-zero", "budget-zero", "k-zero", "k-splitting"],
 )
-def test_negative_seed_exits_one_with_one_line(tmp_path, capsys, engine, flags, message):
-    # the 2M search solve at N = 12 runs ARPACK, whose generator rejects a negative seed
-    cfg = tmp_path / "seed.cfg"
+def test_bad_engine_value_exits_one_with_one_line(tmp_path, capsys, engine, flags, message):
+    # each value is refused before any solve, so nothing reaches stdout
+    cfg = tmp_path / "engine.cfg"
     cfg.write_text(ARPACK_POINT + engine)
     assert main(["spectrum", str(cfg), *flags]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+def test_cli_import_loads_no_graph_search():
+    code = "import sys, dickelab.cli; print(sorted(m for m in sys.modules if 'csgraph' in m))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_map_circuit_reports(tmp_path, capsys):

@@ -166,6 +166,12 @@ def test_converge_resource_error_carries_history():
     assert err.value.history  # partial history attached
 
 
+def test_negative_seed_is_a_validation_error():
+    p = ModelParams(N=12, omega=1.0, g=0.9487, v=1.0)
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        converge_cutoff(p, options=SolverOptions(seed=-1))
+
+
 def test_converge_rejects_bad_tolerance():
     p = ModelParams(N=2, omega=1.0, g=0.1, v=1.0)
     # nan would search to max_dim, inf would accept the first pair of cutoffs
@@ -304,8 +310,10 @@ def test_converge_with_lanczos_path(monkeypatch):
 
 
 SECTOR_GRID = [(N, float(np.sqrt(r)), 1.0) for N in range(1, 9) for r in (0, 0.2, 0.5, 0.9, 1.0)] + [
-    (N, float(np.sqrt(0.5)), 0.0) for N in range(1, 9)
+    (N, g, 0.0) for N in range(1, 9) for g in (float(np.sqrt(0.5)), 0.0)
 ]
+# the lines on which a sector splits: g = 0 (spin blocks), v = 0 (boson chains), both
+SPLIT_LINES = [(N, g, v) for N, g, v in SECTOR_GRID if g == 0 or v == 0]
 FORCE_ARPACK = [{}, {"DENSE_SOLVE_MAX_DIM": 10}]  # the default crossover, then all to ARPACK
 
 
@@ -328,6 +336,20 @@ def test_lowest_levels_match_unsplit_dense(extra, monkeypatch):
         assert dev <= 1e-12 * abs(ref[0]), (N, g, v, dev)
         if N % 2:
             assert res.eigenvalues[1] == res.eigenvalues[0]
+
+
+@pytest.mark.parametrize("extra", FORCE_ARPACK)
+def test_split_line_vectors_are_orthonormal_eigenvectors_of_full_h(extra, monkeypatch):
+    M, k = 30, 6
+    _patch_solvers(monkeypatch, extra)
+    for N, g, v in SPLIT_LINES:
+        p = ModelParams(N=N, omega=1.0, g=g, v=v)
+        res = lowest_levels(p, M, k, SolverOptions(k=k, seed=3), want_vectors=True)
+        H = build_full_hamiltonian(p, M)
+        V = res.eigenvectors
+        np.testing.assert_allclose(V.T @ V, np.eye(k), atol=1e-12)
+        resid = np.linalg.norm(H @ V - V * res.eigenvalues, axis=0)
+        assert np.all(resid <= 1e-10 * H.frobenius_norm()), (N, g, v, resid)
 
 
 @pytest.mark.parametrize("extra", FORCE_ARPACK)

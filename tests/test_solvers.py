@@ -16,7 +16,7 @@ from dickelab import (
 )
 import dickelab.solvers as solvers
 from dickelab.model import sector_hamiltonian
-from oracles import random_sparse_symmetric
+from oracles import dense_from_band, lower_band, random_sparse_symmetric
 
 
 def test_dense_diagonal():
@@ -161,9 +161,9 @@ def test_lanczos_nonconvergence_reports_best_effort():
 def test_solve_lowest_dispatch(monkeypatch):
     p = ModelParams(N=2, omega=1.0, g=0.2, v=0.5)
     H = build_full_hamiltonian(p, 10)
-    assert solve_lowest(H, SolverOptions(k=3)).solver == "dense"
+    assert solve_lowest(lower_band(H), SolverOptions(k=3)).solver == "dense"
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
-    res = solve_lowest(H, SolverOptions(k=3, seed=2))
+    res = solve_lowest(lower_band(H), SolverOptions(k=3, seed=2))
     assert res.solver == "eigsh"
     ref = dense_spectrum(H, 3)
     np.testing.assert_allclose(res.eigenvalues, ref.eigenvalues, atol=1e-9)
@@ -173,7 +173,7 @@ def test_eigsh_nonconvergence_reports_best_effort(monkeypatch):
     p = ModelParams(N=4, omega=1.0, g=0.7, v=1.0)
     H = build_full_hamiltonian(p, 200)
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 100)
-    res = solve_lowest(H, SolverOptions(k=6, seed=0, max_iterations=1))
+    res = solve_lowest(lower_band(H), SolverOptions(k=6, seed=0, max_iterations=1))
     assert res.solver == "eigsh"
     assert not res.converged
     assert res.eigenvalues.size == res.residual_norms.size <= 6
@@ -181,7 +181,7 @@ def test_eigsh_nonconvergence_reports_best_effort(monkeypatch):
 
 def test_solve_lowest_near_full_k_goes_dense(monkeypatch):
     # ARPACK needs k < dim - 1
-    H = SparseOperator.from_scipy(np.diag(np.arange(12.0)))
+    H = lower_band(np.diag(np.arange(12.0)))
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 5)
     res = solve_lowest(H, SolverOptions(k=11))
     assert res.solver == "dense"
@@ -203,7 +203,7 @@ def test_shift_invert_returns_every_level_of_an_unsplit_operator(monkeypatch):
     A = _diag_with_decoupled_zero(80, seed=4)
     ref = np.linalg.eigvalsh(A)[:6]
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
-    res = solve_lowest(SparseOperator.from_scipy(A), SolverOptions(k=6, seed=1))
+    res = solve_lowest(lower_band(A), SolverOptions(k=6, seed=1))
     assert res.solver == "eigsh" and res.converged
     assert abs(ref[1]) <= 1e-12  # the decoupled zero level is among those compared
     assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12
@@ -222,7 +222,7 @@ def test_shift_invert_sigma_lies_below_the_spectrum(monkeypatch):
     p = ModelParams(N=4, omega=1.0, g=0.7, v=1.0)
     unsplit = SparseOperator.from_scipy(_diag_with_decoupled_zero(80, seed=4))
     for H in (build_full_hamiltonian(p, 60), unsplit):
-        solve_lowest(H, SolverOptions(k=4))
+        solve_lowest(lower_band(H), SolverOptions(k=4))
         assert shifts[-1] < dense_spectrum(H, 1).eigenvalues[0]
     assert len(shifts) == 2
 
@@ -241,15 +241,15 @@ def test_eigsh_iterations_count_inverse_applications(monkeypatch):
     res = solve_lowest(H, SolverOptions(k=6, seed=1))
     assert res.solver == "eigsh" and res.converged
     assert res.iterations == len(calls) > 0
-    ref = dense_spectrum(H, 6, override=True).eigenvalues
+    ref = dense_spectrum(dense_from_band(H), 6, override=True).eigenvalues
     assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12 * abs(ref[0])
 
 
 def test_shift_above_the_ground_level_fails_the_band_factorization(monkeypatch):
     p = ModelParams(N=4, omega=1.0, g=0.7, v=1.0)
     H = sector_hamiltonian(p, 60, 0)
-    e0 = dense_spectrum(H, 1).eigenvalues[0]
-    monkeypatch.setattr(solvers, "_gershgorin_shift", lambda A: e0 + 0.5)
+    e0 = dense_spectrum(dense_from_band(H), 1).eigenvalues[0]
+    monkeypatch.setattr(solvers, "_gershgorin_shift", lambda ab: e0 + 0.5)
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
     with pytest.raises(np.linalg.LinAlgError):
         solve_lowest(H, SolverOptions(k=4))

@@ -199,6 +199,16 @@ def test_per_point_failure_isolated():
     assert math.isnan(rows[1].E0)
 
 
+def test_negative_seed_built_in_code_fails_its_row_only():
+    # parse_config rejects seed = -1; an EngineConfig built in code reaches SolverOptions
+    cfg = parse_config("[model]" + MINIMAL + "[engine]\nmode = full\n")
+    cfg.engine.seed = -1
+    rows = run_sweep(cfg)
+    assert len(rows) == 1
+    assert not rows[0].converged
+    assert math.isnan(rows[0].E0)
+
+
 def test_global_budget_aborts_with_partial_rows():
     cfg = parse_config(
         "[model]\nN_list = 3, 3, 3\nomega = 1\ng_list = 0.3, 0.31, 0.32\nv_list = 1\n"
