@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg import lapack
 
 from .errors import ResourceError, ValidationError
 from .model import (
@@ -127,6 +127,7 @@ def lowest_levels(
     opts: SolverOptions | None = None,
     *,
     want_vectors: bool = False,
+    guess: float | None = None,
 ) -> SpectrumResult:
     """Lowest k levels of the full model at Fock cutoff M, solved sector by sector.
 
@@ -139,6 +140,8 @@ def lowest_levels(
     is reported twice, the copy's vector being R times the original: the
     odd-N doublet is exact by construction.  Vectors are in the flat
     basis, filled in from the sector's flat indices n (N+1) + s + 2j.
+    guess, an upper estimate of E0 such as E0 at a smaller cutoff, goes to
+    every :func:`~dickelab.solvers.solve_lowest` as its shift hint.
     """
     opts = opts or SolverOptions()
     dim = (M + 1) * (p.N + 1)
@@ -153,7 +156,9 @@ def lowest_levels(
         flat = (np.arange(M + 1)[:, None] * (p.N + 1) + s + 2 * np.arange(w)).ravel()
         for rows, piece in _sector_pieces(ab):
             k_piece = min(-(-k // 2) if odd else k, piece.shape[1])
-            res = solve_lowest(piece, replace(opts, k=k_piece), want_vectors=want_vectors)
+            res = solve_lowest(
+                piece, replace(opts, k=k_piece), want_vectors=want_vectors, guess=guess
+            )
             results.append(res)
             if want_vectors:
                 V = np.zeros((dim, res.eigenvalues.size))
@@ -223,8 +228,10 @@ def converge_cutoff(
     M is accepted once the eigenvalues at M and at 2M agree within tol;
     the accepted (smaller) M is returned with the full history and with
     the :func:`lowest_levels` solve at M (max(k, 3, options.k) levels), so
-    callers need not solve again.  Breaching max_dim before convergence
-    raises a ResourceError carrying the history.
+    callers need not solve again.  Each solve after the first takes the
+    previous E0 as its shift hint: by Cauchy interlacing E0(2M) <= E0(M).
+    Breaching max_dim before convergence raises a ResourceError carrying
+    the history.
     """
     if not 0 < tol < math.inf:
         raise ValidationError(f"tol must be finite and > 0, got {tol}")
@@ -242,7 +249,8 @@ def converge_cutoff(
                 f"cutoff search for N={p.N} exceeded max dimension {max_dim} at M={M}",
                 history=tuple(history),
             )
-        res = lowest_levels(p, M, min(max(k, 3, opts.k), dim), opts)
+        guess = None if prev is None else float(prev.eigenvalues[0])
+        res = lowest_levels(p, M, min(max(k, 3, opts.k), dim), opts, guess=guess)
         e = res.eigenvalues
         e3 = tuple(float(e[i]) if i < e.size else math.nan for i in range(3))
         history.append((M, *e3))
@@ -261,9 +269,14 @@ def converge_cutoff(
 
 
 def _spin_sector_levels(p: ModelParams, s: int) -> np.ndarray:
-    """Eigenvalues of -u Sz^2 - v Sx^2 on the sector m + S = s (mod 2), ascending."""
+    """Eigenvalues of -u Sz^2 - v Sx^2 on the sector m + S = s (mod 2), ascending, by dsterf."""
     _, diag, off = spin_sector(p, s, p.u)
-    return eigvalsh_tridiagonal(diag, off)
+    if diag.size == 1:
+        return diag
+    levels, info = lapack.dsterf(diag, off)
+    if info:
+        raise np.linalg.LinAlgError(f"dsterf failed to converge ({info} off-diagonals nonzero)")
+    return levels
 
 
 def spin_model_spectrum(p: ModelParams) -> np.ndarray:

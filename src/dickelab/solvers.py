@@ -2,13 +2,16 @@
 
 :func:`solve_lowest` is the production route.  It takes one symmetry
 block of the model (see ``diagnostics.lowest_levels``) as the lower band
-array that ``model.sector_hamiltonian`` builds, and solves it with dense
-LAPACK up to ``DENSE_SOLVE_MAX_DIM`` rows, above with ARPACK
-(``scipy.sparse.linalg.eigsh``) in shift-invert mode through a banded
-Cholesky factor.  :func:`dense_spectrum` and :func:`lanczos_lowest`
-(block Lanczos with full reorthogonalization, whose block size >= 2 keeps
-degenerate doublets) remain as references; they take a ``SparseOperator``,
-a scipy sparse matrix or a dense array, converted once by :func:`as_matrix`.
+array that ``model.sector_hamiltonian`` builds, and solves it with banded
+LAPACK (``scipy.linalg.eig_banded``) up to ``DENSE_SOLVE_MAX_DIM`` rows,
+above with ARPACK (``scipy.sparse.linalg.eigsh``) in shift-invert mode
+through a banded Cholesky factor, shifted just below a caller's estimate
+of the lowest level when there is one (the cutoff search passes the
+previous cutoff's E0), else below the Gershgorin bound.
+:func:`dense_spectrum` and :func:`lanczos_lowest` (block Lanczos with full
+reorthogonalization, whose block size >= 2 keeps degenerate doublets)
+remain as references; they take a ``SparseOperator``, a scipy sparse
+matrix or a dense array, converted once by :func:`as_matrix`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,22 @@ from .model import SparseOperator
 
 DEFAULT_DENSE_THRESHOLD = 4000  # dense_spectrum's guard: larger matrices need override=True
 DENSE_SOLVE_MAX_DIM = 400
-"""Path choice, not a guard: :func:`solve_lowest` runs LAPACK up to this many rows, ARPACK above."""
+"""Path choice, not a guard: :func:`solve_lowest` runs ``eig_banded`` up to this many rows, ARPACK above.
+
+Median ms for k = 6 on sector blocks (N = 16, u/v = 0.5 and N = 12,
+u/v = 0.9; 2-vCPU Xeon VM, OpenBLAS on one thread); the hint is E0 at
+half the cutoff:
+
+    rows   eig_banded   ARPACK, Gershgorin shift   ARPACK, hinted shift
+     207       1.7                4.5                       2.9
+     324       3.8                4.9                       3.0
+     405       5.8                5.2                       3.7
+     637      10.7                8.7                       4.0
+    1267        42               13.7                       6.5
+
+The first solve of a point has no hint, and for it the crossover lies
+near 400 rows; hinted solves would cross over lower, near 300.
+"""
 
 
 @dataclass
@@ -263,76 +281,107 @@ def _gershgorin_shift(ab: np.ndarray) -> float:
     return bound - 1e-2 * max(1.0, abs(bound))
 
 
-def _dense_from_band(ab: np.ndarray) -> np.ndarray:
-    dim = ab.shape[1]
-    A = np.zeros((dim, dim))
-    for k, row in enumerate(ab):
-        i = np.arange(dim - k)
-        A[i + k, i] = A[i, i + k] = row[: dim - k]
-    return A
-
-
 def _no_matvec(x: np.ndarray) -> np.ndarray:
     raise AssertionError("shift-invert eigsh applies OPinv only")
 
 
-def solve_lowest(
-    ab: np.ndarray, opts: SolverOptions | None = None, *, want_vectors: bool = True
-) -> SpectrumResult:
-    """Lowest opts.k eigenpairs: LAPACK up to ``DENSE_SOLVE_MAX_DIM`` rows, else ARPACK.
+def _shift_and_factor(ab: np.ndarray, guess: float | None) -> tuple[float, tuple]:
+    """A shift sigma below the spectrum of ab and the ``cho_solve_banded`` factor of H - sigma I.
 
-    ab is the lower band array ab[i, c] = H[c + i, c] of symmetric H.
-    ARPACK runs in shift-invert mode around sigma from
-    :func:`_gershgorin_shift`, below the spectrum, so the k eigenvalues
-    nearest sigma are the k lowest.  It sees H only through its shape and
-    ``OPinv``: ``cholesky_banded`` factors ab with sigma subtracted on row 0
-    (``numpy.linalg.LinAlgError`` unless sigma lies below the spectrum) and
-    ``cho_solve_banded`` applies the inverse, as often as ``iterations``
-    counts.  ARPACK starts from a vector drawn from ``seed`` and iterates
-    to machine precision; it needs k < dim - 1, so larger requests go
-    dense.  If it runs out of restarts, the Ritz pairs that did converge
-    come back with converged=False.  Residuals come from BLAS ``dsbmv``.
+    Given a guess at or above the lowest level, sigma = guess - delta with
+    delta = 1e-3 max(1, |guess|), widened x10 while ``cholesky_banded``
+    fails, three tries at most and never past :func:`_gershgorin_shift`,
+    which is the fallback.  A factor that succeeds proves sigma below the
+    spectrum, so no guess can give a wrong level; a failing fallback raises
+    ``numpy.linalg.LinAlgError``.
+    """
+
+    def factor(sigma: float) -> tuple:
+        shifted = np.vstack([ab[:1] - sigma, ab[1:]])
+        return scipy.linalg.cholesky_banded(shifted, lower=True, check_finite=False), True
+
+    floor = _gershgorin_shift(ab)
+    shifts = []
+    if guess is not None:
+        delta = 1e-3 * max(1.0, abs(guess))
+        shifts = [guess - delta * 10.0**i for i in range(3)]
+    for sigma in [x for x in shifts if x > floor]:
+        try:
+            return sigma, factor(sigma)
+        except np.linalg.LinAlgError:
+            pass
+    return floor, factor(floor)
+
+
+def solve_lowest(
+    ab: np.ndarray, opts: SolverOptions | None = None, *,
+    want_vectors: bool = True, guess: float | None = None,
+) -> SpectrumResult:
+    """Lowest opts.k eigenpairs: banded LAPACK up to ``DENSE_SOLVE_MAX_DIM`` rows, else ARPACK.
+
+    ab is the lower band array ab[i, c] = H[c + i, c] of symmetric H.  The
+    small blocks, and requests of k >= dim - 1 (ARPACK needs k < dim - 1),
+    go to ``scipy.linalg.eig_banded`` for the k lowest pairs (solver
+    "dense").  ARPACK runs in shift-invert mode around sigma from
+    :func:`_shift_and_factor`, below the spectrum, so the k eigenvalues
+    nearest sigma are the k lowest; guess, an upper estimate of the lowest
+    level such as the cutoff search's previous E0, moves sigma up to it.
+    ARPACK sees H only through its shape and ``OPinv``, which applies the
+    banded Cholesky factor of H - sigma I by ``cho_solve_banded``, as often
+    as ``iterations`` counts.  It starts from a vector drawn from ``seed``
+    and iterates to machine precision; if it runs out of restarts, the Ritz
+    pairs that did converge come back with converged=False.  Residuals
+    come from BLAS ``dsbmv`` (zeros for dense eigenvalues without vectors).
     Plain Lanczos keeps one copy of each eigenvalue: pass one sector.
     """
     if opts is None:
         opts = SolverOptions()
     ab = np.asarray(ab, dtype=float)
-    dim = ab.shape[1]
-    if dim <= DENSE_SOLVE_MAX_DIM or opts.k >= dim - 1:
-        return dense_spectrum(_dense_from_band(ab), opts.k, override=True, want_vectors=want_vectors)
-    opts.validate(dim)
-    sigma = _gershgorin_shift(ab)
-    shifted = np.vstack([ab[:1] - sigma, ab[1:]])
-    factor = (scipy.linalg.cholesky_banded(shifted, lower=True, check_finite=False), True)
-    applied = 0
-
-    def apply_inverse(x: np.ndarray) -> np.ndarray:
-        nonlocal applied
-        applied += 1
-        return scipy.linalg.cho_solve_banded(factor, x, check_finite=False)
-
-    shape_only = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=_no_matvec, dtype=float)
-    inverse = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=apply_inverse, dtype=float)
-    rng = np.random.default_rng(opts.seed)
-    converged = True
-    try:
-        evals, evecs = scipy.sparse.linalg.eigsh(
-            shape_only, k=opts.k, sigma=sigma, which="LM", tol=0, OPinv=inverse,
-            maxiter=opts.max_iterations, v0=rng.uniform(-1.0, 1.0, dim), rng=rng,
+    dim, k = ab.shape[1], opts.k
+    applied, converged = 0, True
+    if dim <= DENSE_SOLVE_MAX_DIM or k >= dim - 1:
+        if not 1 <= k <= dim:
+            raise ValidationError(f"k must be in [1, {dim}], got {k}")
+        out = scipy.linalg.eig_banded(
+            ab, lower=True, eigvals_only=not want_vectors, select="i",
+            select_range=(0, k - 1), check_finite=False,
         )
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        evals, evecs = exc.eigenvalues, exc.eigenvectors
-        converged = False
-    order = np.argsort(evals)
-    evals, evecs = evals[order], evecs[:, order]
-    Hv = np.empty_like(evecs)
-    for j, x in enumerate(evecs.T):
-        Hv[:, j] = scipy.linalg.blas.dsbmv(ab.shape[0] - 1, 1.0, ab, x, lower=1)
+        evals, evecs = out if want_vectors else (out, None)
+        solver = "dense"
+    else:
+        opts.validate(dim)
+        sigma, factor = _shift_and_factor(ab, guess)
+
+        def apply_inverse(x: np.ndarray) -> np.ndarray:
+            nonlocal applied
+            applied += 1
+            return scipy.linalg.cho_solve_banded(factor, x, check_finite=False)
+
+        shape_only = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=_no_matvec, dtype=float)
+        inverse = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=apply_inverse, dtype=float)
+        rng = np.random.default_rng(opts.seed)
+        try:
+            evals, evecs = scipy.sparse.linalg.eigsh(
+                shape_only, k=k, sigma=sigma, which="LM", tol=0, OPinv=inverse,
+                maxiter=opts.max_iterations, v0=rng.uniform(-1.0, 1.0, dim), rng=rng,
+            )
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            evals, evecs = exc.eigenvalues, exc.eigenvectors
+            converged = False
+        order = np.argsort(evals)
+        evals, evecs = evals[order], evecs[:, order]
+        solver = "eigsh"
+    residuals = np.zeros(evals.size)
+    if evecs is not None:
+        Hv = np.empty_like(evecs)
+        for j, x in enumerate(evecs.T):
+            Hv[:, j] = scipy.linalg.blas.dsbmv(ab.shape[0] - 1, 1.0, ab, x, lower=1)
+        residuals = np.linalg.norm(Hv - evecs * evals, axis=0)
     return SpectrumResult(
         eigenvalues=evals,
         eigenvectors=evecs if want_vectors else None,
-        solver="eigsh",
+        solver=solver,
         iterations=applied,
-        residual_norms=np.linalg.norm(Hv - evecs * evals, axis=0),
+        residual_norms=residuals,
         converged=converged,
     )

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dickelab import (
     ModelParams,
@@ -24,6 +25,7 @@ from dickelab import (
 import dickelab.diagnostics as diagnostics
 import dickelab.solvers as solvers
 from dickelab.diagnostics import ground_pair, initial_cutoff
+from dickelab.model import spin_sector
 
 
 def test_splitting_from_polaron_levels():
@@ -297,6 +299,22 @@ def test_spin_model_sectors_match_dense_eigvalsh():
                 assert np.array_equal(levels[0::2], levels[1::2]), (N, u, v)
 
 
+
+def test_spin_sector_levels_are_those_of_eigvalsh_tridiagonal_bit_for_bit():
+    for N in range(1, 61):  # N = 1 has a 1-row sector
+        for u, v in SPIN_UV:
+            p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(u)), v=v)
+            for s in (0, 1):
+                _, diag, off = spin_sector(p, s, p.u)
+                ref = scipy.linalg.eigvalsh_tridiagonal(diag, off)
+                assert np.array_equal(diagnostics._spin_sector_levels(p, s), ref), (N, u, v, s)
+
+
+def test_spin_sector_nonconvergence_is_a_linalg_error(monkeypatch):
+    monkeypatch.setattr(diagnostics.lapack, "dsterf", lambda d, e: (d, 2))
+    with pytest.raises(np.linalg.LinAlgError):
+        spin_model_spectrum(ModelParams(N=6, omega=1.0, g=0.5, v=1.0))
+
 def test_converge_with_lanczos_path(monkeypatch):
     # force the iterative solver inside the cutoff search
     p = ModelParams(N=3, omega=1.0, g=0.3, v=1.0)
@@ -443,3 +461,31 @@ def test_lowest_levels_sums_arpack_operator_applications(monkeypatch):
     assert [r.solver for r in sector_results] == ["eigsh", "eigsh"]
     assert all(r.iterations > 0 for r in sector_results)
     assert res.iterations == sum(r.iterations for r in sector_results)
+
+
+def test_search_shift_hint_keeps_every_cutoff(monkeypatch):
+    # each solve after the first cutoff takes the previous E0 as its shift
+    # hint; the search must try and accept the same cutoffs as without it
+    hints = []
+    solve, levels = diagnostics.solve_lowest, diagnostics.lowest_levels
+
+    def spy(*args, guess=None, **kwargs):
+        hints.append(guess)
+        return solve(*args, guess=guess, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "solve_lowest", spy)
+    for N in range(6, 17):
+        for r in (0.5, 0.9):
+            p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(r)), v=1.0)
+            hints.clear()
+            rep = converge_cutoff(p, 1e-10)
+            sectors = 1 if N % 2 else 2
+            expected = [None] + [E0 for _, E0, _, _ in rep.history[:-1]]
+            assert hints == [h for h in expected for _ in range(sectors)]
+            with monkeypatch.context() as m:
+                m.setattr(diagnostics, "lowest_levels", lambda *a, guess=None, **kw: levels(*a, **kw))
+                ref = converge_cutoff(p, 1e-10)
+            assert rep.M_star == ref.M_star, (N, r)
+            assert [h[0] for h in rep.history] == [h[0] for h in ref.history], (N, r)
+            e, e_ref = rep.spectrum.eigenvalues, ref.spectrum.eigenvalues
+            assert np.max(np.abs(e - e_ref)) <= 1e-12 * abs(e_ref[0]), (N, r)

@@ -12,6 +12,7 @@ from dickelab import (
     build_full_hamiltonian,
     dense_spectrum,
     lanczos_lowest,
+    lowest_levels,
     solve_lowest,
 )
 import dickelab.solvers as solvers
@@ -253,3 +254,110 @@ def test_shift_above_the_ground_level_fails_the_band_factorization(monkeypatch):
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
     with pytest.raises(np.linalg.LinAlgError):
         solve_lowest(H, SolverOptions(k=4))
+
+
+def _strong_block_and_hint():
+    """N = 12, u/v = 0.9: the s = 0 block at M = 180 (1267 rows) and E0 at M = 90."""
+    p = ModelParams(N=12, omega=1.0, g=float(np.sqrt(0.9)), v=1.0)
+    return sector_hamiltonian(p, 180, 0), float(lowest_levels(p, 90, 3).eigenvalues[0])
+
+
+def test_guess_from_the_smaller_cutoff_cuts_inverse_applications():
+    ab, guess = _strong_block_and_hint()
+    opts = SolverOptions(k=6, seed=1)
+    ref = solve_lowest(ab, opts)
+    res = solve_lowest(ab, opts, guess=guess)
+    assert ref.solver == res.solver == "eigsh" and res.converged
+    assert res.iterations <= 50 < ref.iterations  # 42 against 99 (Gershgorin shift)
+    assert guess >= res.eigenvalues[0]  # interlacing: E0 only falls as M grows
+    assert np.max(np.abs(res.eigenvalues - ref.eigenvalues)) <= 1e-12 * abs(ref.eigenvalues[0])
+
+
+def test_guess_above_the_ground_level_retries_below_it(monkeypatch):
+    ab, _ = _strong_block_and_hint()
+    ref = solve_lowest(ab, SolverOptions(k=6, seed=1))
+    e0 = ref.eigenvalues[0]
+    outcomes, shifts = [], []
+    cholesky_banded, eigsh = scipy.linalg.cholesky_banded, scipy.sparse.linalg.eigsh
+
+    def factor_spy(*args, **kwargs):
+        try:
+            out = cholesky_banded(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            outcomes.append("failed")
+            raise
+        outcomes.append("factored")
+        return out
+
+    def eigsh_spy(A, *args, **kwargs):
+        shifts.append(kwargs["sigma"])
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", factor_spy)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh_spy)
+    res = solve_lowest(ab, SolverOptions(k=6, seed=1), guess=e0 + 1.0)
+    assert outcomes[0] == "failed" and outcomes[-1] == "factored"
+    assert solvers._gershgorin_shift(ab) < shifts[0] < e0  # a widened guess, not the fallback
+    assert np.max(np.abs(res.eigenvalues - ref.eigenvalues)) <= 1e-12 * abs(e0)
+
+
+
+def test_guess_below_the_gershgorin_shift_is_not_taken(monkeypatch):
+    # a hint far below a block's spectrum (say, E0 of the whole point for a
+    # higher v = 0 chain) would shift further off than the Gershgorin bound
+    ab, _ = _strong_block_and_hint()
+    floor = solvers._gershgorin_shift(ab)
+    shifts = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def spy(A, *args, **kwargs):
+        shifts.append(kwargs["sigma"])
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    solve_lowest(ab, SolverOptions(k=6, seed=1), guess=floor - 10.0)
+    assert shifts == [floor]
+
+BANDED_BLOCKS = [  # (N, u/v, M, s): 93 to 378 rows
+    (4, 0.5, 30, 0), (7, 0.9, 40, 0), (10, 0.5, 40, 1), (12, 0.9, 53, 0), (16, 0.5, 41, 1),
+]
+
+
+@pytest.mark.parametrize("want_vectors", [True, False])
+def test_banded_lapack_matches_dense_spectrum_of_the_expanded_block(want_vectors):
+    for N, r, M, s in BANDED_BLOCKS:
+        p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(r)), v=1.0)
+        ab = sector_hamiltonian(p, M, s)
+        assert ab.shape[1] <= solvers.DENSE_SOLVE_MAX_DIM
+        res = solve_lowest(ab, SolverOptions(k=6), want_vectors=want_vectors)
+        H = dense_from_band(ab)
+        ref = dense_spectrum(H, 6)
+        e0 = abs(ref.eigenvalues[0])
+        assert res.solver == "dense" and res.converged and res.iterations == 0
+        assert np.max(np.abs(res.eigenvalues - ref.eigenvalues)) <= 1e-12 * e0, (N, r, M, s)
+        if want_vectors:
+            V = res.eigenvectors
+            np.testing.assert_allclose(V.T @ V, np.eye(6), atol=1e-12)
+            resid = np.linalg.norm(H @ V - V * res.eigenvalues, axis=0)
+            np.testing.assert_allclose(res.residual_norms, resid, rtol=0, atol=1e-12 * e0)
+            assert np.all(res.residual_norms <= 1e-10 * e0)
+        else:
+            assert res.eigenvectors is None
+            np.testing.assert_array_equal(res.residual_norms, np.zeros(6))
+
+
+@pytest.mark.parametrize("want_vectors", [True, False])
+def test_banded_lapack_serves_requests_that_arpack_cannot(want_vectors, monkeypatch):
+    p = ModelParams(N=5, omega=1.0, g=0.8, v=1.0)
+    ab = sector_hamiltonian(p, 3, 0)  # 4 boson states x 3 spin states
+    H = dense_from_band(ab)
+    monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 5)
+    for k in (11, 12):  # k >= dim - 1
+        res = solve_lowest(ab, SolverOptions(k=k), want_vectors=want_vectors)
+        ref = dense_spectrum(H, k).eigenvalues
+        assert res.solver == "dense"
+        assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12 * abs(ref[0])
+        if want_vectors:
+            assert np.all(res.residual_norms <= 1e-10 * abs(ref[0]))
+    with pytest.raises(ValidationError):
+        solve_lowest(ab, SolverOptions(k=13))
