@@ -22,6 +22,7 @@ from .model import (
     collective_spin_matrices,
     sector_hamiltonian,
     spin_sector,
+    spin_sector_halves,
     symmetry_operator,
 )
 from .solvers import SolverOptions, SpectrumResult, as_matrix, frobenius_norm, solve_lowest
@@ -268,10 +269,9 @@ def converge_cutoff(
         M *= 2
 
 
-def _spin_sector_levels(p: ModelParams, s: int) -> np.ndarray:
-    """Eigenvalues of -u Sz^2 - v Sx^2 on the sector m + S = s (mod 2), ascending, by dsterf."""
-    _, diag, off = spin_sector(p, s, p.u)
-    if diag.size == 1:
+def _tridiagonal_levels(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric tridiagonal matrix, ascending, by LAPACK dsterf."""
+    if diag.size <= 1:
         return diag
     levels, info = lapack.dsterf(diag, off)
     if info:
@@ -279,18 +279,28 @@ def _spin_sector_levels(p: ModelParams, s: int) -> np.ndarray:
     return levels
 
 
+def _spin_sector_levels(p: ModelParams, s: int) -> np.ndarray:
+    """Eigenvalues of -u Sz^2 - v Sx^2 on the sector m + S = s (mod 2), ascending, by dsterf."""
+    _, diag, off = spin_sector(p, s, p.u)
+    return _tridiagonal_levels(diag, off)
+
+
 def spin_model_spectrum(p: ModelParams) -> np.ndarray:
     """All N+1 eigenvalues of the displaced-frame spin model -u Sz^2 - v Sx^2, ascending.
 
-    The model conserves (-1)^(m+S), so it is solved as two tridiagonal
-    parity sectors (:func:`polaron_spin_hamiltonian` stays the dense
-    reference).  For odd N the joint parity maps one sector onto the
-    other, so only m + S even is solved and each level is reported twice:
-    the odd-N doublets are exact by construction.
+    The model conserves (-1)^(m+S), so it is solved as tridiagonal blocks
+    by LAPACK dsterf (:func:`polaron_spin_hamiltonian` stays the dense
+    reference).  For odd N the joint parity maps one parity sector onto
+    the other, so only m + S even is solved and each level is reported
+    twice: the odd-N doublets are exact by construction.  For even N the
+    m -> -m exchange J maps each sector onto itself, so the four blocks
+    are the J halves of the two sectors (:func:`~dickelab.model.spin_sector_halves`),
+    each about N/4 rows.
     """
     if p.N % 2:
         return np.repeat(_spin_sector_levels(p, 0), 2)
-    return np.sort(np.concatenate([_spin_sector_levels(p, 0), _spin_sector_levels(p, 1)]))
+    halves = [half for s in (0, 1) for half in spin_sector_halves(p, s, p.u)]
+    return np.sort(np.concatenate([_tridiagonal_levels(diag, off) for _, diag, off in halves]))
 
 
 def spin_ladder_levels(p: ModelParams, n: int) -> np.ndarray:

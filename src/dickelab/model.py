@@ -11,6 +11,12 @@ the boson occupation and m is the Sz eigenvalue, ascending from -S.  In
 this basis H is real symmetric, so everything here stays in real
 arithmetic; the one operator that is intrinsically complex for odd N (the
 parity operator) is stored as a real matrix plus a global phase.
+
+Both H and the spin model -u Sz^2 - v Sx^2 conserve the parity (-1)^(m+S),
+so they are built sector by sector (:func:`spin_sector`,
+:func:`sector_hamiltonian`).  At even N the m -> -m exchange J also maps
+each spin-model sector onto itself, which splits the spin model into four
+tridiagonal blocks (:func:`spin_sector_halves`).
 """
 
 from __future__ import annotations
@@ -275,13 +281,47 @@ def spin_sector(
     -u m^2 - v (S(S+1) - m^2)/2 and (m, m+2) element
     -v sqrt(S(S+1) - m(m+1)) sqrt(S(S+1) - (m+1)(m+2)) / 4.
     """
-    S = p.S
-    m = -S + np.arange(s, p.N + 1, 2)
-    ss = S * (S + 1)
+    m = -p.S + np.arange(s, p.N + 1, 2)
+    return (m, *_spin_entries(p, m, u))
+
+
+def _spin_entries(p: ModelParams, m: np.ndarray, u: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal at each m and (m, m+2) off-diagonal of -u Sz^2 - v Sx^2, for m ascending by 2."""
+    ss = p.S * (p.S + 1)
     diag = -u * m**2 - p.v * (ss - m**2) / 2
     lo = m[:-1]
     off = -p.v * np.sqrt(ss - lo * (lo + 1)) * np.sqrt(ss - (lo + 1) * (lo + 2)) / 4
-    return m, diag, off
+    return diag, off
+
+
+def spin_sector_halves(
+    p: ModelParams, s: int, u: float
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The J = +1 and J = -1 halves of :func:`spin_sector` at even N, each as (m, diagonal, off-diagonal).
+
+    For integer S the m -> -m exchange J commutes with -u Sz^2 - v Sx^2
+    and maps the sector m + S = s (mod 2) onto itself, so the sector
+    splits into two halves, tridiagonal in the basis (|m> + r |-m>)/sqrt(2)
+    over the sector's m >= 0.  If the sector holds m = 0, the r = +1 half
+    also holds |0>, with sqrt(2) times the sector's (0, 2) off-diagonal,
+    and the r = -1 half starts at m = 2.  Otherwise both halves start at
+    m = 1, with D_1 + r O_{-1,1} in place of the diagonal D_1.  A half may
+    be empty (N = 2, s = 1, r = -1).
+    """
+    if p.N % 2:
+        raise ValidationError(f"J halves need even N (integer S), got N = {p.N}")
+    # the sector's Sz values from m = 0, or from m = -1 when it has no m = 0
+    m = np.arange(-((p.N // 2 + s) % 2), p.S + 1, 2)
+    diag, off = _spin_entries(p, m, u)
+    if m[0] < 0:  # fold O_{-1,1} into D_1
+        plus = diag[1:].copy()
+        plus[0] += off[0]
+        minus = diag[1:]
+        minus[0] -= off[0]
+        return (m[1:], plus, off[1:]), (m[1:], minus, off[1:])
+    minus = (m[1:], diag[1:], off[1:])  # m = 0 belongs to the + half only
+    off[:1] *= math.sqrt(2.0)
+    return (m, diag, off), minus
 
 
 def sector_hamiltonian(p: ModelParams, M: int, s: int) -> np.ndarray:
@@ -325,7 +365,8 @@ def polaron_spin_hamiltonian(p: ModelParams) -> np.ndarray:
 
     This dense (N+1) x (N+1) matrix is the reference that tests check
     against; :func:`~dickelab.diagnostics.spin_model_spectrum` computes the
-    spectrum from the two tridiagonal parity sectors without building it.
+    spectrum from tridiagonal symmetry blocks without building it: one
+    parity sector at odd N, the four J halves of the two sectors at even N.
     """
     spin = collective_spin_matrices(p.S)
     return -p.u * (spin.sz @ spin.sz) - p.v * (spin.sx @ spin.sx)

@@ -233,6 +233,17 @@ def parse_config(text: str) -> SweepConfig:
     if "splitting" in outputs.emit and engine.k < 3:
         raise ConfigError("k must be >= 3 when splitting is requested", engine_sec["k"][1])
 
+    if "scaling-fit" in outputs.emit:
+        # the fit needs 3 even-N rows: a grid without them fails here, before any solve
+        n_even = 0  # a circuit_file config is one point
+        if model.circuit_file is None:
+            n_even = sum(N % 2 == 0 for N in model.N_list) * len(model.g_list) * len(model.v_list)
+        if n_even < 3:
+            raise ConfigError(
+                f"scaling-fit needs at least 3 even-N grid points, the grid has {n_even}",
+                line=out_sec["emit"][1],
+            )
+
     cfg = SweepConfig(model=model, engine=engine, outputs=outputs)
     if model.circuit_file is None and not (model.N_list and model.g_list and model.v_list):
         raise ConfigError("sweep grid is empty")
@@ -399,13 +410,11 @@ def write_landscape(
     """Write :func:`landscape_grid` as ``theta,phi,energy`` CSV with 17-digit numbers."""
     grid = landscape_grid(p, theta_points, phi_points)
     thetas = [_fmt_float(t) for t in grid[::phi_points, 0].tolist()]
-    phis = [_fmt_float(f) for f in grid[:phi_points, 1].tolist()]
+    tails = [f",{_fmt_float(f)},%.17g\n" for f in grid[:phi_points, 1].tolist()]
     energy_rows = grid[:, 2].reshape(theta_points, phi_points).tolist()
-    # one %-template per theta row formats that row's energies in a single call
-    body = "".join(
-        "".join(f"{t},{f},%.17g\n" for f in phis) % tuple(row)
-        for t, row in zip(thetas, energy_rows)
-    )
+    # one %-template per theta row, "t,phi,%.17g\n" for every phi, formats
+    # that row's energies in a single call
+    body = "".join((t + t.join(tails)) % tuple(row) for t, row in zip(thetas, energy_rows))
     Path(path).write_text("theta,phi,energy\n" + body, encoding="utf-8")
 
 
@@ -439,11 +448,14 @@ def emit_results(
     if "spectrum" in cfg.outputs.emit:
         lines = ["point,N,omega,g,v,u,level,energy"]
         for i, row in enumerate(rows):
-            for level, energy in enumerate(row.eigenvalues):
-                lines.append(
-                    f"{i},{row.N},{_fmt_float(row.omega)},{_fmt_float(row.g)},"
-                    f"{_fmt_float(row.v)},{_fmt_float(row.u)},{level},{_fmt_float(energy)}"
-                )
+            prefix = (
+                f"{i},{row.N},{_fmt_float(row.omega)},{_fmt_float(row.g)},"
+                f"{_fmt_float(row.v)},{_fmt_float(row.u)},"
+            )
+            lines += [
+                f"{prefix}{level},{energy:.17g}"
+                for level, energy in enumerate(row.eigenvalues)
+            ]
         path = _extra_path(main, "spectrum")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)
@@ -461,11 +473,16 @@ def emit_results(
         written.append(path)
 
     if "scaling-fit" in cfg.outputs.emit:
-        pts = [
-            (row.N, row.d)
-            for row in rows
-            if row.converged and row.N % 2 == 0 and not math.isnan(row.d) and row.d > 0
+        even = [
+            row for row in rows if row.converged and row.N % 2 == 0 and not math.isnan(row.d)
         ]
+        # a d at or below the floor (0 included) is not resolved, as for pairing_ok
+        pts = [(row.N, row.d) for row in even if row.d > resolution_floor(row.E0)]
+        if len(pts) < 3:
+            raise ValidationError(
+                f"scaling-fit needs at least 3 even-N splittings above the resolution "
+                f"floor, got {len(pts)} ({len(even) - len(pts)} dropped as below the floor)"
+            )
         fit = splitting_scaling_fit(pts)
         lines = ["N,d,ln_d"]
         for N, d in fit.points:

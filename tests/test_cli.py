@@ -285,6 +285,27 @@ def test_validation_error_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_scaling_fit_without_three_even_points_fails_before_any_solve(
+    tmp_path, monkeypatch, capsys
+):
+    def no_solve(*args):
+        raise AssertionError("a point was solved")
+
+    monkeypatch.setattr("dickelab.cli.run_sweep", no_solve)
+    rows = tmp_path / "rows.csv"
+    cfg = tmp_path / "odd.cfg"
+    cfg.write_text(
+        "[model]\nN_list = 3, 5\nomega = 1\ng_list = 0.3\nv_list = 1\n"
+        f"[engine]\nmode = spin-only\n[outputs]\npath = {rows}\nemit = splitting, scaling-fit\n"
+    )
+    assert main(["sweep", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: line 10: scaling-fit needs at least 3 even-N grid points, the grid has 0\n"
+    )
+    assert not rows.exists()
+
+
 def test_spectrum_rejects_multi_point_config(tmp_path, capsys):
     cfg = tmp_path / "multi.cfg"
     cfg.write_text(

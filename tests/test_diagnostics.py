@@ -310,6 +310,19 @@ def test_spin_sector_levels_are_those_of_eigvalsh_tridiagonal_bit_for_bit():
                 assert np.array_equal(diagnostics._spin_sector_levels(p, s), ref), (N, u, v, s)
 
 
+def test_even_n_j_halves_give_the_levels_of_the_unsplit_sectors():
+    for N in range(2, 299, 2):
+        for u, v in SPIN_UV:
+            p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(u)), v=v)
+            levels = spin_model_spectrum(p)
+            unsplit = np.sort(
+                np.concatenate([diagnostics._spin_sector_levels(p, s) for s in (0, 1)])
+            )
+            assert levels.shape == (N + 1,)
+            dev = np.max(np.abs(levels - unsplit))
+            assert dev <= 1e-13 * max(1.0, abs(unsplit[0])), (N, u, v, dev)
+
+
 def test_spin_sector_nonconvergence_is_a_linalg_error(monkeypatch):
     monkeypatch.setattr(diagnostics.lapack, "dsterf", lambda d, e: (d, 2))
     with pytest.raises(np.linalg.LinAlgError):

@@ -11,7 +11,7 @@ from dickelab import (
     polaron_spin_hamiltonian,
     symmetry_operator,
 )
-from dickelab.model import sector_hamiltonian
+from dickelab.model import sector_hamiltonian, spin_sector, spin_sector_halves
 from oracles import dense_from_band, dense_hamiltonian
 
 
@@ -164,6 +164,48 @@ def test_sector_hamiltonian_is_the_parity_block_of_full_h(N):
                 dev = np.max(np.abs(dense_from_band(ab) - full[np.ix_(flat, flat)]))
                 assert dev <= tol, (N, g, v, M, s, dev)
                 assert not np.any(full[np.ix_(flat, rest)]), (N, g, v, M, s)
+
+
+# (u, v) on the u = 0, v = 0 and u = v lines, with u below and above v
+HALF_UV = ((0.0, 1.0), (0.7, 0.0), (0.37, 0.37), (0.5, 1.0), (1.5, 1.0))
+
+
+def _tridiagonal(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@pytest.mark.parametrize("u, v", HALF_UV)
+def test_spin_sector_halves_are_the_j_projected_sector(u, v):
+    eps = np.finfo(float).eps
+    for N in range(2, 41, 2):
+        p = ModelParams(N=N, omega=1.0, g=0.3, v=v)
+        for s in (0, 1):
+            m, diag, off = spin_sector(p, s, u)
+            T = _tridiagonal(diag, off)
+            tol = 4 * eps * np.max(np.abs(T))
+            col = {mj: j for j, mj in enumerate(m)}
+            halves = spin_sector_halves(p, s, u)
+            assert sum(h[0].size for h in halves) == m.size, (N, s)
+            for r, (hm, hdiag, hoff) in zip((1, -1), halves):
+                assert np.all(hm >= 0) and np.all(np.diff(hm) == 2), (N, s, r)
+                # columns |0> or (|m> + r |-m>)/sqrt(2), m > 0
+                P = np.zeros((m.size, hm.size))
+                for c, mj in enumerate(hm):
+                    if mj == 0:
+                        P[col[0.0], c] = 1.0
+                    else:
+                        P[col[mj], c] = 1 / np.sqrt(2)
+                        P[col[-mj], c] = r / np.sqrt(2)
+                dev = np.max(np.abs(_tridiagonal(hdiag, hoff) - P.T @ T @ P), initial=0.0)
+                assert dev <= tol, (N, u, v, s, r, dev)
+    p = ModelParams(N=2, omega=1.0, g=0.3, v=v)
+    (plus_m, *_), (minus_m, *_) = spin_sector_halves(p, 1, u)  # the sector m = 0 alone
+    assert plus_m.tolist() == [0.0] and minus_m.size == 0
+
+
+def test_spin_sector_halves_need_even_n():
+    with pytest.raises(ValidationError):
+        spin_sector_halves(ModelParams(N=3, omega=1.0, g=0.3, v=1.0), 0, 0.09)
 
 
 def test_sector_hamiltonian_keeps_the_nonzero_budget():

@@ -2,16 +2,20 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
+import dickelab.sweep as sweep
 from dickelab import (
     CSV_HEADER,
     ConfigError,
     SweepAborted,
+    ValidationError,
     emit_results,
     parse_config,
     run_sweep,
 )
+from dickelab.diagnostics import resolution_floor
 
 MINIMAL = """
 N_list = 3
@@ -299,6 +303,95 @@ def test_emit_scaling_fit_files(tmp_path):
     slope, _, r2 = (float(x) for x in values.split(","))
     assert slope < 0
     assert r2 > 0.99
+
+
+SPIN_FLOOR = """
+[model]
+N_list = {N_list}
+omega = 1.0
+g_list = 0.70710678118654757
+v_list = 1.0
+
+[engine]
+mode = spin-only
+
+[outputs]
+path = {out}
+emit = splitting, scaling-fit
+"""
+
+
+def test_scaling_fit_leaves_out_splittings_below_the_floor(tmp_path):
+    # u/v = 0.5: d falls below 32 eps |E0| between N = 36 and N = 40
+    out = tmp_path / "rows.csv"
+    cfg = parse_config(SPIN_FLOOR.format(N_list=", ".join(map(str, range(8, 61, 4))), out=out))
+    rows = run_sweep(cfg)
+    emit_results(rows, cfg)
+    resolved = [(row.N, row.d) for row in rows if row.d > resolution_floor(row.E0)]
+    assert 3 <= len(resolved) < len(rows) - 3, resolved
+    lines = (tmp_path / "rows.scaling.csv").read_text().splitlines()[1:]
+    assert [(int(N), float(d)) for N, d, _ in (line.split(",") for line in lines)] == resolved
+
+
+def test_scaling_fit_error_counts_the_splittings_below_the_floor(tmp_path):
+    cfg = parse_config(SPIN_FLOOR.format(N_list="36, 40, 44, 48, 52", out=tmp_path / "rows.csv"))
+    rows = run_sweep(cfg)
+    with pytest.raises(ValidationError) as err:
+        emit_results(rows, cfg)
+    assert "got 1 (4 dropped as below the floor)" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        "N_list = 3, 5\nomega = 1\ng_list = 0.3\nv_list = 1\n",
+        "N_list = 3, 4, 5, 6\nomega = 1\ng_list = 0.3\nv_list = 1\n",
+        "circuit_file = device.txt\n",
+    ],
+    ids=["odd-N", "two-even-N", "circuit"],
+)
+def test_parse_rejects_scaling_fit_without_three_even_points(model):
+    text = "[model]\n" + model + "[outputs]\npath = rows.csv\nemit = splitting, scaling-fit\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert "scaling-fit needs at least 3 even-N grid points" in str(err.value)
+    assert err.value.line == text.splitlines().index("emit = splitting, scaling-fit") + 1
+
+
+def test_parse_counts_every_even_grid_point_for_scaling_fit():
+    # two even N times two couplings are four rows to fit
+    cfg = parse_config(
+        "[model]\nN_list = 4, 5, 6\nomega = 1\ng_list = 0.3, 0.4\nv_list = 1\n"
+        "[outputs]\nemit = scaling-fit\n"
+    )
+    assert cfg.outputs.emit == ("scaling-fit",)
+
+
+def test_spectrum_file_equals_a_reference_written_one_level_at_a_time(tmp_path, monkeypatch):
+    solve = sweep.spin_model_spectrum
+
+    def fail_at_n7(p):
+        if p.N == 7:
+            raise np.linalg.LinAlgError("dsterf failed to converge")
+        return solve(p)
+
+    monkeypatch.setattr(sweep, "spin_model_spectrum", fail_at_n7)
+    out = tmp_path / "rows.csv"
+    cfg = parse_config(
+        "[model]\nN_list = 2, 6, 7, 8\nomega = 1.3\ng_list = 0.1, 0.70710678118654757\n"
+        "v_list = 1.0, 0.3\n[engine]\nmode = spin-only\nk = 6\n"
+        f"[outputs]\npath = {out}\nemit = splitting, spectrum\n"
+    )
+    rows = run_sweep(cfg)
+    assert [row.converged for row in rows].count(False) == 4  # N = 7
+    emit_results(rows, cfg)
+    reference = ["point,N,omega,g,v,u,level,energy"]
+    for i, row in enumerate(rows):
+        N, omega, g, v, u = row.N, row.omega, row.g, row.v, row.u
+        for level, E in enumerate(row.eigenvalues):
+            reference.append(f"{i},{N},{omega:.17g},{g:.17g},{v:.17g},{u:.17g},{level},{E:.17g}")
+    spectrum = (tmp_path / "rows.spectrum.csv").read_bytes()
+    assert spectrum == ("\n".join(reference) + "\n").encode()
 
 
 def test_emit_landscape_requires_single_point(tmp_path):
