@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg import lapack
@@ -23,6 +24,8 @@ from .model import (
     sector_hamiltonian,
     spin_sector,
     spin_sector_halves,
+    symmetry_block,
+    symmetry_block_basis,
     symmetry_operator,
 )
 from .solvers import SolverOptions, SpectrumResult, as_matrix, frobenius_norm, solve_lowest
@@ -121,6 +124,44 @@ def _sector_pieces(ab: np.ndarray) -> list[tuple[slice, np.ndarray]]:
     return [(slice(None), ab)]
 
 
+def _embed_rows(dim: int, flat: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Vectors X on the flat indices flat, zero elsewhere."""
+    V = np.zeros((dim, X.shape[1]))
+    V[flat] = X
+    return V
+
+
+def _embed_block(p: ModelParams, M: int, s: int, r: int, X: np.ndarray) -> np.ndarray:
+    """Vectors X of the (s, r) block in the flat basis: (|m> + r (-1)^n |-m>)/sqrt(2), or |0>."""
+    n, m = symmetry_block_basis(p, M, s, r)
+    centre = n * (p.N + 1) + p.N // 2  # flat index of (n, m = 0)
+    half = np.where(m == 0, 0.5, math.sqrt(0.5))[:, None] * X  # m = 0 gets both halves
+    V = np.zeros(((M + 1) * (p.N + 1), X.shape[1]))
+    V[centre + m] = half
+    V[centre - m] += r * (1 - 2 * (n % 2))[:, None] * half
+    return V
+
+
+def _blocks(p: ModelParams, M: int):
+    """(label, band array, embedding of its vectors) of each block :func:`lowest_levels` solves.
+
+    The label is (s, r): the sector m + S = s (mod 2), and the eigenvalue
+    r of R = (-1)^n J where the block has one, else 0.
+    """
+    if p.N % 2 == 0 and p.g != 0 and p.v != 0:
+        for s in (0, 1):
+            for r in (1, -1):
+                yield (s, r), symmetry_block(p, M, s, r), partial(_embed_block, p, M, s, r)
+        return
+    dim = (M + 1) * (p.N + 1)
+    for s in (0,) if p.N % 2 else (0, 1):
+        ab = sector_hamiltonian(p, M, s)
+        w = ab.shape[0] - 1
+        flat = (np.arange(M + 1)[:, None] * (p.N + 1) + s + 2 * np.arange(w)).ravel()
+        for rows, piece in _sector_pieces(ab):
+            yield (s, 0), piece, partial(_embed_rows, dim, flat[rows])
+
+
 def lowest_levels(
     p: ModelParams,
     M: int,
@@ -130,45 +171,49 @@ def lowest_levels(
     want_vectors: bool = False,
     guess: float | None = None,
 ) -> SpectrumResult:
-    """Lowest k levels of the full model at Fock cutoff M, solved sector by sector.
+    """Lowest k levels of the full model at Fock cutoff M, solved block by block.
 
     H conserves (-1)^(m+S), so each parity sector m + S = s (mod 2) is
-    assembled on its own by :func:`~dickelab.model.sector_hamiltonian`,
-    never the whole H, and solved one uncoupled piece at a time
-    (:func:`_sector_pieces`), which keeps degenerate and decoupled levels,
-    which ARPACK can miss, out of any one solve.  For odd N the joint
-    parity R swaps the two sectors, so only s = 0 is solved and each level
-    is reported twice, the copy's vector being R times the original: the
-    odd-N doublet is exact by construction.  Vectors are in the flat
-    basis, filled in from the sector's flat indices n (N+1) + s + 2j.
-    guess, an upper estimate of E0 such as E0 at a smaller cutoff, goes to
-    every :func:`~dickelab.solvers.solve_lowest` as its shift hint.
+    solved on its own, never the whole H.  At even N, with g and v nonzero,
+    the joint parity R = (-1)^n J (J|m> = |-m>) maps each sector onto
+    itself, so the solves are the four (s, r) blocks of
+    :func:`~dickelab.model.symmetry_block`, each about half the rows and
+    half the bandwidth of a sector.  Otherwise each sector is assembled by
+    :func:`~dickelab.model.sector_hamiltonian` and solved one uncoupled
+    piece at a time (:func:`_sector_pieces`: g = 0 or v = 0); keeping
+    degenerate and decoupled levels in separate solves keeps ARPACK from
+    missing them.  For odd N, R swaps the two sectors, so only s = 0 is
+    solved and each level is reported twice, the copy's vector being R
+    times the original: the odd-N doublet is exact by construction.  The
+    result's ``labels`` give each level's (s, r), r = 0 where the solve
+    does not resolve R (odd N, g = 0, v = 0).  Vectors are in the flat
+    basis.  guess, an upper estimate of E0 such as E0 at a smaller cutoff,
+    goes to every :func:`~dickelab.solvers.solve_lowest` as its shift hint.
     """
     opts = opts or SolverOptions()
     dim = (M + 1) * (p.N + 1)
     if k < 1 or k > dim:
         raise ValidationError(f"k must be in [1, {dim}], got {k}")
     odd = p.N % 2 == 1
+    k_block = -(-k // 2) if odd else k
     results: list[SpectrumResult] = []
+    labels: list[tuple[int, int]] = []
     vectors: list[np.ndarray] = []
-    for s in (0,) if odd else (0, 1):
-        ab = sector_hamiltonian(p, M, s)
-        w = ab.shape[0] - 1
-        flat = (np.arange(M + 1)[:, None] * (p.N + 1) + s + 2 * np.arange(w)).ravel()
-        for rows, piece in _sector_pieces(ab):
-            k_piece = min(-(-k // 2) if odd else k, piece.shape[1])
-            res = solve_lowest(
-                piece, replace(opts, k=k_piece), want_vectors=want_vectors, guess=guess
-            )
-            results.append(res)
-            if want_vectors:
-                V = np.zeros((dim, res.eigenvalues.size))
-                V[flat[rows]] = res.eigenvectors
-                vectors.append(V)
+    for label, ab, embed in _blocks(p, M):
+        if not ab.shape[1]:
+            continue  # the empty block (1, -1) of N = 2 at M = 0
+        res = solve_lowest(
+            ab, replace(opts, k=min(k_block, ab.shape[1])), want_vectors=want_vectors, guess=guess
+        )
+        results.append(res)
+        labels += [label] * res.eigenvalues.size
+        if want_vectors:
+            vectors.append(embed(res.eigenvectors))
     values = [r.eigenvalues for r in results]
     residuals = [r.residual_norms for r in results]
     if odd:  # the unsolved s = 1 sector holds the mirror images
         values, residuals = values * 2, residuals * 2
+        labels += [(1, 0)] * len(labels)
         if want_vectors:
             R = symmetry_operator(p, M).op
             vectors += [R @ V for V in vectors]
@@ -182,6 +227,7 @@ def lowest_levels(
         iterations=sum(r.iterations for r in results),
         residual_norms=np.concatenate(residuals)[order],
         converged=all(r.converged for r in results),
+        labels=tuple(labels[i] for i in order),
     )
 
 

@@ -16,11 +16,15 @@ Both H and the spin model -u Sz^2 - v Sx^2 conserve the parity (-1)^(m+S),
 so they are built sector by sector (:func:`spin_sector`,
 :func:`sector_hamiltonian`).  At even N the m -> -m exchange J also maps
 each spin-model sector onto itself, which splits the spin model into four
-tridiagonal blocks (:func:`spin_sector_halves`).
+tridiagonal blocks (:func:`spin_sector_halves`), and the joint parity
+R = (-1)^n J maps each sector of H onto itself, which splits H into four
+banded blocks (s, r) of about half the rows and half the bandwidth of a
+sector (:func:`symmetry_block`), built directly from those halves.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -324,6 +328,18 @@ def spin_sector_halves(
     return (m, diag, off), minus
 
 
+def _check_block(p: ModelParams, M: int, s: int) -> None:
+    """The cutoff, sector and nonzero-budget checks shared by the block constructors."""
+    if M < 0:
+        raise ValidationError(f"fock cutoff M must be >= 0, got {M}")
+    if s not in (0, 1):
+        raise ValidationError(f"sector s must be 0 or 1, got {s!r}")
+    if _estimate_nonzeros(p.N, M, p.g, p.v) > DEFAULT_MAX_NONZEROS:
+        raise ResourceError(
+            f"Hamiltonian for N={p.N}, M={M} needs more than {DEFAULT_MAX_NONZEROS} nonzeros"
+        )
+
+
 def sector_hamiltonian(p: ModelParams, M: int, s: int) -> np.ndarray:
     """The block of H on the parity sector m + S = s (mod 2), truncated at n <= M, as a band array.
 
@@ -336,14 +352,7 @@ def sector_hamiltonian(p: ModelParams, M: int, s: int) -> np.ndarray:
     row when w = 1); entries past the block's edge are 0.  The nonzero
     budget is that of the whole H, as in :func:`build_full_hamiltonian`.
     """
-    if M < 0:
-        raise ValidationError(f"fock cutoff M must be >= 0, got {M}")
-    if s not in (0, 1):
-        raise ValidationError(f"sector s must be 0 or 1, got {s!r}")
-    if _estimate_nonzeros(p.N, M, p.g, p.v) > DEFAULT_MAX_NONZEROS:
-        raise ResourceError(
-            f"Hamiltonian for N={p.N}, M={M} needs more than {DEFAULT_MAX_NONZEROS} nonzeros"
-        )
+    _check_block(p, M, s)
     m, diag, off = spin_sector(p, s, 0.0)
     w = m.size
     n = np.arange(M + 1)[:, None]
@@ -352,6 +361,76 @@ def sector_hamiltonian(p: ModelParams, M: int, s: int) -> np.ndarray:
     ab[1] = np.tile(np.append(off, 0.0), M + 1)
     ab[w, : M * w] = (p.g * np.sqrt(n[1:]) * m).ravel()
     return ab
+
+
+@functools.lru_cache(maxsize=8)
+def _block_pair(p: ModelParams, s: int, r: int) -> tuple[np.ndarray, int, int]:
+    """Boson levels n = 0 and 1 of the (s, r) block: rows m, omega n + diagonal, off-diagonal, g m.
+
+    Level n holds the J half r (-1)^n, so the block's rows repeat with
+    period w = w_even + w_odd over each pair of levels (2k, 2k + 1); the
+    cutoff search builds one point's blocks at several M from this one
+    pair.  Also returns w_even and w_odd.  The array is read-only.
+    """
+    if r not in (1, -1):
+        raise ValidationError(f"R eigenvalue r must be 1 or -1, got {r!r}")
+    plus, minus = spin_sector_halves(p, s, 0.0)
+    (m_a, diag_a, off_a), (m_b, diag_b, off_b) = (plus, minus) if r == 1 else (minus, plus)
+    wa, wb = m_a.size, m_b.size
+    pair = np.zeros((4, wa + wb))  # a level's last row has no off-diagonal
+    pair[0] = np.concatenate([m_a, m_b])
+    pair[1] = np.concatenate([diag_a, p.omega + diag_b])
+    pair[2, : off_a.size], pair[2, wa : wa + off_b.size] = off_a, off_b
+    pair[3] = p.g * pair[0]
+    pair.flags.writeable = False
+    return pair, wa, wb
+
+
+def symmetry_block(p: ModelParams, M: int, s: int, r: int) -> np.ndarray:
+    """The block of H on parity sector s and R = r at even N, truncated at n <= M, as a band array.
+
+    For integer S the joint parity R = (-1)^n J, with J|m> = |-m>, commutes
+    with H and maps each sector m + S = s (mod 2) onto itself, so H splits
+    into four blocks (s, r).  Boson level n of block (s, r) holds the J half
+    r (-1)^n of :func:`spin_sector_halves` at u = 0, in the basis
+    (|m> +/- |-m>)/sqrt(2) over m > 0, and |0> in the + half; the levels
+    follow each other, n ascending.  Row 0 of the lower band array
+    ab[i, c] = H[c + i, c] holds omega n plus the half's diagonal, row 1
+    its off-diagonal.  Sz maps element m of one half to element m of the
+    other with value m, so the coupling g sqrt(n+1) m from level n to
+    n + 1 sits on row w_odd from an even level and on row w_even from an
+    odd one, w_even and w_odd being the widths of the halves at even and
+    odd n (about w / 2 each).  Row 1 and a coupling row are one row when a
+    half has width 1; their entries never meet.  Entries past the block's
+    edge are 0, and a block may be empty (N = 2, s = 1, r = -1, M = 0).
+    Same checks as :func:`sector_hamiltonian`.
+    """
+    _check_block(p, M, s)
+    pair, wa, wb = _block_pair(p, s, r)
+    w, pairs = wa + wb, M // 2 + 1
+    # built for whole pairs of levels (2k, 2k + 1); at even M level M + 1 is cut off
+    ab = np.zeros((max(wa, wb, 1) + 1, pairs, w))
+    np.add(pair[1], np.arange(pairs)[:, None] * (2 * p.omega), out=ab[0])
+    ab[1] = pair[2]
+    root = np.sqrt(np.arange(1.0, 2 * pairs + 1))  # sqrt(n + 1)
+    root[M] = 0.0  # level M couples to nothing
+    ab[wb, :, :wa] += root[0::2, None] * pair[3, :wa]
+    ab[wa, :, wa:] += root[1::2, None] * pair[3, wa:]
+    return ab.reshape(-1, pairs * w)[:, : pairs * w - (0 if M % 2 else wb)]
+
+
+def symmetry_block_basis(p: ModelParams, M: int, s: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boson level n and Sz value m >= 0 of each row of :func:`symmetry_block`, as integer arrays.
+
+    Row (n, m) is the state |n> (x) (|m> + r (-1)^n |-m>)/sqrt(2) for
+    m > 0, and |n> (x) |0> for m = 0.
+    """
+    _check_block(p, M, s)
+    pair, wa, wb = _block_pair(p, s, r)
+    pairs = M // 2 + 1
+    dim = pairs * (wa + wb) - (0 if M % 2 else wb)
+    n = np.repeat([0, 1], [wa, wb]) + np.arange(0, 2 * pairs, 2)[:, None]
+    return n.ravel()[:dim], np.tile(pair[0].astype(np.int64), pairs)[:dim]
 
 
 def polaron_spin_hamiltonian(p: ModelParams) -> np.ndarray:

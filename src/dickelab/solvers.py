@@ -2,7 +2,8 @@
 
 :func:`solve_lowest` is the production route.  It takes one symmetry
 block of the model (see ``diagnostics.lowest_levels``) as the lower band
-array that ``model.sector_hamiltonian`` builds, and solves it with banded
+array that ``model.symmetry_block`` or ``model.sector_hamiltonian``
+builds, and solves it with banded
 LAPACK (``scipy.linalg.eig_banded``) up to ``DENSE_SOLVE_MAX_DIM`` rows,
 above with ARPACK (``scipy.sparse.linalg.eigsh``) in shift-invert mode
 through a banded Cholesky factor, shifted just below a caller's estimate
@@ -42,6 +43,21 @@ half the cutoff:
 
 The first solve of a point has no hint, and for it the crossover lies
 near 400 rows; hinted solves would cross over lower, near 300.
+
+On the even-N (s, r) blocks, about half the bandwidth of a sector, banded
+LAPACK is cheaper per row (N = 16, u/v = 0.5 and 0.9, N = 12, u/v = 0.9,
+block (0, +); same machine, median of 15):
+
+    rows   eig_banded   ARPACK, Gershgorin shift   ARPACK, hinted shift
+     161       0.8                4.3                       3.1
+     319       2.1                5.1                       2.7
+     401       2.7                3.5                       2.7
+     509       6.3                6.5                       2.4
+     635       6.1                3.9                       3.2
+    1013      17.4               11.6                       3.9
+
+There the first solve crosses over near 500-600 rows and hinted solves
+near 350-400, so one constant of 400 still serves both kinds of block.
 """
 
 
@@ -77,7 +93,16 @@ class SolverOptions:
 
 @dataclass
 class SpectrumResult:
-    """Ascending low-lying eigenvalues plus solver metadata."""
+    """Ascending low-lying eigenvalues plus solver metadata.
+
+    labels, when a caller knows them, give each level's symmetry block
+    (s, r): s the parity sector m + S = s (mod 2), and r the eigenvalue of
+    R = (-1)^n J, J|m> = |-m>, or 0 where R is not resolved
+    (``diagnostics.lowest_levels`` fills them in).  For odd S this r is
+    minus the eigenvalue of ``model.symmetry_operator``, which carries the
+    spin factor's sign (-1)^S: tables labelled by that operator show r
+    flipped at N = 14, 18, ....
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
@@ -85,6 +110,7 @@ class SpectrumResult:
     iterations: int
     residual_norms: np.ndarray = field(default_factory=lambda: np.zeros(0))
     converged: bool = True
+    labels: tuple[tuple[int, int], ...] = ()
 
 
 def as_matrix(H):

@@ -66,7 +66,9 @@ def lower_band(A) -> np.ndarray:
 
 
 def dense_from_band(ab: np.ndarray) -> np.ndarray:
-    """The symmetric matrix whose lower band storage is ab."""
+    """The symmetric matrix whose lower band storage is ab (band rows past the last column ignored)."""
     dim = ab.shape[1]
-    A = sum(np.diag(ab[i, : dim - i], -i) for i in range(ab.shape[0]))
+    A = np.zeros((dim, dim))
+    for i in range(min(ab.shape[0], dim)):
+        A += np.diag(ab[i, : dim - i], -i)
     return A + np.tril(A, -1).T

@@ -26,6 +26,7 @@ import dickelab.diagnostics as diagnostics
 import dickelab.solvers as solvers
 from dickelab.diagnostics import ground_pair, initial_cutoff
 from dickelab.model import spin_sector
+from dickelab.sweep import CSV_HEADER, Budget, EngineConfig, evaluate_point
 
 
 def test_splitting_from_polaron_levels():
@@ -399,6 +400,67 @@ def test_odd_n_ground_pair_is_an_exact_doublet(extra, monkeypatch):
         assert np.all(resid <= 1e-10 * H.frobenius_norm()), (N, resid)
 
 
+@pytest.mark.parametrize("extra", FORCE_ARPACK)
+def test_even_n_vectors_are_orthonormal_eigenvectors_of_full_h(extra, monkeypatch):
+    M, k = 30, 6
+    _patch_solvers(monkeypatch, extra)
+    for N in (4, 6, 8):
+        for ratio in (0.5, 0.9):
+            p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(ratio)), v=1.0)
+            res = lowest_levels(p, M, k, SolverOptions(k=k, seed=3), want_vectors=True)
+            H = build_full_hamiltonian(p, M)
+            V = res.eigenvectors
+            np.testing.assert_allclose(V.T @ V, np.eye(k), atol=1e-12)
+            resid = np.linalg.norm(H @ V - V * res.eigenvalues, axis=0)
+            assert np.all(resid <= 1e-10 * H.frobenius_norm()), (N, ratio, resid)
+            # each vector lies in its labelled block: parity s, and (-1)^n J x = r x,
+            # where symmetry_operator is (-1)^n J times the sign (-1)^S
+            R = symmetry_operator(p, M)
+            parity = np.arange(V.shape[0]) % (N + 1) % 2
+            for x, (s, r) in zip(V.T, res.labels):
+                assert not np.any(x[parity != s]), (N, ratio, s, r)
+                np.testing.assert_allclose(R.op @ x, R.spin_sign * r * x, atol=1e-12)
+            x0, x1, pair = ground_pair(p, M, options=SolverOptions(k=k, seed=3))
+            np.testing.assert_array_equal(np.column_stack([x0, x1]), V[:, :2])
+            assert pair.labels == res.labels
+
+
+def test_lowest_levels_at_the_smallest_cutoffs():
+    # M = 0 at N = 2 leaves the (1, -) block empty; k = dim asks for every level
+    for N in (2, 4):
+        for M in (0, 1, 2):
+            p = ModelParams(N=N, omega=1.0, g=0.8, v=1.0)
+            dim = (M + 1) * (N + 1)
+            res = lowest_levels(p, M, dim, SolverOptions(k=dim), want_vectors=True)
+            ref = np.linalg.eigvalsh(build_full_hamiltonian(p, M).to_dense())
+            np.testing.assert_allclose(res.eigenvalues, ref, rtol=0, atol=1e-13 * max(1.0, abs(ref[0])))
+            np.testing.assert_allclose(res.eigenvectors.T @ res.eigenvectors, np.eye(dim), atol=1e-13)
+
+
+# the (s, r) blocks of the ground pair at the converged cutoff, and its d
+GROUND_PAIR_BLOCKS = [(12, ((0, 1), (0, -1)), 1.79e-7), (16, ((0, 1), (1, 1)), 4.06e-5)]
+
+
+@pytest.mark.parametrize("N, blocks, d", GROUND_PAIR_BLOCKS)
+def test_even_n_ground_pair_carries_its_block_labels(N, blocks, d):
+    p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(0.9)), v=1.0)
+    row = evaluate_point(p, EngineConfig(), 0, Budget(10**7))
+    spectrum = row.convergence.spectrum
+    assert spectrum.labels[:2] == blocks
+    assert len(spectrum.labels) == spectrum.eigenvalues.size
+    assert row.d == pytest.approx(d, rel=5e-3)
+    assert "labels" not in CSV_HEADER
+
+
+def test_labels_leave_r_out_where_no_solve_resolves_it():
+    # odd N: each level and its mirror in the other sector; g = 0, v = 0: sector pieces
+    res = lowest_levels(ModelParams(N=5, omega=1.0, g=0.7, v=1.0), 10, 6)
+    assert res.labels == ((0, 0), (1, 0)) * 3
+    for g, v in ((0.0, 1.0), (0.7, 0.0)):
+        res = lowest_levels(ModelParams(N=6, omega=1.0, g=g, v=v), 10, 6)
+        assert {r for _, r in res.labels} == {0}, (g, v)
+
+
 def _pole_cutoff(p):
     """The search start that assumes the full displacement g S / omega."""
     return math.ceil(4.0 * (p.g * p.S / p.omega) ** 2) + 10
@@ -468,10 +530,11 @@ def test_lowest_levels_sums_arpack_operator_applications(monkeypatch):
         return sector_results[-1]
 
     monkeypatch.setattr(diagnostics, "solve_lowest", spy)
-    # N = 16, M = 50: sector blocks of 51 * 9 = 459 and 51 * 8 = 408 rows
+    # N = 16, M = 100: (s, r) blocks of 51 * 9 - 4 = 455, 51 * 9 - 5 = 454
+    # and 51 * 8 - 4 = 404 rows, all past DENSE_SOLVE_MAX_DIM
     p = ModelParams(N=16, omega=1.0, g=float(np.sqrt(0.5)), v=1.0)
-    res = lowest_levels(p, 50, 3)
-    assert [r.solver for r in sector_results] == ["eigsh", "eigsh"]
+    res = lowest_levels(p, 100, 3)
+    assert [r.solver for r in sector_results] == ["eigsh"] * 4
     assert all(r.iterations > 0 for r in sector_results)
     assert res.iterations == sum(r.iterations for r in sector_results)
 
@@ -492,9 +555,9 @@ def test_search_shift_hint_keeps_every_cutoff(monkeypatch):
             p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(r)), v=1.0)
             hints.clear()
             rep = converge_cutoff(p, 1e-10)
-            sectors = 1 if N % 2 else 2
+            blocks = 1 if N % 2 else 4  # one sector at odd N, four (s, r) blocks at even N
             expected = [None] + [E0 for _, E0, _, _ in rep.history[:-1]]
-            assert hints == [h for h in expected for _ in range(sectors)]
+            assert hints == [h for h in expected for _ in range(blocks)]
             with monkeypatch.context() as m:
                 m.setattr(diagnostics, "lowest_levels", lambda *a, guess=None, **kw: levels(*a, **kw))
                 ref = converge_cutoff(p, 1e-10)

@@ -11,7 +11,13 @@ from dickelab import (
     polaron_spin_hamiltonian,
     symmetry_operator,
 )
-from dickelab.model import sector_hamiltonian, spin_sector, spin_sector_halves
+from dickelab.model import (
+    sector_hamiltonian,
+    spin_sector,
+    spin_sector_halves,
+    symmetry_block,
+    symmetry_block_basis,
+)
 from oracles import dense_from_band, dense_hamiltonian
 
 
@@ -206,6 +212,91 @@ def test_spin_sector_halves_are_the_j_projected_sector(u, v):
 def test_spin_sector_halves_need_even_n():
     with pytest.raises(ValidationError):
         spin_sector_halves(ModelParams(N=3, omega=1.0, g=0.3, v=1.0), 0, 0.09)
+
+
+def _block_projector(p, M, s, r):
+    """Flat-basis columns of the (s, r) block's rows: (|m> + r (-1)^n |-m>)/sqrt(2), or |0>."""
+    n, m = symmetry_block_basis(p, M, s, r)
+    P = np.zeros(((M + 1) * (p.N + 1), n.size))
+    centre = n * (p.N + 1) + p.N // 2
+    for c in range(n.size):
+        if m[c] == 0:
+            P[centre[c], c] = 1.0
+        else:
+            P[centre[c] + m[c], c] = 1 / np.sqrt(2)
+            P[centre[c] - m[c], c] = r * (-1) ** n[c] / np.sqrt(2)
+    return P
+
+
+@pytest.mark.parametrize("N", range(2, 13, 2))
+def test_symmetry_block_is_the_r_projected_parity_block_of_full_h(N):
+    for g, v in ((0.7, 1.0), (0.3, 2.5), (0.0, 1.0), (0.7, 0.0)):
+        for M in (0, 1, 2, 5, 8):
+            p = ModelParams(N=N, omega=1.3, g=g, v=v)
+            full = build_full_hamiltonian(p, M).to_dense()
+            tol = 4 * np.finfo(float).eps * np.max(np.abs(full))
+            parity = np.arange(full.shape[0]) % (N + 1) % 2
+            columns = []
+            for s in (0, 1):
+                for r in (1, -1):
+                    ab = symmetry_block(p, M, s, r)
+                    P = _block_projector(p, M, s, r)
+                    assert ab.shape[1] == P.shape[1]
+                    assert not np.any(P[parity != s]), (N, M, s, r)
+                    dev = np.max(np.abs(dense_from_band(ab) - P.T @ full @ P), initial=0.0)
+                    assert dev <= tol, (N, g, v, M, s, r, dev)
+                    # past the block's edge the band array holds zeros
+                    for i in range(1, ab.shape[0]):
+                        assert not np.any(ab[i, ab.shape[1] - i :]), (N, M, s, r, i)
+                    columns.append(P)
+            # the four blocks together are an orthonormal basis of the whole space
+            Q = np.hstack(columns)
+            np.testing.assert_allclose(Q.T @ Q, np.eye(full.shape[0]), atol=1e-15)
+
+
+@pytest.mark.parametrize("N", (2, 4, 6, 10))
+@pytest.mark.parametrize("M", (0, 1, 2, 5))
+def test_symmetry_block_spectra_are_those_of_the_parity_sectors(N, M):
+    p = ModelParams(N=N, omega=1.0, g=0.8, v=1.0)
+    blocks = [symmetry_block(p, M, s, r) for s in (0, 1) for r in (1, -1)]
+    sectors = [sector_hamiltonian(p, M, s) for s in (0, 1)]
+    levels = np.sort(np.concatenate([np.linalg.eigvalsh(dense_from_band(ab)) for ab in blocks]))
+    ref = np.sort(np.concatenate([np.linalg.eigvalsh(dense_from_band(ab)) for ab in sectors]))
+    assert levels.size == ref.size == (M + 1) * (N + 1)
+    np.testing.assert_allclose(levels, ref, rtol=0, atol=1e-12 * max(1.0, np.max(np.abs(ref))))
+
+
+def test_symmetry_block_edge_cases():
+    # N = 2, s = 1 is the sector m = 0 alone: the r = -1 half at n = 0 is empty
+    p = ModelParams(N=2, omega=1.0, g=0.8, v=1.0)
+    assert symmetry_block(p, 0, 1, -1).shape[1] == 0
+    assert symmetry_block(p, 0, 1, 1).shape[1] == 1
+    # n = 0, 2, 4 of (s, r) = (1, +) and n = 1, 3 of (1, -): |n> (x) |0>, uncoupled
+    ab = symmetry_block(p, 4, 1, 1)
+    np.testing.assert_allclose(ab[0], np.array([0.0, 2.0, 4.0]) - p.v, rtol=1e-15)  # omega n - v S(S+1)/2
+    assert not np.any(ab[1:])
+    np.testing.assert_array_equal(symmetry_block_basis(p, 4, 1, -1)[0], [1, 3])
+    # N = 2, s = 0: halves of width 1, so row 1 is the coupling row and holds no off-diagonal
+    ab = symmetry_block(p, 3, 0, 1)
+    assert ab.shape == (2, 4)
+    np.testing.assert_allclose(ab[1], [0.8, 0.8 * np.sqrt(2), 0.8 * np.sqrt(3), 0.0], rtol=1e-15)
+    # N = 4, s = 0: halves {0, 2} and {2}; row 1 holds the (0, 2) off-diagonal of the
+    # even levels and the coupling from their m = 2 row, in different columns
+    ab = symmetry_block(ModelParams(N=4, omega=1.0, g=0.8, v=1.0), 2, 0, 1)
+    assert ab.shape == (3, 5)
+    assert ab[1, 0] != 0 and ab[1, 1] != 0 and ab[1, 2] == 0
+
+
+def test_symmetry_block_needs_even_n_and_r_of_one():
+    with pytest.raises(ValidationError):
+        symmetry_block(ModelParams(N=3, omega=1.0, g=0.3, v=1.0), 2, 0, 1)
+    for r in (0, 2):
+        with pytest.raises(ValidationError):
+            symmetry_block(ModelParams(N=4, omega=1.0, g=0.3, v=1.0), 2, 0, r)
+    with pytest.raises(ValidationError):
+        symmetry_block(ModelParams(N=4, omega=1.0, g=0.3, v=1.0), 2, 2, 1)
+    with pytest.raises(ResourceError):
+        symmetry_block(ModelParams(N=4, omega=1.0, g=0.3, v=1.0), 10**6, 0, 1)
 
 
 def test_sector_hamiltonian_keeps_the_nonzero_budget():
