@@ -114,7 +114,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     try:
-        rows = run_sweep(cfg, workers=args.workers)
+        rows = run_sweep(cfg)
     except SweepAborted as exc:
         if exc.rows:
             written = emit_results(

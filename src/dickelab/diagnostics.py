@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 from scipy.linalg import lapack
@@ -21,7 +20,6 @@ from .model import (
     ModelParams,
     ParityOperator,
     collective_spin_matrices,
-    sector_hamiltonian,
     spin_sector,
     spin_sector_halves,
     symmetry_block,
@@ -111,7 +109,7 @@ def symmetry_commutator_norm(H, R) -> float:
 
 
 def _sector_pieces(ab: np.ndarray) -> list[tuple[slice, np.ndarray]]:
-    """(rows, band array) of each uncoupled piece of a sector band array, by first row.
+    """(rows, band array) of each uncoupled piece of a sector, the block (s, 0), by first row.
 
     A zero coupling row w (g = 0) leaves a spin block per n, rows n w ..
     n w + w - 1; a zero spin row 1 (v = 0) a chain per m_j, rows j, j + w, ....
@@ -124,42 +122,38 @@ def _sector_pieces(ab: np.ndarray) -> list[tuple[slice, np.ndarray]]:
     return [(slice(None), ab)]
 
 
-def _embed_rows(dim: int, flat: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Vectors X on the flat indices flat, zero elsewhere."""
-    V = np.zeros((dim, X.shape[1]))
-    V[flat] = X
-    return V
+def _embed_block(p: ModelParams, M: int, s: int, r: int, rows, X: np.ndarray) -> np.ndarray:
+    """Vectors X on rows ``rows`` of the (s, r) block in the flat basis.
 
-
-def _embed_block(p: ModelParams, M: int, s: int, r: int, X: np.ndarray) -> np.ndarray:
-    """Vectors X of the (s, r) block in the flat basis: (|m> + r (-1)^n |-m>)/sqrt(2), or |0>."""
-    n, m = symmetry_block_basis(p, M, s, r)
-    centre = n * (p.N + 1) + p.N // 2  # flat index of (n, m = 0)
-    half = np.where(m == 0, 0.5, math.sqrt(0.5))[:, None] * X  # m = 0 gets both halves
+    A row is |m>, or (|m> + r (-1)^n |-m>)/sqrt(2) and |0> where r != 0.
+    """
+    n, col = (a[rows] for a in symmetry_block_basis(p, M, s, r))
+    flat = n * (p.N + 1) + col
     V = np.zeros(((M + 1) * (p.N + 1), X.shape[1]))
-    V[centre + m] = half
-    V[centre - m] += r * (1 - 2 * (n % 2))[:, None] * half
+    if r == 0:
+        V[flat] = X
+        return V
+    half = np.where(2 * col == p.N, 0.5, math.sqrt(0.5))[:, None] * X  # m = 0 gets both halves
+    V[flat] = half
+    V[flat + p.N - 2 * col] += r * (1 - 2 * (n % 2))[:, None] * half
     return V
 
 
 def _blocks(p: ModelParams, M: int):
-    """(label, band array, embedding of its vectors) of each block :func:`lowest_levels` solves.
+    """(label, rows, band array) of each piece :func:`lowest_levels` solves.
 
     The label is (s, r): the sector m + S = s (mod 2), and the eigenvalue
-    r of R = (-1)^n J where the block has one, else 0.
+    r of R = (-1)^n J where the block has one, else 0.  A block (s, 0) is
+    solved one uncoupled piece, rows ``rows`` of the block, at a time.
     """
     if p.N % 2 == 0 and p.g != 0 and p.v != 0:
         for s in (0, 1):
             for r in (1, -1):
-                yield (s, r), symmetry_block(p, M, s, r), partial(_embed_block, p, M, s, r)
+                yield (s, r), slice(None), symmetry_block(p, M, s, r)
         return
-    dim = (M + 1) * (p.N + 1)
     for s in (0,) if p.N % 2 else (0, 1):
-        ab = sector_hamiltonian(p, M, s)
-        w = ab.shape[0] - 1
-        flat = (np.arange(M + 1)[:, None] * (p.N + 1) + s + 2 * np.arange(w)).ravel()
-        for rows, piece in _sector_pieces(ab):
-            yield (s, 0), piece, partial(_embed_rows, dim, flat[rows])
+        for rows, piece in _sector_pieces(symmetry_block(p, M, s, 0)):
+            yield (s, 0), rows, piece
 
 
 def lowest_levels(
@@ -176,11 +170,11 @@ def lowest_levels(
     H conserves (-1)^(m+S), so each parity sector m + S = s (mod 2) is
     solved on its own, never the whole H.  At even N, with g and v nonzero,
     the joint parity R = (-1)^n J (J|m> = |-m>) maps each sector onto
-    itself, so the solves are the four (s, r) blocks of
+    itself, so the solves are the four (s, r = +/-1) blocks of
     :func:`~dickelab.model.symmetry_block`, each about half the rows and
-    half the bandwidth of a sector.  Otherwise each sector is assembled by
-    :func:`~dickelab.model.sector_hamiltonian` and solved one uncoupled
-    piece at a time (:func:`_sector_pieces`: g = 0 or v = 0); keeping
+    half the bandwidth of a sector.  Otherwise each sector is the block
+    (s, 0) of the same function, solved one uncoupled piece at a time
+    (:func:`_sector_pieces`: g = 0 or v = 0); keeping
     degenerate and decoupled levels in separate solves keeps ARPACK from
     missing them.  For odd N, R swaps the two sectors, so only s = 0 is
     solved and each level is reported twice, the copy's vector being R
@@ -199,7 +193,7 @@ def lowest_levels(
     results: list[SpectrumResult] = []
     labels: list[tuple[int, int]] = []
     vectors: list[np.ndarray] = []
-    for label, ab, embed in _blocks(p, M):
+    for label, rows, ab in _blocks(p, M):
         if not ab.shape[1]:
             continue  # the empty block (1, -1) of N = 2 at M = 0
         res = solve_lowest(
@@ -208,7 +202,7 @@ def lowest_levels(
         results.append(res)
         labels += [label] * res.eigenvalues.size
         if want_vectors:
-            vectors.append(embed(res.eigenvectors))
+            vectors.append(_embed_block(p, M, *label, rows, res.eigenvectors))
     values = [r.eigenvalues for r in results]
     residuals = [r.residual_norms for r in results]
     if odd:  # the unsolved s = 1 sector holds the mirror images

@@ -13,13 +13,15 @@ arithmetic; the one operator that is intrinsically complex for odd N (the
 parity operator) is stored as a real matrix plus a global phase.
 
 Both H and the spin model -u Sz^2 - v Sx^2 conserve the parity (-1)^(m+S),
-so they are built sector by sector (:func:`spin_sector`,
-:func:`sector_hamiltonian`).  At even N the m -> -m exchange J also maps
-each spin-model sector onto itself, which splits the spin model into four
-tridiagonal blocks (:func:`spin_sector_halves`), and the joint parity
-R = (-1)^n J maps each sector of H onto itself, which splits H into four
-banded blocks (s, r) of about half the rows and half the bandwidth of a
-sector (:func:`symmetry_block`), built directly from those halves.
+so they are built sector by sector (:func:`spin_sector`).  At even N the
+m -> -m exchange J also maps each spin-model sector onto itself, which
+splits the spin model into four tridiagonal blocks
+(:func:`spin_sector_halves`), and the joint parity R = (-1)^n J maps each
+sector of H onto itself, which splits H into four banded blocks (s, r) of
+about half the rows and half the bandwidth of a sector.
+:func:`symmetry_block` builds every block of H as a band array: the
+(s, +/-1) blocks from those halves, and a whole sector, at any N, as the
+block (s, 0).
 """
 
 from __future__ import annotations
@@ -340,77 +342,66 @@ def _check_block(p: ModelParams, M: int, s: int) -> None:
         )
 
 
-def sector_hamiltonian(p: ModelParams, M: int, s: int) -> np.ndarray:
-    """The block of H on the parity sector m + S = s (mod 2), truncated at n <= M, as a band array.
-
-    H conserves (-1)^(m+S), so the block is H on the flat indices
-    n (N+1) + s + 2j, boson-major: row n w + j holds (n, m_j), with m_j the
-    w Sz values of :func:`spin_sector`.  It is returned in lower band
-    storage ab[i, c] = H[c + i, c], of shape (w + 1, (M + 1) w): row 0 holds
-    omega n plus the spin diagonal, row 1 the spin off-diagonal inside each
-    boson block and row w the coupling g sqrt(n+1) m_j (rows 1 and w are one
-    row when w = 1); entries past the block's edge are 0.  The nonzero
-    budget is that of the whole H, as in :func:`build_full_hamiltonian`.
-    """
-    _check_block(p, M, s)
-    m, diag, off = spin_sector(p, s, 0.0)
-    w = m.size
-    n = np.arange(M + 1)[:, None]
-    ab = np.zeros((w + 1, (M + 1) * w))
-    ab[0] = (p.omega * n + diag).ravel()
-    ab[1] = np.tile(np.append(off, 0.0), M + 1)
-    ab[w, : M * w] = (p.g * np.sqrt(n[1:]) * m).ravel()
-    return ab
-
-
 @functools.lru_cache(maxsize=8)
 def _block_pair(p: ModelParams, s: int, r: int) -> tuple[np.ndarray, int, int]:
-    """Boson levels n = 0 and 1 of the (s, r) block: rows m, omega n + diagonal, off-diagonal, g m.
+    """Boson levels n = 0 and 1 of the (s, r) block: rows m + S, spin diagonal, off-diagonal, g m, n.
 
-    Level n holds the J half r (-1)^n, so the block's rows repeat with
-    period w = w_even + w_odd over each pair of levels (2k, 2k + 1); the
-    cutoff search builds one point's blocks at several M from this one
-    pair.  Also returns w_even and w_odd.  The array is read-only.
+    Level n holds the J half r (-1)^n, or the whole sector where r = 0, so
+    the block's rows repeat with period w = w_even + w_odd over each pair
+    of levels (2k, 2k + 1); the cutoff search builds one point's blocks at
+    several M from this one pair.  Also returns w_even and w_odd.  The
+    array is read-only.
     """
-    if r not in (1, -1):
-        raise ValidationError(f"R eigenvalue r must be 1 or -1, got {r!r}")
-    plus, minus = spin_sector_halves(p, s, 0.0)
-    (m_a, diag_a, off_a), (m_b, diag_b, off_b) = (plus, minus) if r == 1 else (minus, plus)
+    if r not in (0, 1, -1):
+        raise ValidationError(f"R eigenvalue r must be 1, -1 or 0, got {r!r}")
+    # the J halves are (plus, minus): level 0 takes minus first where r = -1
+    halves = [spin_sector(p, s, 0.0)] * 2 if r == 0 else spin_sector_halves(p, s, 0.0)[::r]
+    (m_a, diag_a, off_a), (m_b, diag_b, off_b) = halves
     wa, wb = m_a.size, m_b.size
-    pair = np.zeros((4, wa + wb))  # a level's last row has no off-diagonal
-    pair[0] = np.concatenate([m_a, m_b])
-    pair[1] = np.concatenate([diag_a, p.omega + diag_b])
+    m = np.concatenate([m_a, m_b])
+    pair = np.zeros((5, wa + wb))  # a level's last row has no off-diagonal
+    pair[0] = m + p.S
+    pair[1] = np.concatenate([diag_a, diag_b])
     pair[2, : off_a.size], pair[2, wa : wa + off_b.size] = off_a, off_b
-    pair[3] = p.g * pair[0]
+    pair[3] = p.g * m
+    pair[4, wa:] = 1.0
     pair.flags.writeable = False
     return pair, wa, wb
 
 
-def symmetry_block(p: ModelParams, M: int, s: int, r: int) -> np.ndarray:
-    """The block of H on parity sector s and R = r at even N, truncated at n <= M, as a band array.
+def _block_levels(pair: np.ndarray, M: int) -> np.ndarray:
+    """Boson level n of each row of a block, for whole pairs of levels (2k, 2k + 1), one pair a row."""
+    return pair[4] + np.arange(0.0, M + 1, 2)[:, None]
 
-    For integer S the joint parity R = (-1)^n J, with J|m> = |-m>, commutes
-    with H and maps each sector m + S = s (mod 2) onto itself, so H splits
-    into four blocks (s, r).  Boson level n of block (s, r) holds the J half
-    r (-1)^n of :func:`spin_sector_halves` at u = 0, in the basis
-    (|m> +/- |-m>)/sqrt(2) over m > 0, and |0> in the + half; the levels
-    follow each other, n ascending.  Row 0 of the lower band array
-    ab[i, c] = H[c + i, c] holds omega n plus the half's diagonal, row 1
-    its off-diagonal.  Sz maps element m of one half to element m of the
-    other with value m, so the coupling g sqrt(n+1) m from level n to
-    n + 1 sits on row w_odd from an even level and on row w_even from an
-    odd one, w_even and w_odd being the widths of the halves at even and
-    odd n (about w / 2 each).  Row 1 and a coupling row are one row when a
-    half has width 1; their entries never meet.  Entries past the block's
-    edge are 0, and a block may be empty (N = 2, s = 1, r = -1, M = 0).
-    Same checks as :func:`sector_hamiltonian`.
+
+def symmetry_block(p: ModelParams, M: int, s: int, r: int) -> np.ndarray:
+    """The block (s, r) of H, truncated at n <= M, as a lower band array ab[i, c] = H[c + i, c].
+
+    s is the parity sector m + S = s (mod 2), which H conserves.  r = 0
+    takes the whole sector, at any N: boson level n holds the Sz values of
+    :func:`spin_sector`.  At even N the joint parity R = (-1)^n J, with
+    J|m> = |-m>, also maps each sector onto itself, and r = +/-1 takes its
+    eigenspace: level n holds the J half r (-1)^n of
+    :func:`spin_sector_halves` at u = 0, (|m> +/- |-m>)/sqrt(2) over m > 0
+    and |0> in the + half, so about half the rows and half the bandwidth
+    of a sector.  The levels follow each other, n ascending.  Row 0 holds
+    omega n plus the spin diagonal, row 1 the spin off-diagonal.  Sz maps
+    element m of one level to element m of the next, with value m, so the
+    coupling g sqrt(n+1) m from level n to n + 1 sits on the row of level
+    n + 1's width: w_odd from an even level, w_even from an odd one (both
+    the sector's width for r = 0).  Row 1 and a coupling row are one row
+    when a level has width 1; their entries never meet.  Entries past the
+    block's edge are 0, and a block may be empty (N = 2, s = 1, r = -1,
+    M = 0).  The nonzero budget is that of the whole H, as in
+    :func:`build_full_hamiltonian`.
     """
     _check_block(p, M, s)
     pair, wa, wb = _block_pair(p, s, r)
-    w, pairs = wa + wb, M // 2 + 1
-    # built for whole pairs of levels (2k, 2k + 1); at even M level M + 1 is cut off
+    n = _block_levels(pair, M)
+    pairs, w = n.shape
+    # built for whole pairs of levels; at even M level M + 1 is cut off
     ab = np.zeros((max(wa, wb, 1) + 1, pairs, w))
-    np.add(pair[1], np.arange(pairs)[:, None] * (2 * p.omega), out=ab[0])
+    np.add(p.omega * n, pair[1], out=ab[0])
     ab[1] = pair[2]
     root = np.sqrt(np.arange(1.0, 2 * pairs + 1))  # sqrt(n + 1)
     root[M] = 0.0  # level M couples to nothing
@@ -420,17 +411,17 @@ def symmetry_block(p: ModelParams, M: int, s: int, r: int) -> np.ndarray:
 
 
 def symmetry_block_basis(p: ModelParams, M: int, s: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Boson level n and Sz value m >= 0 of each row of :func:`symmetry_block`, as integer arrays.
+    """Boson level n and spin column m + S of each row of :func:`symmetry_block`, as integer arrays.
 
-    Row (n, m) is the state |n> (x) (|m> + r (-1)^n |-m>)/sqrt(2) for
-    m > 0, and |n> (x) |0> for m = 0.
+    The row's flat index is n (N + 1) + m + S.  For r = 0 the row is the
+    state |n> (x) |m>.  For r = +/-1, m >= 0, and row (n, m) is the state
+    |n> (x) (|m> + r (-1)^n |-m>)/sqrt(2) for m > 0, and |n> (x) |0> for m = 0.
     """
     _check_block(p, M, s)
     pair, wa, wb = _block_pair(p, s, r)
-    pairs = M // 2 + 1
-    dim = pairs * (wa + wb) - (0 if M % 2 else wb)
-    n = np.repeat([0, 1], [wa, wb]) + np.arange(0, 2 * pairs, 2)[:, None]
-    return n.ravel()[:dim], np.tile(pair[0].astype(np.int64), pairs)[:dim]
+    n = _block_levels(pair, M).astype(np.int64)
+    dim = n.size - (0 if M % 2 else wb)
+    return n.ravel()[:dim], np.tile(pair[0].astype(np.int64), n.shape[0])[:dim]
 
 
 def polaron_spin_hamiltonian(p: ModelParams) -> np.ndarray:

@@ -2,8 +2,7 @@
 
 :func:`solve_lowest` is the production route.  It takes one symmetry
 block of the model (see ``diagnostics.lowest_levels``) as the lower band
-array that ``model.symmetry_block`` or ``model.sector_hamiltonian``
-builds, and solves it with banded
+array that ``model.symmetry_block`` builds, and solves it with banded
 LAPACK (``scipy.linalg.eig_banded``) up to ``DENSE_SOLVE_MAX_DIM`` rows,
 above with ARPACK (``scipy.sparse.linalg.eigsh``) in shift-invert mode
 through a banded Cholesky factor, shifted just below a caller's estimate
@@ -83,12 +82,8 @@ class SolverOptions:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     def validate(self, dim: int) -> None:
-        if self.k < 1:
-            raise ValidationError(f"k must be >= 1, got {self.k}")
-        if self.k > dim:
-            raise ValidationError(f"k = {self.k} exceeds operator dimension {dim}")
-        if self.block_size < 2:
-            raise ValidationError(f"block_size must be >= 2, got {self.block_size}")
+        if not 1 <= self.k <= dim:
+            raise ValidationError(f"k must be in [1, {dim}], got {self.k}")
 
 
 @dataclass
@@ -201,6 +196,8 @@ def lanczos_lowest(
     H = as_matrix(H)
     dim = H.shape[0]
     opts.validate(dim)
+    if opts.block_size < 2:
+        raise ValidationError(f"block_size must be >= 2, got {opts.block_size}")
     k = opts.k
     rng = np.random.default_rng(opts.seed)
     scale = frobenius_norm(H) or 1.0
@@ -364,10 +361,9 @@ def solve_lowest(
         opts = SolverOptions()
     ab = np.asarray(ab, dtype=float)
     dim, k = ab.shape[1], opts.k
+    opts.validate(dim)
     applied, converged = 0, True
     if dim <= DENSE_SOLVE_MAX_DIM or k >= dim - 1:
-        if not 1 <= k <= dim:
-            raise ValidationError(f"k must be in [1, {dim}], got {k}")
         out = scipy.linalg.eig_banded(
             ab, lower=True, eigvals_only=not want_vectors, select="i",
             select_range=(0, k - 1), check_finite=False,
@@ -375,7 +371,6 @@ def solve_lowest(
         evals, evecs = out if want_vectors else (out, None)
         solver = "dense"
     else:
-        opts.validate(dim)
         sigma, factor = _shift_and_factor(ab, guess)
 
         def apply_inverse(x: np.ndarray) -> np.ndarray:

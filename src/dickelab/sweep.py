@@ -323,15 +323,15 @@ def evaluate_point(
     )
 
 
-def run_sweep(cfg: SweepConfig, workers: int | None = None) -> list[SweepRow]:
+def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """Evaluate every grid point in grid order, one after another.
 
     Per-point failures are recorded in-row with converged=False.  A breach
     of the global dimension budget aborts the sweep with the completed
-    rows attached to the SweepAborted exception.  ``workers`` is accepted
-    and has no effect: a thread pool made sweeps slower (the evaluation is
-    mostly Python under the interpreter lock) and put waiting time into
-    each row's wall_time_seconds.
+    rows attached to the SweepAborted exception.  Points run serially: a
+    thread pool made sweeps slower (the evaluation is mostly Python under
+    the interpreter lock) and put waiting time into each row's
+    wall_time_seconds.
     """
     points = cfg.grid_points()
     if not points:

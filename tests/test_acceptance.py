@@ -84,7 +84,7 @@ def test_criterion_2_even_n_exponential_splitting(tmp_path):
     t0 = time.perf_counter()
     out = tmp_path / "even.csv"
     cfg = parse_config(SPIN_SWEEP_CFG.format(out=out))
-    rows = run_sweep(cfg, workers=1)
+    rows = run_sweep(cfg)
     assert all(row.d > 0 for row in rows), [(r.N, r.d) for r in rows]
     fit = splitting_scaling_fit([(row.N, row.d) for row in rows])
     assert fit.slope < 0

@@ -12,7 +12,6 @@ from dickelab import (
     symmetry_operator,
 )
 from dickelab.model import (
-    sector_hamiltonian,
     spin_sector,
     spin_sector_halves,
     symmetry_block,
@@ -150,6 +149,7 @@ def test_nonzero_budget_enforced():
 
 @pytest.mark.parametrize("N", range(1, 10))
 def test_sector_hamiltonian_is_the_parity_block_of_full_h(N):
+    # the Hamiltonian of a whole sector is the block (s, 0), at odd and even N
     for g, v in ((0.0, 1.0), (0.7, 0.0), (0.7, 1.0)):
         for M in (0, 1, 7):
             p = ModelParams(N=N, omega=1.0, g=g, v=v)
@@ -159,9 +159,12 @@ def test_sector_hamiltonian_is_the_parity_block_of_full_h(N):
             for s in (0, 1):
                 flat = np.nonzero(parity == s)[0]
                 rest = np.nonzero(parity != s)[0]
-                ab = sector_hamiltonian(p, M, s)
+                ab = symmetry_block(p, M, s, 0)
                 w = ab.shape[0] - 1
                 assert ab.shape[1] == flat.size
+                # rows n (N + 1) + m + S, half-integer m at odd N
+                n, col = symmetry_block_basis(p, M, s, 0)
+                np.testing.assert_array_equal(n * (N + 1) + col, flat)
                 # the all-zero rows that lowest_levels splits a sector on
                 if g == 0:
                     assert not np.any(ab[w]), (N, v, M, s)
@@ -216,15 +219,16 @@ def test_spin_sector_halves_need_even_n():
 
 def _block_projector(p, M, s, r):
     """Flat-basis columns of the (s, r) block's rows: (|m> + r (-1)^n |-m>)/sqrt(2), or |0>."""
-    n, m = symmetry_block_basis(p, M, s, r)
+    n, col = symmetry_block_basis(p, M, s, r)
     P = np.zeros(((M + 1) * (p.N + 1), n.size))
-    centre = n * (p.N + 1) + p.N // 2
+    flat = n * (p.N + 1) + col
+    mirror = n * (p.N + 1) + p.N - col  # (n, -m)
     for c in range(n.size):
-        if m[c] == 0:
-            P[centre[c], c] = 1.0
+        if 2 * col[c] == p.N:
+            P[flat[c], c] = 1.0
         else:
-            P[centre[c] + m[c], c] = 1 / np.sqrt(2)
-            P[centre[c] - m[c], c] = r * (-1) ** n[c] / np.sqrt(2)
+            P[flat[c], c] = 1 / np.sqrt(2)
+            P[mirror[c], c] = r * (-1) ** n[c] / np.sqrt(2)
     return P
 
 
@@ -259,7 +263,7 @@ def test_symmetry_block_is_the_r_projected_parity_block_of_full_h(N):
 def test_symmetry_block_spectra_are_those_of_the_parity_sectors(N, M):
     p = ModelParams(N=N, omega=1.0, g=0.8, v=1.0)
     blocks = [symmetry_block(p, M, s, r) for s in (0, 1) for r in (1, -1)]
-    sectors = [sector_hamiltonian(p, M, s) for s in (0, 1)]
+    sectors = [symmetry_block(p, M, s, 0) for s in (0, 1)]
     levels = np.sort(np.concatenate([np.linalg.eigvalsh(dense_from_band(ab)) for ab in blocks]))
     ref = np.sort(np.concatenate([np.linalg.eigvalsh(dense_from_band(ab)) for ab in sectors]))
     assert levels.size == ref.size == (M + 1) * (N + 1)
@@ -290,9 +294,8 @@ def test_symmetry_block_edge_cases():
 def test_symmetry_block_needs_even_n_and_r_of_one():
     with pytest.raises(ValidationError):
         symmetry_block(ModelParams(N=3, omega=1.0, g=0.3, v=1.0), 2, 0, 1)
-    for r in (0, 2):
-        with pytest.raises(ValidationError):
-            symmetry_block(ModelParams(N=4, omega=1.0, g=0.3, v=1.0), 2, 0, r)
+    with pytest.raises(ValidationError):
+        symmetry_block(ModelParams(N=4, omega=1.0, g=0.3, v=1.0), 2, 0, 2)
     with pytest.raises(ValidationError):
         symmetry_block(ModelParams(N=4, omega=1.0, g=0.3, v=1.0), 2, 2, 1)
     with pytest.raises(ResourceError):
@@ -300,9 +303,10 @@ def test_symmetry_block_needs_even_n_and_r_of_one():
 
 
 def test_sector_hamiltonian_keeps_the_nonzero_budget():
+    # the block (s, 0) at odd N, where no r = +/-1 block exists
     p = ModelParams(N=3, omega=1.0, g=0.3, v=1.0)
     with pytest.raises(ResourceError):
-        sector_hamiltonian(p, 10**6, 0)
+        symmetry_block(p, 10**6, 0, 0)
 
 
 def test_polaron_decoupled_limit():

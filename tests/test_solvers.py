@@ -16,7 +16,7 @@ from dickelab import (
     solve_lowest,
 )
 import dickelab.solvers as solvers
-from dickelab.model import sector_hamiltonian
+from dickelab.model import symmetry_block
 from oracles import dense_from_band, lower_band, random_sparse_symmetric
 
 
@@ -114,6 +114,17 @@ def test_block_size_floor():
         lanczos_lowest(
             SparseOperator.from_scipy(np.eye(8)), SolverOptions(k=2, block_size=1)
         )
+
+
+def test_solve_lowest_ignores_the_lanczos_block_size():
+    # block_size is read by block Lanczos only, so neither solve_lowest branch rejects it
+    p = ModelParams(N=12, omega=1.0, g=float(np.sqrt(0.9)), v=1.0)
+    for M, solver in ((40, "dense"), (180, "eigsh")):  # 287 and 1267 rows
+        ab = symmetry_block(p, M, 0, 0)
+        res = solve_lowest(ab, SolverOptions(k=3, block_size=1))
+        ref = solve_lowest(ab, SolverOptions(k=3))
+        assert res.solver == solver and res.converged
+        np.testing.assert_array_equal(res.eigenvalues, ref.eigenvalues)
 
 
 def test_lanczos_random_oracle_agreement():
@@ -238,7 +249,7 @@ def test_eigsh_iterations_count_inverse_applications(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "cho_solve_banded", spy)
     p = ModelParams(N=16, omega=1.0, g=0.7, v=1.0)
-    H = sector_hamiltonian(p, 50, 0)  # 459 rows: past DENSE_SOLVE_MAX_DIM
+    H = symmetry_block(p, 50, 0, 0)  # 459 rows: past DENSE_SOLVE_MAX_DIM
     res = solve_lowest(H, SolverOptions(k=6, seed=1))
     assert res.solver == "eigsh" and res.converged
     assert res.iterations == len(calls) > 0
@@ -248,7 +259,7 @@ def test_eigsh_iterations_count_inverse_applications(monkeypatch):
 
 def test_shift_above_the_ground_level_fails_the_band_factorization(monkeypatch):
     p = ModelParams(N=4, omega=1.0, g=0.7, v=1.0)
-    H = sector_hamiltonian(p, 60, 0)
+    H = symmetry_block(p, 60, 0, 0)
     e0 = dense_spectrum(dense_from_band(H), 1).eigenvalues[0]
     monkeypatch.setattr(solvers, "_gershgorin_shift", lambda ab: e0 + 0.5)
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
@@ -259,7 +270,7 @@ def test_shift_above_the_ground_level_fails_the_band_factorization(monkeypatch):
 def _strong_block_and_hint():
     """N = 12, u/v = 0.9: the s = 0 block at M = 180 (1267 rows) and E0 at M = 90."""
     p = ModelParams(N=12, omega=1.0, g=float(np.sqrt(0.9)), v=1.0)
-    return sector_hamiltonian(p, 180, 0), float(lowest_levels(p, 90, 3).eigenvalues[0])
+    return symmetry_block(p, 180, 0, 0), float(lowest_levels(p, 90, 3).eigenvalues[0])
 
 
 def test_guess_from_the_smaller_cutoff_cuts_inverse_applications():
@@ -327,7 +338,7 @@ BANDED_BLOCKS = [  # (N, u/v, M, s): 93 to 378 rows
 def test_banded_lapack_matches_dense_spectrum_of_the_expanded_block(want_vectors):
     for N, r, M, s in BANDED_BLOCKS:
         p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(r)), v=1.0)
-        ab = sector_hamiltonian(p, M, s)
+        ab = symmetry_block(p, M, s, 0)
         assert ab.shape[1] <= solvers.DENSE_SOLVE_MAX_DIM
         res = solve_lowest(ab, SolverOptions(k=6), want_vectors=want_vectors)
         H = dense_from_band(ab)
@@ -349,7 +360,7 @@ def test_banded_lapack_matches_dense_spectrum_of_the_expanded_block(want_vectors
 @pytest.mark.parametrize("want_vectors", [True, False])
 def test_banded_lapack_serves_requests_that_arpack_cannot(want_vectors, monkeypatch):
     p = ModelParams(N=5, omega=1.0, g=0.8, v=1.0)
-    ab = sector_hamiltonian(p, 3, 0)  # 4 boson states x 3 spin states
+    ab = symmetry_block(p, 3, 0, 0)  # 4 boson states x 3 spin states
     H = dense_from_band(ab)
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 5)
     for k in (11, 12):  # k >= dim - 1

@@ -147,7 +147,7 @@ def test_spin_only_odd_row():
         "[model]\nN_list = 3\nomega = 1\ng_list = 0.44721359549995793\nv_list = 1\n"
         "[engine]\nmode = spin-only\nk = 4\n"
     )
-    rows = run_sweep(cfg, workers=1)
+    rows = run_sweep(cfg)
     assert len(rows) == 1
     row = rows[0]
     assert row.M_star == 0
@@ -164,7 +164,7 @@ def test_parity_alternation_across_n():
         "[engine]\nmode = full\nk = 3\nseed = 0\n"
         "[outputs]\nemit = splitting\n"
     )
-    rows = run_sweep(cfg, workers=2)
+    rows = run_sweep(cfg)
     splittings = {row.N: row.d for row in rows}
     for N in (3, 5):
         assert splittings[N] < 1e-10 * abs(rows[0].E0), N
@@ -174,7 +174,7 @@ def test_parity_alternation_across_n():
 
 def test_row_self_consistency():
     cfg = parse_config(SPIN_EVEN)
-    rows = run_sweep(cfg, workers=2)
+    rows = run_sweep(cfg)
     for row in rows:
         assert row.u == pytest.approx(row.g**2 / row.omega, rel=1e-14)
         assert row.d == row.E1 - row.E0 or row.d == 0.0
@@ -184,7 +184,7 @@ def test_row_self_consistency():
 
 def test_full_mode_row_records_oracle_deviation():
     cfg = parse_config(MINIMAL + "[engine]\nmode = full\nk = 6\n")
-    row = run_sweep(cfg, workers=1)[0]
+    row = run_sweep(cfg)[0]
     assert row.M_star > 0
     assert row.oracle_deviation is not None and row.oracle_deviation > 0
     assert row.converged
@@ -196,7 +196,7 @@ def test_per_point_failure_isolated():
         "[model]\nN_list = 1, 7\nomega = 1\ng_list = 0.5\nv_list = 0.5\n"
         "[engine]\nmode = full\nk = 3\nmax_dim = 120\n"
     )
-    rows = run_sweep(cfg, workers=1)
+    rows = run_sweep(cfg)
     assert len(rows) == 2
     assert rows[0].converged
     assert not rows[1].converged
@@ -219,7 +219,7 @@ def test_global_budget_aborts_with_partial_rows():
         "[engine]\nmode = full\nbudget_dim_total = 100\n"
     )
     with pytest.raises(SweepAborted) as err:
-        run_sweep(cfg, workers=1)
+        run_sweep(cfg)
     assert len(err.value.rows) < 9
 
 
@@ -230,16 +230,16 @@ def test_budget_charges_every_cutoff_search_solve():
         "[model]\nN_list = 3\nomega = 1\ng_list = 0.3\nv_list = 1\n"
         "[engine]\nmode = full\nbudget_dim_total = {limit}\n"
     )
-    assert run_sweep(parse_config(text.format(limit=140)), workers=1)[0].M_star == 11
+    assert run_sweep(parse_config(text.format(limit=140)))[0].M_star == 11
     with pytest.raises(SweepAborted) as err:
-        run_sweep(parse_config(text.format(limit=100)), workers=1)
+        run_sweep(parse_config(text.format(limit=100)))
     assert err.value.rows == []
 
 
 def test_emit_csv_exact_header_and_digits(tmp_path):
     out = tmp_path / "rows.csv"
     cfg = parse_config(SPIN_EVEN.replace("path = rows.csv", f"path = {out}"))
-    rows = run_sweep(cfg, workers=1)
+    rows = run_sweep(cfg)
     emit_results(rows, cfg)
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
@@ -261,7 +261,7 @@ def test_emit_jsonl_keys_match_header(tmp_path):
             "[outputs]", "[outputs]\nformat = json-lines"
         )
     )
-    rows = run_sweep(cfg, workers=1)
+    rows = run_sweep(cfg)
     emit_results(rows, cfg)
     lines = out.read_text().splitlines()
     assert len(lines) == len(rows)
@@ -276,7 +276,7 @@ def test_emit_jsonl_keys_match_header(tmp_path):
 def test_emit_timing_zeroed_by_default(tmp_path):
     out = tmp_path / "rows.csv"
     cfg = parse_config(SPIN_EVEN.replace("path = rows.csv", f"path = {out}"))
-    rows = run_sweep(cfg, workers=1)
+    rows = run_sweep(cfg)
     assert any(row.wall_time_seconds > 0 for row in rows)  # measured in memory
     emit_results(rows, cfg)
     body = out.read_text()
@@ -292,7 +292,7 @@ def test_emit_scaling_fit_files(tmp_path):
             "[outputs]", "[outputs]\nemit = splitting, scaling-fit"
         )
     )
-    rows = run_sweep(cfg, workers=1)
+    rows = run_sweep(cfg)
     paths = emit_results(rows, cfg)
     scaling = tmp_path / "rows.scaling.csv"
     fit = tmp_path / "rows.fit.csv"
@@ -401,7 +401,7 @@ def test_emit_landscape_requires_single_point(tmp_path):
             "[outputs]", "[outputs]\nemit = landscape"
         )
     )
-    rows = run_sweep(cfg, workers=1)
+    rows = run_sweep(cfg)
     with pytest.raises(Exception) as err:
         emit_results(rows, cfg)
     assert "single grid point" in str(err.value)
@@ -415,7 +415,7 @@ def test_emit_landscape_grid(tmp_path):
         f"[outputs]\npath = {out}\nemit = landscape\n"
         f"landscape_theta_points = 5\nlandscape_phi_points = 8\n"
     )
-    rows = run_sweep(cfg, workers=1)
+    rows = run_sweep(cfg)
     emit_results(rows, cfg)
     lines = (tmp_path / "rows.landscape.csv").read_text().splitlines()
     assert lines[0] == "theta,phi,energy"
@@ -445,24 +445,24 @@ emit = splitting, degeneracy, spectrum
 """
 
 
-def test_workers_do_not_change_bytes(tmp_path):
+def test_reruns_give_the_same_bytes(tmp_path):
     for name, text in (("spin", SPIN_EVEN), ("full", FULL_ARPACK)):
         blobs = []
-        for workers in (1, 8):
-            out = tmp_path / f"{name}_{workers}.csv"
+        for run in (1, 2):
+            out = tmp_path / f"{name}_{run}.csv"
             cfg = parse_config(text.replace("path = rows.csv", f"path = {out}"))
-            rows = run_sweep(cfg, workers=workers)
+            rows = run_sweep(cfg)
             blobs.append(b"".join(path.read_bytes() for path in emit_results(rows, cfg)))
         assert blobs[0] == blobs[1], name
 
 
 def test_point_wall_times_do_not_overlap():
     # each point's wall time is its own work: the times of a sweep's points
-    # add up to no more than the sweep took, whatever the worker count
+    # add up to no more than the sweep took
     n_list = ", ".join(str(N) for N in range(2, 400))
     cfg = parse_config(SPIN_EVEN.replace("N_list = 4, 6, 8", f"N_list = {n_list}"))
     t0 = time.perf_counter()
-    rows = run_sweep(cfg, workers=2)
+    rows = run_sweep(cfg)
     elapsed = time.perf_counter() - t0
     assert len(rows) == 398
     assert sum(row.wall_time_seconds for row in rows) <= 1.05 * elapsed + 1e-3
@@ -473,7 +473,7 @@ def test_full_sweep_never_calls_block_lanczos(monkeypatch):
         raise AssertionError("block Lanczos is a cross-check only")
 
     monkeypatch.setattr("dickelab.solvers.lanczos_lowest", refuse)
-    rows = run_sweep(parse_config(FULL_ARPACK), workers=1)
+    rows = run_sweep(parse_config(FULL_ARPACK))
     assert [row.N for row in rows] == [10, 11]
     assert all(row.converged for row in rows)
     assert rows[0].d > 0
@@ -486,7 +486,7 @@ def test_full_sweep_never_assembles_full_hamiltonian(monkeypatch):
 
     monkeypatch.setattr("dickelab.model.build_full_hamiltonian", refuse)
     monkeypatch.setattr("dickelab.diagnostics.build_full_hamiltonian", refuse, raising=False)
-    rows = run_sweep(parse_config(FULL_ARPACK), workers=1)
+    rows = run_sweep(parse_config(FULL_ARPACK))
     assert [row.N for row in rows] == [10, 11]
     assert all(row.converged for row in rows)
     assert rows[0].d > 0
@@ -495,7 +495,7 @@ def test_full_sweep_never_assembles_full_hamiltonian(monkeypatch):
 
 def test_emit_rejects_missing_directory(tmp_path):
     cfg = parse_config(SPIN_EVEN.replace("path = rows.csv", f"path = {tmp_path}/nope/rows.csv"))
-    rows = run_sweep(cfg, workers=1)
+    rows = run_sweep(cfg)
     with pytest.raises(Exception):
         emit_results(rows, cfg)
 
@@ -521,7 +521,7 @@ def test_sweep_from_circuit_file(tmp_path):
     cfg = parse_config(
         f"[model]\ncircuit_file = {dev}\n[engine]\nmode = spin-only\nk = 4\n"
     )
-    rows = run_sweep(cfg, workers=1)
+    rows = run_sweep(cfg)
     assert len(rows) == 1
     row = rows[0]
     assert row.N == 3
