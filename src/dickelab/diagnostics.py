@@ -24,7 +24,6 @@ from .model import (
     spin_sector_halves,
     symmetry_block,
     symmetry_block_basis,
-    symmetry_operator,
 )
 from .solvers import SolverOptions, SpectrumResult, as_matrix, frobenius_norm, solve_lowest
 
@@ -139,6 +138,16 @@ def _embed_block(p: ModelParams, M: int, s: int, r: int, rows, X: np.ndarray) ->
     return V
 
 
+def _odd_mirror(p: ModelParams, M: int, V: np.ndarray) -> np.ndarray:
+    """R V for flat-basis vectors V at odd N, R the joint parity of :func:`~dickelab.model.symmetry_operator`.
+
+    R is a signed index flip: row n (N + 1) + col goes to n (N + 1) + N - col,
+    with sign (-1)^(S - 1/2) (-1)^n.
+    """
+    sign = (-1.0) ** ((p.N - 1) // 2 + np.arange(M + 1))
+    return (V.reshape(M + 1, p.N + 1, -1)[:, ::-1] * sign[:, None, None]).reshape(V.shape)
+
+
 def _blocks(p: ModelParams, M: int):
     """(label, rows, band array) of each piece :func:`lowest_levels` solves.
 
@@ -209,8 +218,7 @@ def lowest_levels(
         values, residuals = values * 2, residuals * 2
         labels += [(1, 0)] * len(labels)
         if want_vectors:
-            R = symmetry_operator(p, M).op
-            vectors += [R @ V for V in vectors]
+            vectors += [_odd_mirror(p, M, V) for V in vectors]
 
     # stable sort: an odd-N mirror lands right after its original
     order = np.argsort(np.concatenate(values), kind="stable")[:k]
@@ -309,44 +317,64 @@ def converge_cutoff(
         M *= 2
 
 
-def _tridiagonal_levels(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric tridiagonal matrix, ascending, by LAPACK dsterf."""
-    if diag.size <= 1:
-        return diag
-    levels, info = lapack.dsterf(diag, off)
-    if info:
-        raise np.linalg.LinAlgError(f"dsterf failed to converge ({info} off-diagonals nonzero)")
-    return levels
+def _tridiagonal_levels(diag: np.ndarray, off: np.ndarray, k: int | None = None) -> np.ndarray:
+    """The k lowest eigenvalues (all where k is None) of a symmetric tridiagonal matrix, ascending.
+
+    All n come from LAPACK dsterf, O(n^2); fewer than n from dstebz,
+    Sturm-count bisection (Barth, Martin & Wilkinson 1967), O(n k).
+    """
+    if k is None or k >= diag.size:
+        if diag.size <= 1:
+            return diag
+        levels, info = lapack.dsterf(diag, off)
+        if info:
+            raise np.linalg.LinAlgError(f"dsterf failed to converge ({info} off-diagonals nonzero)")
+        return levels
+    found, levels, _, _, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, k, 0.0, "E")
+    if info or found < k:
+        raise np.linalg.LinAlgError(f"dstebz found {found} of {k} levels (info {info})")
+    return levels[:k]
 
 
-def _spin_sector_levels(p: ModelParams, s: int) -> np.ndarray:
-    """Eigenvalues of -u Sz^2 - v Sx^2 on the sector m + S = s (mod 2), ascending, by dsterf."""
+def _spin_sector_levels(p: ModelParams, s: int, k: int | None = None) -> np.ndarray:
+    """The k lowest (all where k is None) eigenvalues of -u Sz^2 - v Sx^2 on the sector m + S = s (mod 2)."""
     _, diag, off = spin_sector(p, s, p.u)
-    return _tridiagonal_levels(diag, off)
+    return _tridiagonal_levels(diag, off, k)
 
 
-def spin_model_spectrum(p: ModelParams) -> np.ndarray:
-    """All N+1 eigenvalues of the displaced-frame spin model -u Sz^2 - v Sx^2, ascending.
+def spin_model_spectrum(p: ModelParams, k: int | None = None) -> np.ndarray:
+    """The k lowest eigenvalues (all N+1 where k is None) of the spin model -u Sz^2 - v Sx^2, ascending.
 
     The model conserves (-1)^(m+S), so it is solved as tridiagonal blocks
-    by LAPACK dsterf (:func:`polaron_spin_hamiltonian` stays the dense
-    reference).  For odd N the joint parity maps one parity sector onto
-    the other, so only m + S even is solved and each level is reported
-    twice: the odd-N doublets are exact by construction.  For even N the
-    m -> -m exchange J maps each sector onto itself, so the four blocks
-    are the J halves of the two sectors (:func:`~dickelab.model.spin_sector_halves`),
-    each about N/4 rows.
+    (:func:`polaron_spin_hamiltonian` stays the dense reference), and a
+    k above N + 1 gives all N + 1 levels.  For odd N the joint parity
+    maps one parity sector onto the other, so only m + S even is solved,
+    its ceil(k/2) lowest levels by LAPACK dstebz bisection (dsterf where
+    that is the whole sector), and each level is reported twice: the
+    odd-N doublets are exact by construction.  For even N the m -> -m
+    exchange J maps each sector onto itself, so the four blocks are the J
+    halves of the two sectors (:func:`~dickelab.model.spin_sector_halves`),
+    each about N/4 rows, all solved by dsterf: for 6 levels, bisection
+    beats it only above about 85-95 rows a half (N near 340-380, 2-vCPU
+    Xeon VM, OpenBLAS on one thread).
     """
+    if k is not None and k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
     if p.N % 2:
-        return np.repeat(_spin_sector_levels(p, 0), 2)
+        half = None if k is None else -(-k // 2)
+        return np.repeat(_spin_sector_levels(p, 0, half), 2)[:k]
     halves = [half for s in (0, 1) for half in spin_sector_halves(p, s, p.u)]
-    return np.sort(np.concatenate([_tridiagonal_levels(diag, off) for _, diag, off in halves]))
+    levels = np.concatenate([_tridiagonal_levels(diag, off) for _, diag, off in halves])
+    return np.sort(levels)[:k]
 
 
 def spin_ladder_levels(p: ModelParams, n: int) -> np.ndarray:
-    """Lowest n values of {eps_i + omega j}: spin-model levels plus a free boson ladder."""
+    """Lowest n values of {eps_i + omega j}: spin-model levels plus a free boson ladder.
+
+    Only the n lowest eps_i can take part, so only those are solved.
+    """
     ladder = np.arange(n + 2) * p.omega
-    return np.sort((spin_model_spectrum(p)[:, None] + ladder[None, :]).ravel())[:n]
+    return np.sort((spin_model_spectrum(p, n)[:, None] + ladder[None, :]).ravel())[:n]
 
 
 @dataclass(frozen=True)

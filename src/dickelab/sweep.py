@@ -289,7 +289,7 @@ def evaluate_point(
     t0 = time.perf_counter()
     if engine.mode == "spin-only":
         budget.charge(p.N + 1)
-        eigs = spin_model_spectrum(p)[: engine.k]
+        eigs = spin_model_spectrum(p, engine.k)
         M_star, oracle_dev, converged, solver, conv = 0, None, True, "tridiagonal", None
     else:
         conv = converge_cutoff(
@@ -407,13 +407,20 @@ def landscape_grid(p: ModelParams, theta_points: int, phi_points: int) -> np.nda
 def write_landscape(
     p: ModelParams, theta_points: int, phi_points: int, path: str | Path
 ) -> None:
-    """Write :func:`landscape_grid` as ``theta,phi,energy`` CSV with 17-digit numbers."""
+    """Write :func:`landscape_grid` as ``theta,phi,energy`` CSV with 17-digit numbers.
+
+    Each distinct energy is formatted once.  Distinct means a distinct bit
+    pattern: 0.0 == -0.0, and a g = 0 grid prints -0 cells.
+    """
     grid = landscape_grid(p, theta_points, phi_points)
     thetas = [_fmt_float(t) for t in grid[::phi_points, 0].tolist()]
-    tails = [f",{_fmt_float(f)},%.17g\n" for f in grid[:phi_points, 1].tolist()]
-    energy_rows = grid[:, 2].reshape(theta_points, phi_points).tolist()
-    # one %-template per theta row, "t,phi,%.17g\n" for every phi, formats
-    # that row's energies in a single call
+    tails = [f",{_fmt_float(f)},%s\n" for f in grid[:phi_points, 1].tolist()]
+    keys, inverse = np.unique(grid[:, 2].copy().view(np.int64), return_inverse=True)
+    unique = keys.view(np.float64).tolist()
+    cells = np.array(("%.17g\n" * len(unique) % tuple(unique)).split("\n")[:-1], dtype=object)
+    energy_rows = cells[inverse].reshape(theta_points, phi_points).tolist()
+    # one %-template per theta row, "t,phi,%s\n" for every phi, fills in
+    # that row's formatted energies in a single call
     body = "".join((t + t.join(tails)) % tuple(row) for t, row in zip(thetas, energy_rows))
     Path(path).write_text("theta,phi,energy\n" + body, encoding="utf-8")
 

@@ -177,6 +177,21 @@ def test_landscape_command_and_emit_write_reference_bytes(tmp_path, N, g):
     assert (tmp_path / "rows.landscape.csv").read_bytes() == reference.encode()
 
 
+@pytest.mark.parametrize("g, v", [(0.0, 1.0), (0.70710678118654757, 0.0)])
+def test_landscape_on_the_g_and_v_zero_lines_writes_reference_bytes(tmp_path, g, v):
+    # g = 0 prints -0 cells; v = 0 a surface flat in phi
+    cfg = tmp_path / "landscape.cfg"
+    cfg.write_text(
+        f"[model]\nN_list = 20\nomega = 1.0\ng_list = {g!r}\nv_list = {v!r}\n"
+        f"[outputs]\nlandscape_theta_points = 37\nlandscape_phi_points = 72\n"
+    )
+    direct = tmp_path / "direct.csv"
+    assert main(["landscape", str(cfg), "--out", str(direct)]) == 0
+    reference = _landscape_reference(ModelParams(N=20, omega=1.0, g=g, v=v), 37, 72)
+    assert (",-0\n" in reference) == (g == 0.0)
+    assert direct.read_bytes() == reference.encode()
+
+
 def test_convergence_subcommand(cfg_file, capsys):
     path, _ = cfg_file
     assert main(["convergence", str(path)]) == 0

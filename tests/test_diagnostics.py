@@ -329,6 +329,39 @@ def test_spin_sector_nonconvergence_is_a_linalg_error(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError):
         spin_model_spectrum(ModelParams(N=6, omega=1.0, g=0.5, v=1.0))
 
+
+def test_k_lowest_spin_levels_are_the_head_of_the_whole_spectrum():
+    for N in range(1, 300):
+        for u, v in SPIN_UV:
+            p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(u)), v=v)
+            whole = spin_model_spectrum(p)
+            for k in (1, 2, 3, 6, N + 1, N + 5):
+                levels = spin_model_spectrum(p, k)
+                assert levels.shape == (min(k, N + 1),), (N, u, v, k)
+                if N % 2 == 0:  # the same dsterf solves
+                    assert np.array_equal(levels, whole[:k]), (N, u, v, k)
+                    continue
+                dev = np.max(np.abs(levels - whole[:k]))
+                assert dev <= 1e-13 * max(1.0, abs(whole[0])), (N, u, v, k, dev)
+                pairs = levels[: levels.size // 2 * 2]  # doublets exact by construction
+                assert np.array_equal(pairs[0::2], pairs[1::2]), (N, u, v, k)
+
+
+def test_spin_levels_need_k_of_at_least_one():
+    for N in (6, 7):
+        with pytest.raises(ValidationError):
+            spin_model_spectrum(ModelParams(N=N, omega=1.0, g=0.5, v=1.0), 0)
+
+
+@pytest.mark.parametrize("found, info", [(3, 1), (2, 0)])
+def test_spin_bisection_failure_is_a_linalg_error(monkeypatch, found, info):
+    # N = 21: 3 of the 11 sector levels go to dstebz, which fails or finds too few
+    monkeypatch.setattr(
+        diagnostics.lapack, "dstebz", lambda d, e, *args: (found, d.copy(), None, None, info)
+    )
+    with pytest.raises(np.linalg.LinAlgError):
+        spin_model_spectrum(ModelParams(N=21, omega=1.0, g=0.5, v=1.0), 6)
+
 def test_converge_with_lanczos_path(monkeypatch):
     # force the iterative solver inside the cutoff search
     p = ModelParams(N=3, omega=1.0, g=0.3, v=1.0)
@@ -423,6 +456,27 @@ def test_even_n_vectors_are_orthonormal_eigenvectors_of_full_h(extra, monkeypatc
             x0, x1, pair = ground_pair(p, M, options=SolverOptions(k=k, seed=3))
             np.testing.assert_array_equal(np.column_stack([x0, x1]), V[:, :2])
             assert pair.labels == res.labels
+
+
+# u/v = 0.2 .. 1.5, then the g = 0 and v = 0 lines, where the sector is split
+MIRROR_GV = [(float(np.sqrt(r)), 1.0) for r in (0.2, 0.5, 0.9, 1.5)] + [
+    (0.0, 1.0), (float(np.sqrt(0.5)), 0.0)
+]
+
+
+def test_odd_n_mirror_vectors_are_the_joint_parity_images():
+    M, k = 12, 8
+    for N in range(1, 16, 2):
+        for g, v in MIRROR_GV:
+            p = ModelParams(N=N, omega=1.0, g=g, v=v)
+            res = lowest_levels(p, M, k, SolverOptions(k=k, seed=3), want_vectors=True)
+            # the stable sort keeps each sector's vectors in one order, so the
+            # i-th s = 1 vector is the mirror of the i-th s = 0 vector
+            s = np.array([label[0] for label in res.labels])
+            V0, V1 = res.eigenvectors[:, s == 0], res.eigenvectors[:, s == 1]
+            n = V1.shape[1]
+            assert n >= 3, (N, g, v)
+            np.testing.assert_array_equal(V1, symmetry_operator(p, M).op @ V0[:, :n])
 
 
 def test_lowest_levels_at_the_smallest_cutoffs():

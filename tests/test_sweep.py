@@ -9,6 +9,7 @@ import dickelab.sweep as sweep
 from dickelab import (
     CSV_HEADER,
     ConfigError,
+    ModelParams,
     SweepAborted,
     ValidationError,
     emit_results,
@@ -370,10 +371,10 @@ def test_parse_counts_every_even_grid_point_for_scaling_fit():
 def test_spectrum_file_equals_a_reference_written_one_level_at_a_time(tmp_path, monkeypatch):
     solve = sweep.spin_model_spectrum
 
-    def fail_at_n7(p):
+    def fail_at_n7(p, k=None):
         if p.N == 7:
             raise np.linalg.LinAlgError("dsterf failed to converge")
-        return solve(p)
+        return solve(p, k)
 
     monkeypatch.setattr(sweep, "spin_model_spectrum", fail_at_n7)
     out = tmp_path / "rows.csv"
@@ -392,6 +393,18 @@ def test_spectrum_file_equals_a_reference_written_one_level_at_a_time(tmp_path, 
             reference.append(f"{i},{N},{omega:.17g},{g:.17g},{v:.17g},{u:.17g},{level},{E:.17g}")
     spectrum = (tmp_path / "rows.spectrum.csv").read_bytes()
     assert spectrum == ("\n".join(reference) + "\n").encode()
+
+
+def test_landscape_writer_keys_energies_by_bit_pattern(tmp_path, monkeypatch):
+    # 0.0 == -0.0, so a writer that dedups on float values prints one for the other
+    grid = sweep.landscape_grid(ModelParams(N=4, omega=1.0, g=0.5, v=1.0), 3, 4)
+    grid[:, 2] = [0.0, -0.0, -1.5, -0.0, 0.0, 0.0, -1.5, -0.0, 2.0 / 3.0, -0.0, 0.0, -1.5]
+    monkeypatch.setattr(sweep, "landscape_grid", lambda p, theta_points, phi_points: grid)
+    path = tmp_path / "grid.csv"
+    sweep.write_landscape(None, 3, 4, path)
+    expected = "".join(f"{t:.17g},{f:.17g},{e:.17g}\n" for t, f, e in grid.tolist())
+    assert path.read_text() == "theta,phi,energy\n" + expected
+    assert ",0\n" in expected and ",-0\n" in expected
 
 
 def test_emit_landscape_requires_single_point(tmp_path):
