@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("spectrum", "solve one grid point and print its eigenvalues"),
         ("sweep", "run the configured parameter sweep and write tables"),
         ("landscape", "export the reduced energy surface on a (theta, phi) grid"),
-        ("convergence", "print the Fock-cutoff doubling history per grid point"),
+        ("convergence", "print the Fock-cutoff search history, M* and its bound per grid point"),
     ):
         commands[name] = sub.add_parser(name, help=helptext)
         commands[name].add_argument("config", help="path to a sweep config file")
@@ -150,7 +150,10 @@ def _cmd_convergence(args) -> int:
         print("M,E0,E1,E2")
         for M, e0, e1, e2 in rep.history:
             print(f"{M},{_FMT(e0)},{_FMT(e1)},{_FMT(e2)}")
-        print(f"# M_star={rep.M_star} converged={'true' if rep.converged else 'false'}")
+        print(
+            f"# M_star={rep.M_star} converged={'true' if rep.converged else 'false'} "
+            f"bound={_FMT(rep.bound)}"
+        )
     return 0
 
 

@@ -235,9 +235,13 @@ def lowest_levels(
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Accepted Fock cutoff, the doubling history that justified it, and the solve at M*.
+    """Accepted Fock cutoff, the search history that justified it, and the solve at M*.
 
-    converged reports whether the solve that confirmed M* converged.
+    converged reports whether the solve that accepted M* converged: the
+    one at 2M* where the comparison accepted it, the one at M* where the
+    Kato-Temple bound certified it.  bound is that certified bound on how
+    far the compared levels at M* sit above the uncut model's, NaN where
+    the comparison accepted M*.
     """
 
     M_star: int
@@ -245,6 +249,7 @@ class ConvergenceReport:
     converged: bool
     tol: float
     spectrum: SpectrumResult
+    bound: float = math.nan
 
 
 def initial_cutoff(p: ModelParams) -> int:
@@ -264,6 +269,65 @@ def initial_cutoff(p: ModelParams) -> int:
     return math.ceil(4.0 * (p.g * math.sqrt(sz2) / p.omega) ** 2) + 10
 
 
+def _temple_bound(p: ModelParams, M: int, res: SpectrumResult, k: int) -> float:
+    """Kato-Temple bound on how far the k lowest levels of ``res``, the :func:`lowest_levels` solve at M, sit above the uncut model's.
+
+    Level E_i of block (s, r) (its label) has the block vector x, padded
+    with zeros past n = M.  In the uncut H its only residual is the
+    coupling out of the top level, rho_i = |g| sqrt(M + 1) ||m x(n = M)||,
+    with m the Sz value of each top-level row.  x comes from inverse
+    iteration on the rebuilt block, O(n b^2) with no eigensolve: one LAPACK
+    dgbtrf factor of H - (E_i - delta) I, delta = 1e-9 max(1, |E_i|), in
+    general band storage (kl = ku = b, the block's bandwidth), then two
+    dgbtrs solves from a vector of ones, normalised after each.  gap_i is
+    the next level of the same block in ``res``, or the highest level of
+    ``res`` where the block has none there (a lower value).  Temple's bound
+    (Proc. R. Soc. A 119, 276 (1928); Kato, J. Phys. Soc. Jpn. 4, 334
+    (1949)) then puts the uncut level within rho_i^2 / gap_i below E_i,
+    provided gap_i is no more than the exact next level's distance.  The
+    computed next level is only an upper bound on the exact one (Cauchy
+    interlacing), so the bound is stated, not proved.  Returns
+    max_i rho_i^2 / gap_i plus :func:`resolution_floor` of E0, the float64
+    rounding of the levels themselves; inf where some rho_i >= gap_i, where
+    a factor is singular, and on the g = 0 and v = 0 lines, whose blocks
+    (s, 0) are solved as pieces the labels do not name.  Odd-N mirrors,
+    label (1, 0), share their original's bound and are skipped.
+    """
+    if p.g == 0 or p.v == 0:
+        return math.inf
+    e, labels = res.eigenvalues, res.labels
+    blocks: dict[tuple[int, int], tuple] = {}
+    bound = 0.0
+    for i in range(min(k, e.size)):
+        label, E = labels[i], float(e[i])
+        if label == (1, 0):
+            continue
+        above = next((j for j in range(i + 1, e.size) if labels[j] == label), -1)
+        gap = float(e[above]) - E
+        if label not in blocks:
+            blocks[label] = symmetry_block(p, M, *label), symmetry_block_basis(p, M, *label)
+        ab, (n, col) = blocks[label]
+        b, dim = ab.shape[0] - 1, ab.shape[1]
+        gb = np.zeros((3 * b + 1, dim), order="F")  # H[i, j] at row 2b + i - j; rows < b take the fill-in
+        gb[2 * b :] = ab
+        gb[2 * b] -= E - 1e-9 * max(1.0, abs(E))
+        for d in range(1, b + 1):
+            gb[2 * b - d, d:] = ab[d, : dim - d]
+        lu, piv, info = lapack.dgbtrf(gb, b, b, overwrite_ab=1)
+        if info:
+            return math.inf
+        x = np.ones((dim, 1))
+        for _ in range(2):
+            x, _ = lapack.dgbtrs(lu, b, b, x, piv, overwrite_b=1)
+            x /= np.linalg.norm(x)
+        top = n == M
+        rho = abs(p.g) * math.sqrt(M + 1) * float(np.linalg.norm((col[top] - p.S) * x[top, 0]))
+        if not rho < gap:
+            return math.inf
+        bound = max(bound, rho**2 / gap)
+    return bound + resolution_floor(float(e[0]))
+
+
 def converge_cutoff(
     p: ModelParams,
     tol: float = 1e-10,
@@ -272,14 +336,22 @@ def converge_cutoff(
     options: SolverOptions | None = None,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> ConvergenceReport:
-    """Double the Fock cutoff until the lowest k eigenvalues stop moving.
+    """Double the Fock cutoff until the lowest k levels are accepted, on a bound or on a comparison.
 
-    M is accepted once the eigenvalues at M and at 2M agree within tol;
-    the accepted (smaller) M is returned with the full history and with
-    the :func:`lowest_levels` solve at M (max(k, 3, options.k) levels), so
+    After each solve at M the levels are first compared with those at
+    M / 2, and M / 2 is accepted once they agree within tol.  Otherwise
+    M itself is accepted when :func:`_temple_bound`, computed from the M
+    solve alone, is below tol; that bound is stated, not proved (it takes
+    the computed next level of each block for the exact one), and the
+    doubling stays the fallback.  So the search never solves more cutoffs
+    than doubling alone, and a certified M* needs no solve at 2M*, nor
+    dim(2M*) <= max_dim.  The accepted M is returned with the full history
+    (which ends at M* where the bound accepted it, at 2M* where the
+    comparison did), the bound (NaN for a comparison) and the
+    :func:`lowest_levels` solve at M* (max(k, 3, options.k) levels), so
     callers need not solve again.  Each solve after the first takes the
     previous E0 as its shift hint: by Cauchy interlacing E0(2M) <= E0(M).
-    Breaching max_dim before convergence raises a ResourceError carrying
+    Breaching max_dim before acceptance raises a ResourceError carrying
     the history.
     """
     if not 0 < tol < math.inf:
@@ -313,6 +385,16 @@ def converge_cutoff(
                     tol=tol,
                     spectrum=prev,
                 )
+        bound = _temple_bound(p, M, res, k)
+        if bound < tol:
+            return ConvergenceReport(
+                M_star=M,
+                history=tuple(history),
+                converged=res.converged,
+                tol=tol,
+                spectrum=res,
+                bound=bound,
+            )
         prev, prev_M = res, M
         M *= 2
 

@@ -75,10 +75,10 @@ def test_spectrum_spin_only_reports_tridiagonal_solver(tmp_path, capsys):
 
 
 def test_spectrum_charges_the_dimension_budget(tmp_path, capsys):
-    # N = 3, g = 0.3 solves at M = 11 and M = 22: the cutoff search costs 140
+    # N = 3, g = 1.0 solves at M = 19 and M = 38: the cutoff search costs 236
     cfg = tmp_path / "budget.cfg"
     cfg.write_text(
-        "[model]\nN_list = 3\nomega = 1\ng_list = 0.3\nv_list = 1\n"
+        "[model]\nN_list = 3\nomega = 1\ng_list = 1.0\nv_list = 1\n"
         "[engine]\nmode = full\nbudget_dim_total = 100\n"
     )
     assert main(["spectrum", str(cfg)]) == 2
@@ -210,8 +210,8 @@ def _budget_cfg(tmp_path, g_list, budget, mode="full"):
 
 
 def test_convergence_charges_the_dimension_budget(tmp_path, capsys):
-    # the config of test_spectrum_charges_the_dimension_budget: the search costs 140
-    assert main(["convergence", _budget_cfg(tmp_path, "0.3", 100)]) == 2
+    # the config of test_spectrum_charges_the_dimension_budget: the search costs 236
+    assert main(["convergence", _budget_cfg(tmp_path, "1.0", 100)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -220,15 +220,26 @@ def test_convergence_charges_the_dimension_budget(tmp_path, capsys):
 
 
 def test_convergence_shares_one_budget_across_points(tmp_path, capsys):
-    # each point's search costs 140, so a budget of 200 covers the first only
-    assert main(["convergence", _budget_cfg(tmp_path, "0.3", 10_000)]) == 0
+    # the searches cost 236 (g = 1.0: M = 19, 38) and 248 (g = 1.01: M = 20,
+    # 40), so a budget of 300 covers the first only
+    assert main(["convergence", _budget_cfg(tmp_path, "1.0", 10_000)]) == 0
     first = capsys.readouterr().out
-    assert main(["convergence", _budget_cfg(tmp_path, "0.3, 0.31", 10_000)]) == 0
+    assert main(["convergence", _budget_cfg(tmp_path, "1.0, 1.01", 10_000)]) == 0
     assert capsys.readouterr().out.startswith(first)
-    assert main(["convergence", _budget_cfg(tmp_path, "0.3, 0.31", 200)]) == 2
+    assert main(["convergence", _budget_cfg(tmp_path, "1.0, 1.01", 300)]) == 2
     captured = capsys.readouterr()
     assert captured.out == first
-    assert captured.err == "error: global dimension budget exceeded (280 > 200)\n"
+    assert captured.err == "error: global dimension budget exceeded (484 > 300)\n"
+
+
+def test_convergence_prints_the_certified_bound(tmp_path, capsys):
+    # g = 0.3 is certified at its first cutoff; g = 1.0 is accepted by comparison
+    assert main(["convergence", _budget_cfg(tmp_path, "0.3, 1.0", 10_000)]) == 0
+    tails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("# M_star=")]
+    certified, compared = (line.split() for line in tails)
+    assert certified[1:3] == ["M_star=11", "converged=true"]
+    assert certified[3].startswith("bound=") and 0 < float(certified[3][6:]) < 1e-10
+    assert compared[1:] == ["M_star=19", "converged=true", "bound=nan"]
 
 
 def test_convergence_runs_the_full_search_in_spin_only_mode(tmp_path, capsys):
@@ -359,8 +370,8 @@ def test_sweep_budget_breach_flushes_partial_rows(tmp_path, capsys):
     out = tmp_path / "partial.csv"
     cfg = tmp_path / "budget.cfg"
     cfg.write_text(
-        f"[model]\nN_list = 3\nomega = 1\ng_list = 0.3, 0.31, 0.32\nv_list = 1\n"
-        f"[engine]\nmode = full\nbudget_dim_total = 200\n"
+        f"[model]\nN_list = 3\nomega = 1\ng_list = 1.0, 1.01, 1.02\nv_list = 1\n"
+        f"[engine]\nmode = full\nbudget_dim_total = 300\n"
         f"[outputs]\npath = {out}\n"
     )
     assert main(["sweep", str(cfg), "--workers", "1"]) == 2

@@ -144,14 +144,19 @@ def test_converge_decoupled_boson_immediate():
 
 
 def test_converge_history_doubles():
-    p = ModelParams(N=3, omega=1.0, g=0.3, v=1.0)
-    rep = converge_cutoff(p, 1e-10)
-    assert rep.converged
-    Ms = [h[0] for h in rep.history]
-    assert Ms[0] == initial_cutoff(p)
-    for a, b in zip(Ms, Ms[1:]):
-        assert b == 2 * a
-    assert rep.M_star == Ms[-2]
+    # g = 0.3 is certified at its first cutoff, 11; g = 1.0 solves 19 and 38
+    # and accepts 19 by comparison
+    for g, certified in ((0.3, True), (1.0, False)):
+        p = ModelParams(N=3, omega=1.0, g=g, v=1.0)
+        rep = converge_cutoff(p, 1e-10)
+        assert rep.converged
+        Ms = [h[0] for h in rep.history]
+        assert Ms[0] == initial_cutoff(p)
+        for a, b in zip(Ms, Ms[1:]):
+            assert b == 2 * a
+        assert math.isnan(rep.bound) != certified
+        assert rep.M_star == (Ms[-1] if certified else Ms[-2])
+        assert len(Ms) == (1 if certified else 2)
 
 
 def test_converge_strong_displacement_grows():
@@ -619,3 +624,80 @@ def test_search_shift_hint_keeps_every_cutoff(monkeypatch):
             assert [h[0] for h in rep.history] == [h[0] for h in ref.history], (N, r)
             e, e_ref = rep.spectrum.eigenvalues, ref.spectrum.eigenvalues
             assert np.max(np.abs(e - e_ref)) <= 1e-12 * abs(e_ref[0]), (N, r)
+
+
+# N = 1..24 at nine ratios u/v (g = 0 the first), plus the v = 0 line
+CERTIFY_RATIOS = (0.0, 0.2, 0.5, 0.8, 0.9, 0.95, 0.99, 1.0, 1.5)
+
+
+@pytest.mark.parametrize("N", range(1, 25))
+def test_certified_search_accepts_what_the_doubling_alone_accepts(N, monkeypatch):
+    # the doubling alone is the search with no bound; the bound may only cut
+    # it short, at the cutoff the comparison accepts, and must hold at 2M*
+    points = [ModelParams(N=N, omega=1.0, g=float(np.sqrt(r)), v=1.0) for r in CERTIFY_RATIOS]
+    points.append(ModelParams(N=N, omega=1.0, g=float(np.sqrt(0.5)), v=0.0))
+    tried = tried_ref = 0
+    for p in points:
+        rep = converge_cutoff(p, 1e-10)
+        with monkeypatch.context() as m:
+            m.setattr(diagnostics, "_temple_bound", lambda *args: math.inf)
+            ref = converge_cutoff(p, 1e-10)
+        assert rep.M_star == ref.M_star, p
+        assert np.array_equal(rep.spectrum.eigenvalues, ref.spectrum.eigenvalues), p
+        assert rep.spectrum.labels == ref.spectrum.labels, p
+        assert rep.history == ref.history[: len(rep.history)], p
+        tried, tried_ref = tried + len(rep.history), tried_ref + len(ref.history)
+        if math.isnan(rep.bound):
+            continue
+        assert p.g != 0 and p.v != 0, p  # the split lines keep the doubling
+        assert rep.history[-1][0] == rep.M_star and ref.history[-1][0] == 2 * rep.M_star, p
+        moved = np.max(np.abs(np.array(ref.history[-1][1:]) - rep.spectrum.eigenvalues[:3]))
+        assert moved <= rep.bound < 1e-10, (p, moved, rep.bound)
+    assert tried < tried_ref
+
+
+def _padded_residual_bound(p, M, k=3):
+    """max_i ||r_i||^2 / gap_i + resolution_floor(E0) of lowest_levels at M, with r_i from the uncut H.
+
+    Each flat-basis vector is padded with the level n = M + 1, the only one
+    the uncut H reaches from n <= M, and r_i = (H - E_i) x_i there; gap_i as
+    in _temple_bound.  Computed for every level, odd-N mirrors included.
+    """
+    res = lowest_levels(p, M, 6, want_vectors=True)
+    X = np.zeros(((M + 2) * (p.N + 1), res.eigenvectors.shape[1]))
+    X[: res.eigenvectors.shape[0]] = res.eigenvectors
+    e, labels = res.eigenvalues, res.labels
+    rho = np.linalg.norm(build_full_hamiltonian(p, M + 1) @ X - X * e, axis=0)
+    bound = 0.0
+    for i in range(k):
+        later = [j for j in range(i + 1, e.size) if labels[j] == labels[i]]
+        gap = e[later[0] if later else -1] - e[i]
+        if rho[i] >= gap:
+            return math.inf
+        bound = max(bound, rho[i] ** 2 / gap)
+    return bound + diagnostics.resolution_floor(e[0])
+
+
+@pytest.mark.parametrize("N", [2, 3, 6, 9, 12, 13])
+def test_temple_bound_is_that_of_the_padded_vectors_residual(N):
+    # at half the start cutoff the photon tail is far above the float64 floor
+    for r in (0.2, 0.5, 0.9, 1.5):
+        p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(r)), v=1.0)
+        M = initial_cutoff(p) // 2
+        got = diagnostics._temple_bound(p, M, lowest_levels(p, M, 6), 3)
+        want = _padded_residual_bound(p, M)
+        if math.isinf(want):
+            assert math.isinf(got), (p, got)
+        else:
+            assert want > 1e3 * diagnostics.resolution_floor(-p.u * p.S**2), p
+            assert got == pytest.approx(want, rel=1e-6), p
+
+
+def test_certified_cutoff_needs_no_room_for_twice_its_dimension():
+    # N = 3, g = 0.3 is certified at M = 11 (48 rows); g = 1.0 is accepted
+    # at M = 19 (80 rows) by comparison with M = 38 (156 rows)
+    certified = converge_cutoff(ModelParams(N=3, omega=1.0, g=0.3, v=1.0), 1e-10, max_dim=60)
+    assert certified.M_star == 11 and certified.bound < 1e-10
+    with pytest.raises(ResourceError) as err:
+        converge_cutoff(ModelParams(N=3, omega=1.0, g=1.0, v=1.0), 1e-10, max_dim=100)
+    assert [h[0] for h in err.value.history] == [19]

@@ -225,16 +225,18 @@ def test_global_budget_aborts_with_partial_rows():
 
 
 def test_budget_charges_every_cutoff_search_solve():
-    # N = 3, g = 0.3 solves at M = 11 and M = 22 and accepts M* = 11: the
-    # search costs 12*4 + 23*4 = 140, the accepted cutoff alone 48
+    # N = 3, g = 1.0 solves at M = 19 and M = 38 and accepts M* = 19: the
+    # search costs 20*4 + 39*4 = 236, the accepted cutoff alone 80
     text = (
-        "[model]\nN_list = 3\nomega = 1\ng_list = 0.3\nv_list = 1\n"
+        "[model]\nN_list = 3\nomega = 1\ng_list = {g}\nv_list = 1\n"
         "[engine]\nmode = full\nbudget_dim_total = {limit}\n"
     )
-    assert run_sweep(parse_config(text.format(limit=140)))[0].M_star == 11
+    assert run_sweep(parse_config(text.format(g=1.0, limit=236)))[0].M_star == 19
     with pytest.raises(SweepAborted) as err:
-        run_sweep(parse_config(text.format(limit=100)))
+        run_sweep(parse_config(text.format(g=1.0, limit=200)))
     assert err.value.rows == []
+    # g = 0.3 is certified at M = 11 without a solve at 22: it costs 12*4 = 48
+    assert run_sweep(parse_config(text.format(g=0.3, limit=48)))[0].M_star == 11
 
 
 def test_emit_csv_exact_header_and_digits(tmp_path):
