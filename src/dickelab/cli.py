@@ -54,7 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--workers",
         type=int,
-        help="accepted for compatibility; has no effect (sweep points run serially)",
+        default=1,
+        help="evaluate grid points in up to N processes (capped at the points and usable CPUs, "
+        "forked only for a grid that takes long enough; the tables do not depend on it)",
     )
     sweep.add_argument(
         "--timing",
@@ -114,7 +116,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     try:
-        rows = run_sweep(cfg)
+        rows = run_sweep(cfg, args.workers)
     except SweepAborted as exc:
         if exc.rows:
             written = emit_results(

@@ -436,18 +436,24 @@ def spin_model_spectrum(p: ModelParams, k: int | None = None) -> np.ndarray:
     odd-N doublets are exact by construction.  For even N the m -> -m
     exchange J maps each sector onto itself, so the four blocks are the J
     halves of the two sectors (:func:`~dickelab.model.spin_sector_halves`),
-    each about N/4 rows, all solved by dsterf: for 6 levels, bisection
-    beats it only above about 85-95 rows a half (N near 340-380, 2-vCPU
-    Xeon VM, OpenBLAS on one thread).
+    each about N/4 rows, joined into one tridiagonal matrix with a zero
+    coupling between halves.  Its k lowest levels come from one dstebz
+    call: for 6 levels a call took 0.21-0.28 ms against 0.65-0.68 ms with
+    dsterf on each half at N = 298, and 0.09-0.14 against 0.16 ms at
+    N = 100 (2-vCPU Xeon VM, OpenBLAS on one thread).  All of them come
+    from dsterf, which splits the matrix at the zero couplings.
     """
     if k is not None and k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     if p.N % 2:
         half = None if k is None else -(-k // 2)
         return np.repeat(_spin_sector_levels(p, 0, half), 2)[:k]
-    halves = [half for s in (0, 1) for half in spin_sector_halves(p, s, p.u)]
-    levels = np.concatenate([_tridiagonal_levels(diag, off) for _, diag, off in halves])
-    return np.sort(levels)[:k]
+    halves = [
+        (diag, off) for s in (0, 1) for _, diag, off in spin_sector_halves(p, s, p.u) if diag.size
+    ]
+    diag = np.concatenate([diag for diag, _ in halves])
+    off = np.concatenate([np.append(off, 0.0) for _, off in halves])[:-1]
+    return _tridiagonal_levels(diag, off, k)
 
 
 def spin_ladder_levels(p: ModelParams, n: int) -> np.ndarray:

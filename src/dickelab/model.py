@@ -436,8 +436,8 @@ def polaron_spin_hamiltonian(p: ModelParams) -> np.ndarray:
     This dense (N+1) x (N+1) matrix is the reference that tests check
     against; :func:`~dickelab.diagnostics.spin_model_spectrum` computes the
     spectrum from tridiagonal symmetry blocks without building it: one
-    parity sector at odd N, its lowest levels by LAPACK dstebz bisection,
-    and the four J halves of the two sectors at even N, by dsterf.
+    parity sector at odd N and the four J halves of the two sectors at
+    even N, their lowest levels by LAPACK dstebz bisection.
     """
     spin = collective_spin_matrices(p.S)
     return -p.u * (spin.sz @ spin.sz) - p.v * (spin.sx @ spin.sx)

@@ -1,16 +1,21 @@
 """Parameter-sweep engine: config parsing, grid execution, table emission.
 
 A sweep evaluates the grid N_list x g_list x v_list (or one circuit-derived
-point) one point after another, and renders the rows to CSV or JSON lines
-with 17-significant-digit numbers so the files round-trip 64-bit floats
-losslessly.  Grid order is deterministic.
+point), optionally shared among forked worker processes, and renders the
+rows in grid order to CSV or JSON lines with 17-significant-digit numbers
+so the files round-trip 64-bit floats losslessly.  Grid order is
+deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+import signal
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -36,6 +41,13 @@ CSV_HEADER = (
     "converged,wall_time_seconds"
 )
 EMIT_CHOICES = ("spectrum", "splitting", "degeneracy", "landscape", "scaling-fit")
+
+# A forked sweep first runs points serially and forks its workers only once
+# the mean time of the points done projects the rest of the grid above this
+# many seconds.  A fork costs 10-15 ms of CPU on a 2-vCPU VM, mostly
+# copy-on-write page faults in both processes, so on a grid of about 25 ms
+# (the full-parity benchmark) forking made the sweep up to 17 % slower.
+FORK_WORTH_S = 0.2
 
 _MODEL_KEYS = ("N_list", "omega", "g_list", "v_list", "circuit_file")
 _ENGINE_KEYS = ("mode", "k", "tol", "seed", "max_dim", "budget_dim_total")
@@ -251,14 +263,19 @@ def parse_config(text: str) -> SweepConfig:
 
 
 class Budget:
-    """Cumulative dimension budget of one command's points (a sweep, spectrum or convergence)."""
+    """Cumulative dimension budget of one command's points (a sweep, spectrum or convergence).
+
+    ``refused`` is the charge that breached it, None until one does.
+    """
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
+        self.refused: int | None = None
 
     def charge(self, amount: int) -> None:
         if self.used + amount > self.limit:
+            self.refused = amount
             raise SweepAborted(
                 f"global dimension budget exceeded ({self.used + amount} > {self.limit})"
             )
@@ -323,29 +340,188 @@ def evaluate_point(
     )
 
 
-def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """Evaluate every grid point in grid order, one after another.
+def _evaluate_share(
+    points: list[ModelParams], engine: EngineConfig, indices: Iterable[int]
+) -> dict[int, tuple[SweepRow | None, int]]:
+    """(row, budget charge) of the points ``indices`` names, taken in increasing order.
+
+    The share runs on a budget of its own and ends at its first breach
+    with (None, the refused charge).  A point's charge is the change in
+    ``budget.used`` across it; a point whose solve fails (``DickeLabError``,
+    ``numpy.linalg.LinAlgError``) gets a failed row.
+    """
+    budget = Budget(engine.budget_dim_total)
+    share: dict[int, tuple[SweepRow | None, int]] = {}
+    for i in indices:
+        used, t0 = budget.used, time.perf_counter()
+        try:
+            row = evaluate_point(points[i], engine, engine.seed + i, budget)
+        except SweepAborted:
+            share[i] = (None, budget.refused)
+            break
+        except (DickeLabError, np.linalg.LinAlgError):
+            row = _point_row(points[i], time.perf_counter() - t0)
+        share[i] = (row, budget.used - used)
+    return share
+
+
+def _claimed(counter: tuple[int, int], n: int) -> Iterator[int]:
+    """Indices below n from the counter pipe, each to whichever process sharing it asks first.
+
+    The pipe holds the next unclaimed index as 8 bytes, and only while no
+    process holds it: reading takes it, writing puts back its successor
+    (n stays n).  Writes of 8 bytes are atomic, so a read never splits one.
+    """
+    read_fd, write_fd = counter
+    while True:
+        i = int.from_bytes(os.read(read_fd, 8), "little")
+        os.write(write_fd, min(i + 1, n).to_bytes(8, "little"))
+        if i == n:
+            return
+        yield i
+
+
+def _parent_indices(
+    points: list[ModelParams], engine: EngineConfig, counter: tuple[int, int], workers: int,
+    forked: list,
+) -> Iterator[int]:
+    """The caller's points: grid order until the rest is worth a fork, then claimed.
+
+    After each point, the mean time per point so far projects the rest of
+    the grid; once that passes FORK_WORTH_S, the counter starts at the
+    next point and ``workers - 1`` workers fork (appended to ``forked``).
+    """
+    n, t0 = len(points), time.perf_counter()
+    for i in range(n):
+        yield i
+        if (time.perf_counter() - t0) / (i + 1) * (n - i - 1) > FORK_WORTH_S:
+            break
+    else:
+        return
+    os.write(counter[1], (i + 1).to_bytes(8, "little"))
+    for _ in range(1, workers):
+        forked.append(_fork_share(points, engine, counter))
+    yield from _claimed(counter, n)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fork_share(points: list[ModelParams], engine: EngineConfig, counter: tuple[int, int]):
+    """Evaluate claimed points in a forked worker; returns its pid and the read end of its pipe.
+
+    The worker sends ``(True, share)``, or ``(False, exception)`` for any
+    exception its share raises, pickled, and leaves through ``os._exit``:
+    it never flushes the parent's stdio buffers or runs its cleanup.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            payload = (True, _evaluate_share(points, engine, _claimed(counter, len(points))))
+        except BaseException as exc:  # KeyboardInterrupt too: the parent re-raises it
+            payload = (False, exc)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive_share(pipe) -> dict[int, tuple[SweepRow | None, int]]:
+    """A worker's share, read to the end of its pipe; a worker's exception is raised here."""
+    data = pipe.read()
+    if not data:
+        raise RuntimeError("a sweep worker exited without a result")
+    ok, share = pickle.loads(data)
+    if not ok:
+        raise share
+    return share
+
+
+def run_sweep(cfg: SweepConfig, workers: int = 1) -> list[SweepRow]:
+    """Evaluate every grid point and return the rows in grid order.
 
     Per-point failures are recorded in-row with converged=False.  A breach
     of the global dimension budget aborts the sweep with the completed
-    rows attached to the SweepAborted exception.  Points run serially: a
-    thread pool made sweeps slower (the evaluation is mostly Python under
-    the interpreter lock) and put waiting time into each row's
-    wall_time_seconds.
+    rows attached to the SweepAborted exception.
+
+    With W = min(workers, points, usable CPUs) above 1 (and ``os.fork``
+    available), the caller's process and W - 1 forked workers evaluate
+    the points, processes because the LAPACK calls hold the interpreter
+    lock and threads cannot overlap them.  The workers fork only once the
+    points done serially project the rest of the grid above FORK_WORTH_S
+    seconds, so a short sweep never forks.  From then on each process
+    takes the next unclaimed point from a counter shared through a pipe,
+    so points of unequal cost keep every process busy until the grid
+    runs out.  Seeds
+    stay ``engine.seed + i``, so the rows are those of a serial run.  Each
+    process charges a budget of its own and stops at its own first
+    breach; it takes its points in grid order, so its total never exceeds
+    the grid-order total, and a point it leaves after its breach lies past
+    the grid-order breach.  The charges are then replayed in grid order, which
+    gives the serial run's first breach, message and partial rows; the
+    work actually done before an abort is at most W x ``budget_dim_total``.
+    Any other exception in a worker is re-raised here.  When the parent or
+    a worker fails, the workers still running get SIGKILL; every worker is
+    reaped before this returns or raises.
+
+    dickelab starts no thread of its own, but a multithreaded BLAS does:
+    forking then relies on the BLAS's own fork handlers.  OpenBLAS, which
+    numpy wheels ship, has them (it stops its thread pool before a fork).
+    With a BLAS that lacks them, workers above 1 need a single-threaded
+    BLAS (``OPENBLAS_NUM_THREADS=1`` or its equivalent).
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     points = cfg.grid_points()
     if not points:
         raise ValidationError("sweep grid is empty")
+    W = min(workers, len(points), _usable_cpus()) if hasattr(os, "fork") else 1
+    if W == 1:
+        done = _evaluate_share(points, cfg.engine, range(len(points)))
+    else:
+        counter = os.pipe()
+        forked: list = []  # (pid, read end of its pipe) of each worker
+        try:
+            indices = _parent_indices(points, cfg.engine, counter, W, forked)
+            done = _evaluate_share(points, cfg.engine, indices)
+            for _, pipe in forked:
+                done.update(_receive_share(pipe))
+        except BaseException:
+            for pid, _ in forked:  # a worker may still be running
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for pid, pipe in forked:
+                pipe.close()
+                os.waitpid(pid, 0)
+            os.close(counter[0])
+            os.close(counter[1])
+
     budget = Budget(cfg.engine.budget_dim_total)
     rows: list[SweepRow] = []
-    for i, p in enumerate(points):
-        t0 = time.perf_counter()
+    for i in range(len(points)):
+        row, charge = done[i]
         try:
-            rows.append(evaluate_point(p, cfg.engine, cfg.engine.seed + i, budget))
+            budget.charge(charge)
         except SweepAborted as exc:
             raise SweepAborted(str(exc), rows=rows) from exc
-        except (DickeLabError, np.linalg.LinAlgError):
-            rows.append(_point_row(p, time.perf_counter() - t0))
+        rows.append(row)
     return rows
 
 
@@ -410,7 +586,8 @@ def write_landscape(
     """Write :func:`landscape_grid` as ``theta,phi,energy`` CSV with 17-digit numbers.
 
     Each distinct energy is formatted once.  Distinct means a distinct bit
-    pattern: 0.0 == -0.0, and a g = 0 grid prints -0 cells.
+    pattern: 0.0 == -0.0, and a g = 0 grid prints -0 cells.  The file is
+    written one theta row at a time, so the whole body is never held.
     """
     grid = landscape_grid(p, theta_points, phi_points)
     thetas = [_fmt_float(t) for t in grid[::phi_points, 0].tolist()]
@@ -419,10 +596,11 @@ def write_landscape(
     unique = keys.view(np.float64).tolist()
     cells = np.array(("%.17g\n" * len(unique) % tuple(unique)).split("\n")[:-1], dtype=object)
     energy_rows = cells[inverse].reshape(theta_points, phi_points).tolist()
-    # one %-template per theta row, "t,phi,%s\n" for every phi, fills in
-    # that row's formatted energies in a single call
-    body = "".join((t + t.join(tails)) % tuple(row) for t, row in zip(thetas, energy_rows))
-    Path(path).write_text("theta,phi,energy\n" + body, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("theta,phi,energy\n")
+        # one %-template per theta row, "t,phi,%s\n" for every phi, fills in
+        # that row's formatted energies in a single call
+        out.writelines((t + t.join(tails)) % tuple(row) for t, row in zip(thetas, energy_rows))
 
 
 def emit_results(

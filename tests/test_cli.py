@@ -359,6 +359,15 @@ def test_seed_override_changes_engine(cfg_file):
     assert out.read_bytes() == first  # same seed, any worker count: same bytes
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_workers_below_one(cfg_file, capsys, workers):
+    path, out = cfg_file
+    assert main(["sweep", str(path), "--workers", workers]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: workers must be >= 1, got {workers}\n"
+    assert not out.exists()
+
+
 def test_sweep_missing_output_path(tmp_path, capsys):
     cfg = tmp_path / "nopath.cfg"
     cfg.write_text("[model]\nN_list = 3\nomega = 1\ng_list = 0.3\nv_list = 1\n[engine]\nmode = spin-only\n")

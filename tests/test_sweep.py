@@ -1,6 +1,9 @@
 import json
 import math
+import os
+import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from dickelab import (
     run_sweep,
 )
 from dickelab.diagnostics import resolution_floor
+from dickelab.sweep import render_rows
 
 MINIMAL = """
 N_list = 3
@@ -544,3 +548,229 @@ def test_sweep_from_circuit_file(tmp_path):
     assert row.u < row.v  # deep two-well regime for these device values
     assert row.d == 0.0  # odd N: exact Kramers doublet of the spin model
     assert row.pairing_ok
+
+
+# ---------------------------------------------------------------- forked workers
+
+WORKER_GRIDS = {
+    "spin-only": SPIN_EVEN.replace("N_list = 4, 6, 8", "N_list = 2, 3, 4, 5, 6, 7, 8, 9, 40, 41")
+    .replace("[outputs]", "[outputs]\nemit = splitting, degeneracy, spectrum"),
+    "full even and odd N": FULL_ARPACK.replace("N_list = 10, 11", "N_list = 6, 7, 10, 11"),
+    "a failing point": (
+        "[model]\nN_list = 1, 7, 2, 3, 8\nomega = 1\ng_list = 0.5\nv_list = 0.5\n"
+        "[engine]\nmode = full\nk = 3\nmax_dim = 120\n"
+        "[outputs]\npath = rows.csv\nemit = splitting, degeneracy, spectrum\n"
+    ),
+}
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    # the workers fork after the first point, and W = 3 really runs three
+    # processes on a machine with fewer CPUs
+    monkeypatch.setattr(sweep, "FORK_WORTH_S", 0.0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+
+@pytest.mark.parametrize("grid", WORKER_GRIDS)
+def test_workers_give_the_same_bytes(tmp_path, forking, grid):
+    blobs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}.csv"
+        cfg = parse_config(WORKER_GRIDS[grid].replace("path = rows.csv", f"path = {out}"))
+        rows = run_sweep(cfg, workers)
+        _no_child_left()
+        if grid == "a failing point":
+            assert [row.converged for row in rows] == [True, False, True, True, False]
+        blobs.append([path.read_bytes() for path in emit_results(rows, cfg)])
+    assert len(blobs[0]) == 2  # the table and the .spectrum.csv
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+@pytest.mark.parametrize(
+    "text, n_rows, message",
+    [
+        # spin-only charges N + 1: 11, 21, 31, 41, 51 against 70 breaks at the
+        # fourth point, which a share of W = 2 or 3 reaches under its own budget
+        (
+            "[model]\nN_list = 10, 20, 30, 40, 50\nomega = 1\ng_list = 0.5\nv_list = 1\n"
+            "[engine]\nmode = spin-only\nbudget_dim_total = 70\n",
+            3,
+            "(104 > 70)",
+        ),
+        # full mode charges every cutoff solve: 236 at g = 1.0, 248 at g = 1.01
+        (
+            "[model]\nN_list = 3\nomega = 1\ng_list = 1.0, 1.01, 1.02, 0.3\nv_list = 1\n"
+            "[engine]\nmode = full\nbudget_dim_total = 300\n",
+            1,
+            "(484 > 300)",
+        ),
+    ],
+)
+def test_budget_breach_is_the_same_at_every_worker_count(forking, text, n_rows, message):
+    partial = []
+    for workers in (1, 2, 3):
+        with pytest.raises(SweepAborted) as err:
+            run_sweep(parse_config(text), workers)
+        _no_child_left()
+        assert str(err.value) == f"global dimension budget exceeded {message}"
+        assert len(err.value.rows) == n_rows
+        partial.append(
+            render_rows([replace(row, wall_time_seconds=0.0) for row in err.value.rows], "csv")
+        )
+    assert partial[0] == partial[1] == partial[2]
+
+
+@pytest.mark.parametrize("exc_type", [ValueError, KeyboardInterrupt])
+def test_worker_exception_reaches_the_parent(tmp_path, monkeypatch, forking, exc_type):
+    parent = os.getpid()
+    evaluate = sweep.evaluate_point
+    failed = tmp_path / "failed"
+
+    def fail_in_worker(p, *args):
+        if os.getpid() != parent:
+            failed.touch()
+            raise exc_type(f"worker failed at N = {p.N}")
+        deadline = time.monotonic() + 30
+        while p.N != 4 and not failed.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)  # after the fork, leave the worker a point
+        return evaluate(p, *args)
+
+    monkeypatch.setattr(sweep, "evaluate_point", fail_in_worker)
+    with pytest.raises(exc_type, match="worker failed at N = [68]$"):
+        run_sweep(parse_config(SPIN_EVEN), 2)
+    _no_child_left()
+
+
+def test_a_slow_point_does_not_hold_up_the_others(monkeypatch, forking):
+    # after the fork the points go to whichever process is free, not to fixed
+    # shares: while the parent sleeps on its next point, the worker takes the rest
+    parent = os.getpid()
+    evaluate = sweep.evaluate_point
+
+    def slow_second_point_in_parent(p, engine, seed, budget):
+        row = evaluate(p, engine, seed, budget)
+        if os.getpid() != parent:
+            return replace(row, wall_time_seconds=0.0)
+        if p.N != 2 and not slept:
+            slept.append(p.N)
+            time.sleep(1.0)
+        return replace(row, wall_time_seconds=1.0)
+
+    slept = []
+    monkeypatch.setattr(sweep, "evaluate_point", slow_second_point_in_parent)
+    cfg = parse_config(SPIN_EVEN.replace("N_list = 4, 6, 8", "N_list = 2, 3, 4, 5, 6, 7, 8, 9"))
+    rows = run_sweep(cfg, 2)
+    _no_child_left()
+    assert [row.N for row in rows] == list(range(2, 10))
+    assert [row.N for row in rows if row.wall_time_seconds] == [2] + slept
+
+
+def test_a_failing_parent_kills_and_reaps_its_workers(monkeypatch, forking):
+    parent = os.getpid()
+    evaluate = sweep.evaluate_point
+
+    def slow_in_worker_failing_in_parent(p, *args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        if p.N == 4:  # the point before the fork
+            return evaluate(p, *args)
+        raise ValueError("parent failed")
+
+    monkeypatch.setattr(sweep, "evaluate_point", slow_in_worker_failing_in_parent)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="parent failed"):
+        run_sweep(parse_config(SPIN_EVEN), 2)
+    assert time.perf_counter() - t0 < 30
+    _no_child_left()
+
+
+@pytest.mark.parametrize("point_s, forks", [(0.0, 0), (0.15, 1)])
+def test_workers_fork_only_for_a_grid_worth_it(monkeypatch, point_s, forks):
+    # three points: after the first, the other two project 2 x point_s of work
+    # against FORK_WORTH_S = 0.2 s
+    calls = []
+    real_fork, evaluate = os.fork, sweep.evaluate_point
+
+    def counted_fork():
+        calls.append(1)
+        return real_fork()
+
+    def timed(p, *args):
+        time.sleep(point_s)
+        return evaluate(p, *args)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sweep, "evaluate_point", timed)
+    rows = run_sweep(parse_config(SPIN_EVEN), 2)
+    _no_child_left()
+    assert [row.N for row in rows] == [4, 6, 8]
+    assert len(calls) == forks
+
+
+def test_workers_never_flush_the_parents_stdio(tmp_path, monkeypatch, forking):
+    path = tmp_path / "stdout.txt"
+    with open(path, "w", encoding="utf-8") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        out.write("written once\n")  # still in the buffer when the workers fork
+        run_sweep(parse_config(SPIN_EVEN), 2)
+    _no_child_left()
+    assert path.read_text(encoding="utf-8") == "written once\n"
+
+
+def test_each_point_keeps_its_seed_at_every_worker_count(monkeypatch, forking):
+    evaluate = sweep.evaluate_point
+
+    def record_seed(p, engine, seed, budget):
+        return replace(evaluate(p, engine, seed, budget), wall_time_seconds=float(seed))
+
+    monkeypatch.setattr(sweep, "evaluate_point", record_seed)
+    cfg = parse_config(SPIN_EVEN.replace("seed = 0", "seed = 5"))
+    for workers in (1, 2, 3):
+        assert [row.wall_time_seconds for row in run_sweep(cfg, workers)] == [5.0, 6.0, 7.0]
+        _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "workers, n_points, cpus, forks",
+    [(8, 3, 64, 2), (8, 5, 2, 1), (2, 5, 64, 1), (1, 5, 64, 0), (8, 1, 64, 0), (8, 5, None, 2)],
+)
+def test_worker_count_is_capped_by_points_and_cpus(monkeypatch, workers, n_points, cpus, forks, forking):
+    calls = []
+    real_fork = os.fork
+
+    def counted_fork():
+        calls.append(1)
+        if len(calls) > forks:  # never fork past the expected count
+            raise OSError("more workers than the cap allows")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    if cpus is None:  # no affinity call: fall back to os.cpu_count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    n_list = ", ".join(str(N) for N in range(4, 4 + n_points))
+    rows = run_sweep(parse_config(SPIN_EVEN.replace("N_list = 4, 6, 8", f"N_list = {n_list}")), workers)
+    assert len(rows) == n_points
+    assert len(calls) == forks
+    _no_child_left()
+
+
+def test_sweep_runs_serially_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    rows = run_sweep(parse_config(SPIN_EVEN), 4)
+    assert [row.N for row in rows] == [4, 6, 8]
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_run_sweep_rejects_workers_below_one(workers):
+    with pytest.raises(ValidationError, match="workers must be >= 1"):
+        run_sweep(parse_config(SPIN_EVEN), workers)
