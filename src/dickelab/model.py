@@ -22,6 +22,10 @@ about half the rows and half the bandwidth of a sector.
 :func:`symmetry_block` builds every block of H as a band array: the
 (s, +/-1) blocks from those halves, and a whole sector, at any N, as the
 block (s, 0).
+
+The whole truncated H (:func:`build_full_hamiltonian`) and the joint
+parity (:func:`symmetry_operator`) are ``scipy.sparse.csr_array``
+references that tests check the blocks against; no solve builds them.
 """
 
 from __future__ import annotations
@@ -112,58 +116,16 @@ class BasisIndex:
         return n, col - self.N / 2
 
 
-class SparseOperator:
-    """Real-symmetric sparse operator with both triangles stored.
-
-    Duplicate (row, col) entries are summed during assembly, so the
-    canonical storage has none; products act as the full symmetric matrix.
-    """
-
-    def __init__(self, dim: int, rows, cols, vals):
-        if dim < 1:
-            raise ValidationError(f"dim must be >= 1, got {dim}")
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if rows.size and (rows.min() < 0 or rows.max() >= dim or cols.min() < 0 or cols.max() >= dim):
-            raise ValidationError("entry index outside [0, dim)")
-        coo = sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim))
-        coo.sum_duplicates()
-        self._csr = coo.tocsr()
-        self.dim = dim
-
-    @classmethod
-    def from_scipy(cls, mat) -> "SparseOperator":
-        coo = sparse.coo_matrix(mat)
-        return cls(coo.shape[0], coo.row, coo.col, coo.data)
-
-    def matmat(self, X: np.ndarray) -> np.ndarray:
-        return self._csr @ X
-
-    def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
-
-    def to_csr(self):
-        return self._csr
-
-    def coo_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        coo = self._csr.tocoo()
-        return coo.row, coo.col, coo.data
-
-    def frobenius_norm(self) -> float:
-        return float(np.sqrt(np.sum(self._csr.data**2)))
-
-    def is_symmetric(self) -> bool:
-        diff = self._csr - self._csr.T
-        return diff.nnz == 0 or not np.any(diff.data)
-
-    def __matmul__(self, other):
-        if isinstance(other, SparseOperator):
-            return self._csr @ other._csr
-        return self._csr @ other
-
-    def __rmatmul__(self, other):
-        return other @ self._csr
+def SparseOperator(dim: int, rows, cols, vals) -> sparse.csr_array:
+    """The dim x dim CSR array with entries vals at (rows, cols); duplicate entries are summed."""
+    if dim < 1:
+        raise ValidationError(f"dim must be >= 1, got {dim}")
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if rows.size and (rows.min() < 0 or rows.max() >= dim or cols.min() < 0 or cols.max() >= dim):
+        raise ValidationError("entry index outside [0, dim)")
+    vals = np.asarray(vals, dtype=np.float64)
+    return sparse.coo_array((vals, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -212,7 +174,7 @@ def _estimate_nonzeros(N: int, M: int, g: float, v: float) -> int:
 
 def build_full_hamiltonian(
     p: ModelParams, M: int, max_nonzeros: int = DEFAULT_MAX_NONZEROS
-) -> SparseOperator:
+) -> sparse.csr_array:
     """Assemble H = omega a^dag a + g (a^dag + a) Sz - v Sx^2, truncated at n <= M.
 
     Couplings to n > M are dropped.  Nonzero pattern: the diagonal, the
@@ -453,7 +415,7 @@ class ParityOperator:
     commutators and eigenvalue-pairing checks.
     """
 
-    op: SparseOperator
+    op: sparse.csr_array
     phase: complex
     spin_sign: int = 1
 

@@ -10,8 +10,8 @@ of the lowest level when there is one (the cutoff search passes the
 previous cutoff's E0), else below the Gershgorin bound.
 :func:`dense_spectrum` and :func:`lanczos_lowest` (block Lanczos with full
 reorthogonalization, whose block size >= 2 keeps degenerate doublets)
-remain as references; they take a ``SparseOperator``, a scipy sparse
-matrix or a dense array, converted once by :func:`as_matrix`.
+remain as references; they take a scipy sparse matrix or a dense
+array, converted once by :func:`as_matrix`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .errors import ResourceError, ValidationError
-from .model import SparseOperator
 
 DEFAULT_DENSE_THRESHOLD = 4000  # dense_spectrum's guard: larger matrices need override=True
 DENSE_SOLVE_MAX_DIM = 400
@@ -64,17 +63,14 @@ near 350-400, so one constant of 400 still serves both kinds of block.
 class SolverOptions:
     """Knobs for the iterative solver; defaults suit the model's spectra.
 
-    residual_tol and block_size apply to block Lanczos only; residual_tol
-    is relative to the Frobenius norm of the operator.  max_iterations
-    caps Lanczos block steps (default 10 * dim) and ARPACK restarts
-    (ARPACK's default when None).  Which solver :func:`solve_lowest` runs
-    is not an option: it follows ``DENSE_SOLVE_MAX_DIM``.
+    max_iterations caps Lanczos block steps (default 10 * dim) and ARPACK
+    restarts (ARPACK's default when None).  Which solver
+    :func:`solve_lowest` runs is not an option: it follows
+    ``DENSE_SOLVE_MAX_DIM``.
     """
 
     k: int = 6
-    residual_tol: float = 1e-10
     max_iterations: int | None = None
-    block_size: int = 4
     seed: int = 0
 
     def __post_init__(self):
@@ -109,14 +105,12 @@ class SpectrumResult:
 
 
 def as_matrix(H):
-    """H as a scipy CSR matrix (from a SparseOperator or any scipy sparse matrix) or a float ndarray.
+    """H as a scipy CSR matrix (from any scipy sparse matrix) or a float ndarray.
 
     Every solver entry point converts its operator here, once; a dense
     array stays dense.  Raises ValidationError unless H is square.
     """
-    if isinstance(H, SparseOperator):
-        A = H.to_csr()
-    elif scipy.sparse.issparse(H):
+    if scipy.sparse.issparse(H):
         A = H.tocsr()
     else:
         A = np.asarray(H, dtype=float)
@@ -178,7 +172,8 @@ def _orthonormal_block(
 
 
 def lanczos_lowest(
-    H, opts: SolverOptions | None = None, *, want_vectors: bool = True
+    H, opts: SolverOptions | None = None, *, want_vectors: bool = True,
+    residual_tol: float = 1e-10, block_size: int = 4,
 ) -> SpectrumResult:
     """Lowest-k eigenpairs via block Lanczos with full reorthogonalization.
 
@@ -189,23 +184,25 @@ def lanczos_lowest(
     Rank-deficient blocks are refilled with fresh random directions, so
     the basis keeps expanding until the spectrum resolves or the space
     saturates.  Non-convergence within the iteration budget returns
-    converged=False with the best residuals.
+    converged=False with the best residuals.  residual_tol is relative to
+    the Frobenius norm of H; block_size, at least 2, is the width of each
+    Krylov block.
     """
     if opts is None:
         opts = SolverOptions()
     H = as_matrix(H)
     dim = H.shape[0]
     opts.validate(dim)
-    if opts.block_size < 2:
-        raise ValidationError(f"block_size must be >= 2, got {opts.block_size}")
+    if block_size < 2:
+        raise ValidationError(f"block_size must be >= 2, got {block_size}")
     k = opts.k
     rng = np.random.default_rng(opts.seed)
     scale = frobenius_norm(H) or 1.0
-    tol_abs = opts.residual_tol * scale
+    tol_abs = residual_tol * scale
     breakdown = 1e-13 * scale
     max_iter = opts.max_iterations if opts.max_iterations is not None else 10 * dim
 
-    b = min(opts.block_size, dim)
+    b = min(block_size, dim)
     blocks = [_orthonormal_block(rng, dim, b, against=None)]
     Qmat = blocks[0]
     A_blocks: list[np.ndarray] = []

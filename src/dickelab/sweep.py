@@ -443,10 +443,14 @@ def _fork_share(points: list[ModelParams], engine: EngineConfig, counter: tuple[
 
 
 def _receive_share(pipe) -> dict[int, tuple[SweepRow | None, int]]:
-    """A worker's share, read to the end of its pipe; a worker's exception is raised here."""
+    """A worker's share, read to the end of its pipe; a worker's exception is raised here.
+
+    A worker that dies before it sends anything raises ChildProcessError,
+    an OSError, which the CLI reports as a run error (exit 2).
+    """
     data = pipe.read()
     if not data:
-        raise RuntimeError("a sweep worker exited without a result")
+        raise ChildProcessError("a sweep worker exited without a result")
     ok, share = pickle.loads(data)
     if not ok:
         raise share

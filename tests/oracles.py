@@ -6,6 +6,7 @@ the two is a real cross-check.
 """
 
 import numpy as np
+import scipy.sparse
 
 
 def dense_spin_xz(N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -55,11 +56,11 @@ def random_sparse_symmetric(rng: np.random.Generator, dim: int, density: float =
 
 
 def lower_band(A) -> np.ndarray:
-    """Lower band storage ab[i, c] = A[c + i, c] of a symmetric dense array or SparseOperator.
+    """Lower band storage ab[i, c] = A[c + i, c] of a symmetric dense or scipy sparse array.
 
     The bandwidth is the largest i - c of a nonzero entry.
     """
-    A = np.asarray(A.to_dense() if hasattr(A, "to_dense") else A, dtype=float)
+    A = np.asarray(A.toarray() if scipy.sparse.issparse(A) else A, dtype=float)
     rows, cols = np.nonzero(np.tril(A))
     width = int(np.max(rows - cols, initial=0))
     return np.array([np.pad(np.diagonal(A, -i), (0, i)) for i in range(width + 1)])

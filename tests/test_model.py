@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from dickelab import (
     BasisIndex,
     ModelParams,
     ResourceError,
+    SparseOperator,
     ValidationError,
     build_full_hamiltonian,
     collective_spin_matrices,
@@ -93,18 +95,34 @@ def test_basis_index_rejects_out_of_range():
 
 def test_free_boson_idle_spin_diagonal():
     p = ModelParams(N=1, omega=1.0, g=0.0, v=0.0)
-    H = build_full_hamiltonian(p, 2).to_dense()
+    H = build_full_hamiltonian(p, 2).toarray()
     np.testing.assert_array_equal(H, np.diag([0.0, 0.0, 1.0, 1.0, 2.0, 2.0]))
+
+
+def test_sparse_operator_sums_duplicates_into_a_csr_array():
+    A = SparseOperator(3, [0, 2, 0, 1], [1, 2, 1, 1], [1.5, -2.0, 0.5, 4.0])
+    assert isinstance(A, scipy.sparse.csr_array) and A.shape == (3, 3)
+    np.testing.assert_array_equal(A.toarray(), [[0.0, 2.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, -2.0]])
+    assert A.nnz == 3
+
+
+@pytest.mark.parametrize(
+    "dim, rows, cols",
+    [(3, [0, -1], [0, 1]), (3, [0, 1], [0, -1]), (3, [0, 3], [0, 1]), (3, [0, 1], [3, 1]), (0, [], [])],
+)
+def test_sparse_operator_rejects_indices_outside_the_dimension(dim, rows, cols):
+    with pytest.raises(ValidationError):
+        SparseOperator(dim, rows, cols, np.ones(len(rows)))
 
 
 def test_total_dimension():
     p = ModelParams(N=2, omega=1.0, g=0.1, v=0.05)
-    assert build_full_hamiltonian(p, 3).dim == 12
+    assert build_full_hamiltonian(p, 3).shape[0] == 12
 
 
 def test_kronecker_oracle_single_point():
     p = ModelParams(N=2, omega=1.0, g=0.1, v=0.05)
-    H = build_full_hamiltonian(p, 1).to_dense()
+    H = build_full_hamiltonian(p, 1).toarray()
     ref = dense_hamiltonian(2, 1.0, 0.1, 0.05, 1)
     np.testing.assert_allclose(H, ref, atol=1e-14)
 
@@ -113,7 +131,7 @@ def test_kronecker_oracle_grid():
     for N in (1, 2, 3):
         for M in (0, 1, 2, 3):
             p = ModelParams(N=N, omega=0.8, g=0.37, v=0.61)
-            H = build_full_hamiltonian(p, M).to_dense()
+            H = build_full_hamiltonian(p, M).toarray()
             ref = dense_hamiltonian(N, 0.8, 0.37, 0.61, M)
             assert np.max(np.abs(H - ref)) < 1e-14
 
@@ -121,8 +139,8 @@ def test_kronecker_oracle_grid():
 def test_hermiticity_is_bitwise():
     p = ModelParams(N=3, omega=1.3, g=0.45, v=0.9)
     H = build_full_hamiltonian(p, 12)
-    assert H.is_symmetric()
-    dense = H.to_dense()
+    assert (H - H.T).count_nonzero() == 0
+    dense = H.toarray()
     np.testing.assert_array_equal(dense, dense.T)
 
 
@@ -131,7 +149,8 @@ def test_block_structure():
     M = 6
     H = build_full_hamiltonian(p, M)
     basis = BasisIndex(p.N, M)
-    rows, cols, vals = H.coo_entries()
+    coo = H.tocoo()
+    (rows, cols), vals = coo.coords, coo.data
     for r, c, val in zip(rows, cols, vals):
         if val == 0:
             continue
@@ -153,7 +172,7 @@ def test_sector_hamiltonian_is_the_parity_block_of_full_h(N):
     for g, v in ((0.0, 1.0), (0.7, 0.0), (0.7, 1.0)):
         for M in (0, 1, 7):
             p = ModelParams(N=N, omega=1.0, g=g, v=v)
-            full = build_full_hamiltonian(p, M).to_dense()
+            full = build_full_hamiltonian(p, M).toarray()
             tol = 4 * np.finfo(float).eps * np.max(np.abs(full))
             parity = np.arange(full.shape[0]) % (N + 1) % 2
             for s in (0, 1):
@@ -237,7 +256,7 @@ def test_symmetry_block_is_the_r_projected_parity_block_of_full_h(N):
     for g, v in ((0.7, 1.0), (0.3, 2.5), (0.0, 1.0), (0.7, 0.0)):
         for M in (0, 1, 2, 5, 8):
             p = ModelParams(N=N, omega=1.3, g=g, v=v)
-            full = build_full_hamiltonian(p, M).to_dense()
+            full = build_full_hamiltonian(p, M).toarray()
             tol = 4 * np.finfo(float).eps * np.max(np.abs(full))
             parity = np.arange(full.shape[0]) % (N + 1) % 2
             columns = []
@@ -335,7 +354,7 @@ def test_polaron_spin_half_is_scalar():
 
 def test_polaron_ground_energy_identity_at_g_zero():
     p = ModelParams(N=3, omega=1.0, g=0.0, v=0.8)
-    full = np.linalg.eigvalsh(build_full_hamiltonian(p, 6).to_dense())
+    full = np.linalg.eigvalsh(build_full_hamiltonian(p, 6).toarray())
     spin = np.linalg.eigvalsh(polaron_spin_hamiltonian(p))
     assert abs(full[0] - spin[0]) < 1e-13
 
@@ -344,7 +363,7 @@ def test_parity_boson_factor():
     # boson blocks carry (-1)^n = (+1, -1, +1) over n = 0, 1, 2
     p = ModelParams(N=1, omega=1.0, g=0.1, v=0.0)
     R = symmetry_operator(p, 2)
-    dense = R.op.to_dense()
+    dense = R.op.toarray()
     exchange = np.fliplr(np.eye(2))
     for n, expected in enumerate([1.0, -1.0, 1.0]):
         block = dense[2 * n : 2 * n + 2, 2 * n : 2 * n + 2]
@@ -358,7 +377,7 @@ def test_parity_spin_eigenvalues_integer_spin():
     assert R.phase == 1.0
     spin = collective_spin_matrices(1.0)
     w, U = np.linalg.eigh(spin.sx)  # ascending: m_x = -1, 0, +1
-    Rm = R.op.to_dense()
+    Rm = R.op.toarray()
     for col, expected in ((2, -1.0), (1, 1.0), (0, -1.0)):
         vec = U[:, col]
         np.testing.assert_allclose(Rm @ vec, expected * vec, atol=1e-12)
@@ -369,14 +388,14 @@ def test_parity_phase_half_integer():
     R = symmetry_operator(p, 1)
     assert R.phase == -1j
     # the real part squares to the identity (signed exchange)
-    dense = R.op.to_dense()
+    dense = R.op.toarray()
     np.testing.assert_allclose(dense @ dense, np.eye(dense.shape[0]), atol=1e-15)
 
 
 def test_parity_commutes_with_hamiltonian():
     p = ModelParams(N=3, omega=1.0, g=np.sqrt(0.2), v=1.0)
     M = 20
-    H = build_full_hamiltonian(p, M).to_dense()
-    R = symmetry_operator(p, M).op.to_dense()
+    H = build_full_hamiltonian(p, M).toarray()
+    R = symmetry_operator(p, M).op.toarray()
     comm = np.linalg.norm(H @ R - R @ H)
     assert comm <= 1e-12 * np.linalg.norm(H)

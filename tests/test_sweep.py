@@ -19,6 +19,7 @@ from dickelab import (
     parse_config,
     run_sweep,
 )
+from dickelab.cli import main
 from dickelab.diagnostics import resolution_floor
 from dickelab.sweep import render_rows
 
@@ -688,6 +689,29 @@ def test_a_failing_parent_kills_and_reaps_its_workers(monkeypatch, forking):
         run_sweep(parse_config(SPIN_EVEN), 2)
     assert time.perf_counter() - t0 < 30
     _no_child_left()
+
+
+def test_a_dead_worker_is_a_run_error(tmp_path, monkeypatch, capsys, forking):
+    # a worker that exits without sending its share is an OSError: the CLI
+    # prints one error line and exits 2, the code of a run error
+    parent = os.getpid()
+    evaluate = sweep.evaluate_point
+
+    def die_in_worker(p, *args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return evaluate(p, *args)
+
+    monkeypatch.setattr(sweep, "evaluate_point", die_in_worker)
+    with pytest.raises(ChildProcessError, match="exited without a result"):
+        run_sweep(parse_config(SPIN_EVEN), 2)
+    _no_child_left()
+
+    path = tmp_path / "sweep.ini"
+    path.write_text(SPIN_EVEN.replace("path = rows.csv", f"path = {tmp_path / 'rows.csv'}"))
+    assert main(["sweep", str(path), "--workers", "2"]) == 2
+    _no_child_left()
+    assert capsys.readouterr().err == "error: a sweep worker exited without a result\n"
 
 
 @pytest.mark.parametrize("point_s, forks", [(0.0, 0), (0.15, 1)])
