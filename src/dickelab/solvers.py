@@ -9,9 +9,9 @@ through a banded Cholesky factor, shifted just below a caller's estimate
 of the lowest level when there is one (the cutoff search passes the
 previous cutoff's E0), else below the Gershgorin bound.
 :func:`dense_spectrum` and :func:`lanczos_lowest` (block Lanczos with full
-reorthogonalization, whose block size >= 2 keeps degenerate doublets)
-remain as references; they take a scipy sparse matrix or a dense
-array, converted once by :func:`as_matrix`.
+reorthogonalization, run as Rayleigh-Ritz on its orthogonal block Krylov
+basis) remain as references; they take a scipy sparse matrix or a dense
+array, converted once by :func:`as_matrix`, and always return vectors.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ import scipy.sparse.linalg
 
 from .errors import ResourceError, ValidationError
 
-DEFAULT_DENSE_THRESHOLD = 4000  # dense_spectrum's guard: larger matrices need override=True
+DEFAULT_DENSE_THRESHOLD = 4000  # dense_spectrum's guard: larger matrices need a larger dense_threshold
+LANCZOS_BLOCK = 4  # lanczos_lowest's block width; >= 2 keeps degenerate doublets
+LANCZOS_RESIDUAL_TOL = 1e-10  # lanczos_lowest's residual tolerance, relative to ||H||_F
 DENSE_SOLVE_MAX_DIM = 400
 """Path choice, not a guard: :func:`solve_lowest` runs ``eig_banded`` up to this many rows, ARPACK above.
 
@@ -61,12 +63,13 @@ near 350-400, so one constant of 400 still serves both kinds of block.
 
 @dataclass
 class SolverOptions:
-    """Knobs for the iterative solver; defaults suit the model's spectra.
+    """How many levels to solve for, the iteration budget and the start-vector seed.
 
     max_iterations caps Lanczos block steps (default 10 * dim) and ARPACK
     restarts (ARPACK's default when None).  Which solver
     :func:`solve_lowest` runs is not an option: it follows
-    ``DENSE_SOLVE_MAX_DIM``.
+    ``DENSE_SOLVE_MAX_DIM``; Lanczos's block width and residual tolerance
+    are the constants ``LANCZOS_BLOCK`` and ``LANCZOS_RESIDUAL_TOL``.
     """
 
     k: int = 6
@@ -124,164 +127,95 @@ def frobenius_norm(A) -> float:
     return float(np.linalg.norm(A.data if scipy.sparse.issparse(A) else A))
 
 
-def dense_spectrum(
-    H,
-    k: int,
-    *,
-    dense_threshold: int = DEFAULT_DENSE_THRESHOLD,
-    override: bool = False,
-    want_vectors: bool = True,
-) -> SpectrumResult:
-    """First k eigenpairs from a full symmetric eigendecomposition."""
+def dense_spectrum(H, k: int, *, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -> SpectrumResult:
+    """First k eigenpairs from a full symmetric eigendecomposition, refused above dense_threshold rows."""
     A = as_matrix(H)
     if scipy.sparse.issparse(A):
         A = A.toarray()
     dim = A.shape[0]
     if k < 1 or k > dim:
         raise ValidationError(f"k must be in [1, {dim}], got {k}")
-    if dim > dense_threshold and not override:
-        raise ResourceError(
-            f"dense path refused: dim {dim} > threshold {dense_threshold} (pass override)"
-        )
-    if want_vectors:
-        evals, evecs = scipy.linalg.eigh(A, subset_by_index=(0, k - 1))
-        residuals = np.linalg.norm(A @ evecs - evecs * evals, axis=0)
-    else:
-        evals = scipy.linalg.eigh(A, subset_by_index=(0, k - 1), eigvals_only=True)
-        evecs = None
-        residuals = np.zeros(k)
+    if dim > dense_threshold:
+        raise ResourceError(f"dense path refused: dim {dim} > threshold {dense_threshold}")
+    evals, evecs = scipy.linalg.eigh(A, subset_by_index=(0, k - 1))
     return SpectrumResult(
         eigenvalues=np.asarray(evals),
         eigenvectors=evecs,
         solver="dense",
         iterations=0,
-        residual_norms=residuals,
+        residual_norms=np.linalg.norm(A @ evecs - evecs * evals, axis=0),
         converged=True,
     )
 
 
-def _orthonormal_block(
-    rng: np.random.Generator, dim: int, width: int, against: np.ndarray | None
-) -> np.ndarray:
-    X = rng.standard_normal((dim, width))
+def _orthonormal_block(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The columns of X made orthonormal and orthogonal to Q's orthonormal columns (two passes)."""
     for _ in range(2):
-        if against is not None and against.size:
-            X -= against @ (against.T @ X)
-        X, _ = np.linalg.qr(X)
+        X, _ = np.linalg.qr(X - Q @ (Q.T @ X))
     return X
 
 
-def lanczos_lowest(
-    H, opts: SolverOptions | None = None, *, want_vectors: bool = True,
-    residual_tol: float = 1e-10, block_size: int = 4,
-) -> SpectrumResult:
+def lanczos_lowest(H, opts: SolverOptions | None = None) -> SpectrumResult:
     """Lowest-k eigenpairs via block Lanczos with full reorthogonalization.
 
-    The Krylov basis is grown block by block from a seeded random start;
-    every step the block-tridiagonal projection is diagonalized and
-    convergence is declared on residual norms of the k lowest Ritz pairs
-    (never on Ritz-value stagnation, which false-positives on clusters).
-    Rank-deficient blocks are refilled with fresh random directions, so
-    the basis keeps expanding until the spectrum resolves or the space
-    saturates.  Non-convergence within the iteration budget returns
-    converged=False with the best residuals.  residual_tol is relative to
-    the Frobenius norm of H; block_size, at least 2, is the width of each
-    Krylov block.
+    Under full reorthogonalization block Lanczos is Rayleigh-Ritz on the
+    block Krylov space, so that is how it runs: from a seeded random start
+    of ``LANCZOS_BLOCK`` columns (at least 2, so degenerate doublets stay),
+    each step multiplies the newest block by H, orthogonalizes it twice
+    against the whole basis Q and appends it, and diagonalizes the grown
+    projection T = Q^T H Q.  A column that falls inside span(Q) is refilled
+    with a fresh random direction, so the basis keeps expanding until the k
+    lowest Ritz pairs have residuals <= ``LANCZOS_RESIDUAL_TOL`` times the
+    Frobenius norm of H or Q fills the space (never on Ritz-value
+    stagnation, which false-positives on clusters).  max_iterations caps
+    the block steps but is checked only once k Ritz pairs exist; running
+    out returns converged=False with the best residuals.
     """
     if opts is None:
         opts = SolverOptions()
     H = as_matrix(H)
     dim = H.shape[0]
     opts.validate(dim)
-    if block_size < 2:
-        raise ValidationError(f"block_size must be >= 2, got {block_size}")
     k = opts.k
     rng = np.random.default_rng(opts.seed)
     scale = frobenius_norm(H) or 1.0
-    tol_abs = residual_tol * scale
-    breakdown = 1e-13 * scale
+    tol_abs = LANCZOS_RESIDUAL_TOL * scale
     max_iter = opts.max_iterations if opts.max_iterations is not None else 10 * dim
 
-    b = min(block_size, dim)
-    blocks = [_orthonormal_block(rng, dim, b, against=None)]
-    Qmat = blocks[0]
-    A_blocks: list[np.ndarray] = []
-    B_blocks: list[np.ndarray] = []
+    Q, T = np.zeros((dim, 0)), np.zeros((0, 0))
+    X = _orthonormal_block(rng.standard_normal((dim, min(LANCZOS_BLOCK, dim))), Q)
     iterations = 0
-
-    def projection() -> np.ndarray:
-        total = sum(blk.shape[1] for blk in blocks[: len(A_blocks)])
-        T = np.zeros((total, total))
-        off = 0
-        for j, Aj in enumerate(A_blocks):
-            w = Aj.shape[0]
-            T[off : off + w, off : off + w] = Aj
-            if j < len(B_blocks):
-                nxt = B_blocks[j].shape[0]
-                T[off + w : off + w + nxt, off : off + w] = B_blocks[j]
-                T[off : off + w, off + w : off + w + nxt] = B_blocks[j].T
-            off += w
-        return T
-
     while True:
         iterations += 1
-        Qj = blocks[-1]
-        W = H @ Qj
-        if B_blocks:
-            W = W - blocks[-2] @ B_blocks[-1].T
-        Aj = Qj.T @ W
-        Aj = 0.5 * (Aj + Aj.T)
-        A_blocks.append(Aj)
-        W = W - Qj @ Aj
+        HX = H @ X
+        C, D = Q.T @ HX, X.T @ HX
+        T = np.block([[T, C], [C.T, 0.5 * (D + D.T)]])
+        Q = np.hstack([Q, X])
+        room = dim - Q.shape[1]
+        if Q.shape[1] >= k:  # always so once Q fills the space, as k <= dim
+            theta, S = np.linalg.eigh(T)
+            theta, vectors = theta[:k], Q @ S[:, :k]
+            resid = np.linalg.norm(H @ vectors - vectors * theta, axis=0)
+            if room == 0 or np.all(resid <= tol_abs) or iterations >= max_iter:
+                break
+        W = HX
         for _ in range(2):
-            W = W - Qmat @ (Qmat.T @ W)
+            W = W - Q @ (Q.T @ W)
+        X, R = np.linalg.qr(W)
+        width = min(X.shape[1], room)
+        X = X[:, :width]
+        weak = np.abs(np.diag(R)[:width]) <= 1e-13 * scale
+        if np.any(weak):  # directions inside span(Q): refill them at random
+            X[:, weak] = rng.standard_normal((dim, int(weak.sum())))
+            X = _orthonormal_block(X, Q)
 
-        used = Qmat.shape[1]
-        room = dim - used
-        if room == 0:
-            break
-
-        width = min(Qj.shape[1], room)
-        Qn, R = np.linalg.qr(W)
-        Qn = Qn[:, :width].copy()
-        R = R[:width, :].copy()
-        weak = np.abs(np.diag(R)[:width]) <= breakdown
-        if np.any(weak):
-            # locked directions: refill with random vectors, drop their recurrence rows
-            R[weak, :] = 0.0
-            fresh = _orthonormal_block(
-                rng, dim, int(weak.sum()), against=np.hstack([Qmat, Qn[:, ~weak]])
-            )
-            Qn[:, weak] = fresh
-
-        T = projection()
-        theta, Svec = np.linalg.eigh(T)
-        if T.shape[0] >= k:
-            bottom = Svec[-Qj.shape[1] :, :k]
-            res = np.linalg.norm(R @ bottom, axis=0)
-            if np.all(res <= tol_abs):
-                break
-            if iterations >= max_iter:  # budget bounds convergence effort only
-                break
-
-        B_blocks.append(R)
-        blocks.append(Qn)
-        Qmat = np.hstack([Qmat, Qn])
-
-    T = projection()
-    theta, Svec = np.linalg.eigh(T)
-    n_out = min(k, T.shape[0])
-    vectors = Qmat @ Svec[:, :n_out]
-    ritz = theta[:n_out]
-    resid = np.linalg.norm(H @ vectors - vectors * ritz, axis=0)
-    converged = bool(n_out == k and np.all(resid <= tol_abs))
     return SpectrumResult(
-        eigenvalues=ritz,
-        eigenvectors=vectors if want_vectors else None,
+        eigenvalues=theta,
+        eigenvectors=vectors,
         solver="lanczos",
         iterations=iterations,
         residual_norms=resid,
-        converged=converged,
+        converged=bool(np.all(resid <= tol_abs)),
     )
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .circuit import derive_model_params, read_device_file
 from .diagnostics import (
+    DEFAULT_MAX_DIM,
     ConvergenceReport,
     converge_cutoff,
     degeneracy_classes,
@@ -69,7 +70,7 @@ class EngineConfig:
     k: int = 6
     tol: float = 1e-10
     seed: int = 0
-    max_dim: int = 200_000
+    max_dim: int = DEFAULT_MAX_DIM
     budget_dim_total: int = 5_000_000
 
 
@@ -244,6 +245,14 @@ def parse_config(text: str) -> SweepConfig:
 
     if "splitting" in outputs.emit and engine.k < 3:
         raise ConfigError("k must be >= 3 when splitting is requested", engine_sec["k"][1])
+
+    if "landscape" in outputs.emit and model.circuit_file is None:
+        n_points = len(model.N_list) * len(model.g_list) * len(model.v_list)
+        if n_points != 1:  # fail here, before any solve, as for scaling-fit
+            raise ConfigError(
+                f"landscape emit needs a single grid point, config has {n_points}",
+                line=out_sec["emit"][1],
+            )
 
     if "scaling-fit" in outputs.emit:
         # the fit needs 3 even-N rows: a grid without them fails here, before any solve

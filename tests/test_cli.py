@@ -332,6 +332,20 @@ def test_scaling_fit_without_three_even_points_fails_before_any_solve(
     assert not rows.exists()
 
 
+def test_landscape_on_a_multi_point_grid_fails_before_any_table(tmp_path, capsys):
+    rows = tmp_path / "rows.csv"
+    cfg = tmp_path / "multi.cfg"
+    cfg.write_text(
+        "[model]\nN_list = 4, 5\nomega = 1\ng_list = 0.3\nv_list = 1\n"
+        f"[engine]\nmode = spin-only\n[outputs]\npath = {rows}\nemit = landscape\n"
+    )
+    assert main(["sweep", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 10: landscape emit needs a single grid point, config has 2\n"
+    )
+    assert not rows.exists()
+
+
 def test_spectrum_rejects_multi_point_config(tmp_path, capsys):
     cfg = tmp_path / "multi.cfg"
     cfg.write_text(

@@ -41,7 +41,7 @@ def test_dense_threshold_and_override():
     H = np.diag(np.arange(10.0))
     with pytest.raises(ResourceError):
         dense_spectrum(H, 2, dense_threshold=5)
-    res = dense_spectrum(H, 2, dense_threshold=5, override=True)
+    res = dense_spectrum(H, 2, dense_threshold=10)
     np.testing.assert_allclose(res.eigenvalues, [0.0, 1.0], atol=1e-14)
 
 
@@ -109,9 +109,15 @@ def test_lanczos_k_exceeds_dim():
         lanczos_lowest(np.eye(3), SolverOptions(k=4))
 
 
-def test_block_size_floor():
-    with pytest.raises(ValidationError):
-        lanczos_lowest(np.eye(8), SolverOptions(k=2), block_size=1)
+def test_lanczos_refills_a_closed_krylov_space():
+    # H = diag(0, 0, 1 x 98) is a projector, so the Krylov space of a
+    # 4-column start X is span{X, HX}, 6-dimensional: H X adds two new
+    # directions, the other two columns of the next block are refilled at
+    # random, and without them the 1-levels would never be found
+    H = np.diag([0.0, 0.0] + [1.0] * 98)
+    res = lanczos_lowest(H, SolverOptions(k=6, seed=0))
+    assert res.converged
+    np.testing.assert_allclose(res.eigenvalues, [0, 0, 1, 1, 1, 1], atol=1e-10)
 
 
 def test_lanczos_random_oracle_agreement():
@@ -240,7 +246,7 @@ def test_eigsh_iterations_count_inverse_applications(monkeypatch):
     res = solve_lowest(H, SolverOptions(k=6, seed=1))
     assert res.solver == "eigsh" and res.converged
     assert res.iterations == len(calls) > 0
-    ref = dense_spectrum(dense_from_band(H), 6, override=True).eigenvalues
+    ref = dense_spectrum(dense_from_band(H), 6).eigenvalues
     assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12 * abs(ref[0])
 
 

@@ -416,15 +416,16 @@ def test_landscape_writer_keys_energies_by_bit_pattern(tmp_path, monkeypatch):
 
 def test_emit_landscape_requires_single_point(tmp_path):
     out = tmp_path / "rows.csv"
-    cfg = parse_config(
-        SPIN_EVEN.replace("path = rows.csv", f"path = {out}").replace(
-            "[outputs]", "[outputs]\nemit = landscape"
-        )
-    )
-    rows = run_sweep(cfg)
-    with pytest.raises(Exception) as err:
-        emit_results(rows, cfg)
-    assert "single grid point" in str(err.value)
+    text = SPIN_EVEN.replace("path = rows.csv", f"path = {out}")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.replace("[outputs]", "[outputs]\nemit = landscape"))
+    assert "landscape emit needs a single grid point, config has 3" in str(err.value)
+    assert err.value.line == text.splitlines().index("[outputs]") + 2
+    # a config built in code skips parse_config; emit_results checks it too
+    cfg = parse_config(text)
+    cfg = replace(cfg, outputs=replace(cfg.outputs, emit=("landscape",)))
+    with pytest.raises(ValidationError, match="single grid point"):
+        emit_results(run_sweep(cfg), cfg)
 
 
 def test_emit_landscape_grid(tmp_path):
