@@ -29,7 +29,6 @@ from .diagnostics import (
     oracle_spectrum_equivalence,
     splitting_and_gap,
     spin_model_spectrum,
-    symmetry_commutator_norm,
 )
 from .errors import (
     ConfigError,
@@ -39,15 +38,17 @@ from .errors import (
     SweepAborted,
     ValidationError,
 )
-from .model import (
-    BasisIndex,
-    ModelParams,
+from .model import ModelParams
+from .reference import (
     ParityOperator,
     SparseOperator,
     SpinOperatorSet,
     build_full_hamiltonian,
     collective_spin_matrices,
+    dense_spectrum,
+    lanczos_lowest,
     polaron_spin_hamiltonian,
+    symmetry_commutator_norm,
     symmetry_operator,
 )
 from .semiclassics import (
@@ -61,13 +62,7 @@ from .semiclassics import (
     splitting_scaling_fit,
     surface_gradient,
 )
-from .solvers import (
-    SolverOptions,
-    SpectrumResult,
-    dense_spectrum,
-    lanczos_lowest,
-    solve_lowest,
-)
+from .solvers import SolverOptions, SpectrumResult, solve_lowest
 from .sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -80,7 +75,6 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisIndex",
     "CSV_HEADER",
     "CatOverlap",
     "CircuitParams",

@@ -16,16 +16,8 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import ResourceError, ValidationError
-from .model import (
-    ModelParams,
-    ParityOperator,
-    collective_spin_matrices,
-    spin_sector,
-    spin_sector_halves,
-    symmetry_block,
-    symmetry_block_basis,
-)
-from .solvers import SolverOptions, SpectrumResult, as_matrix, frobenius_norm, solve_lowest
+from .model import ModelParams, spin_sector, spin_sector_halves, symmetry_block, symmetry_block_basis
+from .solvers import SolverOptions, SpectrumResult, solve_lowest
 
 _NEG_CLIP = 1e-12
 DEFAULT_MAX_DIM = 200_000
@@ -94,19 +86,6 @@ def degeneracy_classes(eigs, cluster_tol: float) -> DegeneracyReport:
     )
 
 
-def symmetry_commutator_norm(H, R) -> float:
-    """||HR - RH||_F / ||H||_F for same-dimension operators."""
-    if isinstance(R, ParityOperator):
-        R = R.op
-    A, B = as_matrix(H), as_matrix(R)
-    if A.shape != B.shape:
-        raise ValidationError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    den = frobenius_norm(A)
-    if den == 0:
-        return 0.0
-    return frobenius_norm(A @ B - B @ A) / den
-
-
 def _sector_pieces(ab: np.ndarray) -> list[tuple[slice, np.ndarray]]:
     """(rows, band array) of each uncoupled piece of a sector, the block (s, 0), by first row.
 
@@ -139,7 +118,7 @@ def _embed_block(p: ModelParams, M: int, s: int, r: int, rows, X: np.ndarray) ->
 
 
 def _odd_mirror(p: ModelParams, M: int, V: np.ndarray) -> np.ndarray:
-    """R V for flat-basis vectors V at odd N, R the joint parity of :func:`~dickelab.model.symmetry_operator`.
+    """R V for flat-basis vectors V at odd N, R the joint parity of :func:`~dickelab.reference.symmetry_operator`.
 
     R is a signed index flip: row n (N + 1) + col goes to n (N + 1) + N - col,
     with sign (-1)^(S - 1/2) (-1)^n.
@@ -428,7 +407,7 @@ def spin_model_spectrum(p: ModelParams, k: int | None = None) -> np.ndarray:
     """The k lowest eigenvalues (all N+1 where k is None) of the spin model -u Sz^2 - v Sx^2, ascending.
 
     The model conserves (-1)^(m+S), so it is solved as tridiagonal blocks
-    (:func:`polaron_spin_hamiltonian` stays the dense reference), and a
+    (``reference.polaron_spin_hamiltonian`` is the dense reference), and a
     k above N + 1 gives all N + 1 levels.  For odd N the joint parity
     maps one parity sector onto the other, so only m + S even is solved,
     its ceil(k/2) lowest levels by LAPACK dstebz bisection (dsterf where
@@ -518,7 +497,8 @@ def cat_overlap(ground_pair, p: ModelParams, M: int) -> CatOverlap:
 
     ground_pair: two orthonormal vectors in the (M, N) flat basis.  The
     references are the extreme Sx eigenstates with the cavity in vacuum,
-    so f_plus/f_minus approach 1 deep in the two-well regime.
+    in closed form <m|+/-Sx> = 2^-S (+/-1)^(S-m) sqrt(C(2S, S+m)), so
+    f_plus/f_minus approach 1 deep in the two-well regime.
     """
     x0, x1 = (np.asarray(v, dtype=float).ravel() for v in ground_pair)
     dim = (M + 1) * (p.N + 1)
@@ -530,17 +510,12 @@ def cat_overlap(ground_pair, p: ModelParams, M: int) -> CatOverlap:
     if abs(float(x0 @ x1)) > 1e-8:
         raise ValidationError("ground-pair vectors must be orthogonal")
 
-    spin = collective_spin_matrices(p.S)
-    _, U = np.linalg.eigh(spin.sx)
-    lo, hi = U[:, 0], U[:, -1]  # m_x = -S, +S
-    vac = np.zeros(M + 1)
-    vac[0] = 1.0
-    ref_plus = np.kron(vac, hi)
-    ref_minus = np.kron(vac, lo)
-    cat_p = (ref_plus + ref_minus) / np.sqrt(2.0)
-    cat_m = (ref_plus - ref_minus) / np.sqrt(2.0)
-    f_plus = float((x0 @ cat_p) ** 2 + (x1 @ cat_p) ** 2)
-    f_minus = float((x0 @ cat_m) ** 2 + (x1 @ cat_m) ** 2)
+    # both cats have entries sqrt(2) |<m|+Sx>|, the + cat where S - m is even
+    cat = np.sqrt([2 * math.comb(p.N, j) / 2**p.N for j in range(p.N + 1)])
+    even = (p.N - np.arange(p.N + 1)) % 2 == 0  # S - m, with column j = m + S
+    vac = np.stack([x0[: p.N + 1], x1[: p.N + 1]])  # the n = 0 components
+    f_plus = float(np.sum((vac[:, even] @ cat[even]) ** 2))
+    f_minus = float(np.sum((vac[:, ~even] @ cat[~even]) ** 2))
     return CatOverlap(f_plus=f_plus, f_minus=f_minus)
 
 

@@ -8,10 +8,6 @@ above with ARPACK (``scipy.sparse.linalg.eigsh``) in shift-invert mode
 through a banded Cholesky factor, shifted just below a caller's estimate
 of the lowest level when there is one (the cutoff search passes the
 previous cutoff's E0), else below the Gershgorin bound.
-:func:`dense_spectrum` and :func:`lanczos_lowest` (block Lanczos with full
-reorthogonalization, run as Rayleigh-Ritz on its orthogonal block Krylov
-basis) remain as references; they take a scipy sparse matrix or a dense
-array, converted once by :func:`as_matrix`, and always return vectors.
 """
 
 from __future__ import annotations
@@ -22,11 +18,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .errors import ResourceError, ValidationError
+from .errors import ValidationError
 
-DEFAULT_DENSE_THRESHOLD = 4000  # dense_spectrum's guard: larger matrices need a larger dense_threshold
-LANCZOS_BLOCK = 4  # lanczos_lowest's block width; >= 2 keeps degenerate doublets
-LANCZOS_RESIDUAL_TOL = 1e-10  # lanczos_lowest's residual tolerance, relative to ||H||_F
 DENSE_SOLVE_MAX_DIM = 400
 """Path choice, not a guard: :func:`solve_lowest` runs ``eig_banded`` up to this many rows, ARPACK above.
 
@@ -65,11 +58,10 @@ near 350-400, so one constant of 400 still serves both kinds of block.
 class SolverOptions:
     """How many levels to solve for, the iteration budget and the start-vector seed.
 
-    max_iterations caps Lanczos block steps (default 10 * dim) and ARPACK
-    restarts (ARPACK's default when None).  Which solver
+    max_iterations caps ARPACK restarts (ARPACK's default when None) and
+    the block steps of ``reference.lanczos_lowest``.  Which solver
     :func:`solve_lowest` runs is not an option: it follows
-    ``DENSE_SOLVE_MAX_DIM``; Lanczos's block width and residual tolerance
-    are the constants ``LANCZOS_BLOCK`` and ``LANCZOS_RESIDUAL_TOL``.
+    ``DENSE_SOLVE_MAX_DIM``.
     """
 
     k: int = 6
@@ -93,8 +85,8 @@ class SpectrumResult:
     (s, r): s the parity sector m + S = s (mod 2), and r the eigenvalue of
     R = (-1)^n J, J|m> = |-m>, or 0 where R is not resolved
     (``diagnostics.lowest_levels`` fills them in).  For odd S this r is
-    minus the eigenvalue of ``model.symmetry_operator``, which carries the
-    spin factor's sign (-1)^S: tables labelled by that operator show r
+    minus the eigenvalue of ``reference.symmetry_operator``, which carries
+    the spin factor's sign (-1)^S: tables labelled by that operator show r
     flipped at N = 14, 18, ....
     """
 
@@ -105,118 +97,6 @@ class SpectrumResult:
     residual_norms: np.ndarray = field(default_factory=lambda: np.zeros(0))
     converged: bool = True
     labels: tuple[tuple[int, int], ...] = ()
-
-
-def as_matrix(H):
-    """H as a scipy CSR matrix (from any scipy sparse matrix) or a float ndarray.
-
-    Every solver entry point converts its operator here, once; a dense
-    array stays dense.  Raises ValidationError unless H is square.
-    """
-    if scipy.sparse.issparse(H):
-        A = H.tocsr()
-    else:
-        A = np.asarray(H, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {A.shape}")
-    return A
-
-
-def frobenius_norm(A) -> float:
-    """Frobenius norm of a sparse or dense matrix."""
-    return float(np.linalg.norm(A.data if scipy.sparse.issparse(A) else A))
-
-
-def dense_spectrum(H, k: int, *, dense_threshold: int = DEFAULT_DENSE_THRESHOLD) -> SpectrumResult:
-    """First k eigenpairs from a full symmetric eigendecomposition, refused above dense_threshold rows."""
-    A = as_matrix(H)
-    if scipy.sparse.issparse(A):
-        A = A.toarray()
-    dim = A.shape[0]
-    if k < 1 or k > dim:
-        raise ValidationError(f"k must be in [1, {dim}], got {k}")
-    if dim > dense_threshold:
-        raise ResourceError(f"dense path refused: dim {dim} > threshold {dense_threshold}")
-    evals, evecs = scipy.linalg.eigh(A, subset_by_index=(0, k - 1))
-    return SpectrumResult(
-        eigenvalues=np.asarray(evals),
-        eigenvectors=evecs,
-        solver="dense",
-        iterations=0,
-        residual_norms=np.linalg.norm(A @ evecs - evecs * evals, axis=0),
-        converged=True,
-    )
-
-
-def _orthonormal_block(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """The columns of X made orthonormal and orthogonal to Q's orthonormal columns (two passes)."""
-    for _ in range(2):
-        X, _ = np.linalg.qr(X - Q @ (Q.T @ X))
-    return X
-
-
-def lanczos_lowest(H, opts: SolverOptions | None = None) -> SpectrumResult:
-    """Lowest-k eigenpairs via block Lanczos with full reorthogonalization.
-
-    Under full reorthogonalization block Lanczos is Rayleigh-Ritz on the
-    block Krylov space, so that is how it runs: from a seeded random start
-    of ``LANCZOS_BLOCK`` columns (at least 2, so degenerate doublets stay),
-    each step multiplies the newest block by H, orthogonalizes it twice
-    against the whole basis Q and appends it, and diagonalizes the grown
-    projection T = Q^T H Q.  A column that falls inside span(Q) is refilled
-    with a fresh random direction, so the basis keeps expanding until the k
-    lowest Ritz pairs have residuals <= ``LANCZOS_RESIDUAL_TOL`` times the
-    Frobenius norm of H or Q fills the space (never on Ritz-value
-    stagnation, which false-positives on clusters).  max_iterations caps
-    the block steps but is checked only once k Ritz pairs exist; running
-    out returns converged=False with the best residuals.
-    """
-    if opts is None:
-        opts = SolverOptions()
-    H = as_matrix(H)
-    dim = H.shape[0]
-    opts.validate(dim)
-    k = opts.k
-    rng = np.random.default_rng(opts.seed)
-    scale = frobenius_norm(H) or 1.0
-    tol_abs = LANCZOS_RESIDUAL_TOL * scale
-    max_iter = opts.max_iterations if opts.max_iterations is not None else 10 * dim
-
-    Q, T = np.zeros((dim, 0)), np.zeros((0, 0))
-    X = _orthonormal_block(rng.standard_normal((dim, min(LANCZOS_BLOCK, dim))), Q)
-    iterations = 0
-    while True:
-        iterations += 1
-        HX = H @ X
-        C, D = Q.T @ HX, X.T @ HX
-        T = np.block([[T, C], [C.T, 0.5 * (D + D.T)]])
-        Q = np.hstack([Q, X])
-        room = dim - Q.shape[1]
-        if Q.shape[1] >= k:  # always so once Q fills the space, as k <= dim
-            theta, S = np.linalg.eigh(T)
-            theta, vectors = theta[:k], Q @ S[:, :k]
-            resid = np.linalg.norm(H @ vectors - vectors * theta, axis=0)
-            if room == 0 or np.all(resid <= tol_abs) or iterations >= max_iter:
-                break
-        W = HX
-        for _ in range(2):
-            W = W - Q @ (Q.T @ W)
-        X, R = np.linalg.qr(W)
-        width = min(X.shape[1], room)
-        X = X[:, :width]
-        weak = np.abs(np.diag(R)[:width]) <= 1e-13 * scale
-        if np.any(weak):  # directions inside span(Q): refill them at random
-            X[:, weak] = rng.standard_normal((dim, int(weak.sum())))
-            X = _orthonormal_block(X, Q)
-
-    return SpectrumResult(
-        eigenvalues=theta,
-        eigenvectors=vectors,
-        solver="lanczos",
-        iterations=iterations,
-        residual_norms=resid,
-        converged=bool(np.all(resid <= tol_abs)),
-    )
 
 
 def _gershgorin_shift(ab: np.ndarray) -> float:

@@ -28,6 +28,7 @@ import dickelab.solvers as solvers
 from dickelab.diagnostics import ground_pair, initial_cutoff
 from dickelab.model import spin_sector
 from dickelab.sweep import CSV_HEADER, Budget, EngineConfig, evaluate_point
+from oracles import dense_spin_xz
 
 
 def test_splitting_from_polaron_levels():
@@ -237,6 +238,21 @@ def test_cat_overlap_shrinks_towards_u_equals_v():
         out[key] = cat_overlap((x0, x1), p, conv.M_star)
     assert out["edge"].f_plus < out["deep"].f_plus
     assert out["edge"].f_minus < out["deep"].f_minus
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_cat_overlap_labels_its_cats_by_the_stated_convention(N):
+    # x0 = (|+Sx> + |-Sx>)/sqrt(2) (x) |0>, with <m|+Sx> > 0 and
+    # <m|-Sx> = (-1)^(S-m) <m|+Sx>; x1 = |n = 1, m = -S> lies outside both cats
+    p, M = ModelParams(N=N, omega=1.0, g=0.3, v=1.0), 2
+    plus = np.abs(np.linalg.eigh(dense_spin_xz(N)[0])[1][:, -1])  # Sx >= 0: its Perron vector
+    minus = (-1.0) ** (N - np.arange(N + 1)) * plus
+    x0, x1 = np.zeros((2, (M + 1) * (N + 1)))
+    x0[: N + 1] = (plus + minus) / np.sqrt(2)
+    x1[N + 1] = 1.0
+    res = cat_overlap((x0, x1), p, M)
+    assert res.f_plus == pytest.approx(1.0, abs=1e-12)
+    assert res.f_minus == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cat_overlap_validates_inputs():

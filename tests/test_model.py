@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse
 
 from dickelab import (
-    BasisIndex,
     ModelParams,
     ResourceError,
     SparseOperator,
@@ -70,29 +69,6 @@ def test_model_params_validation():
     assert p.u == pytest.approx(0.08, rel=1e-12)
 
 
-def test_basis_index_roundtrip():
-    for N in (1, 2, 3, 4):
-        for M in (0, 1, 3):
-            basis = BasisIndex(N, M)
-            assert basis.total_dim == (M + 1) * (N + 1)
-            seen = set()
-            for i in range(basis.total_dim):
-                n, m = basis.unflat(i)
-                assert basis.flat(n, m) == i
-                seen.add((n, m))
-            assert len(seen) == basis.total_dim
-
-
-def test_basis_index_rejects_out_of_range():
-    basis = BasisIndex(2, 3)
-    with pytest.raises(ValidationError):
-        basis.flat(4, 0.0)
-    with pytest.raises(ValidationError):
-        basis.flat(0, 0.5)  # not an Sz eigenvalue for integer S
-    with pytest.raises(ValidationError):
-        basis.unflat(basis.total_dim)
-
-
 def test_free_boson_idle_spin_diagonal():
     p = ModelParams(N=1, omega=1.0, g=0.0, v=0.0)
     H = build_full_hamiltonian(p, 2).toarray()
@@ -148,14 +124,13 @@ def test_block_structure():
     p = ModelParams(N=4, omega=1.0, g=0.3, v=0.7)
     M = 6
     H = build_full_hamiltonian(p, M)
-    basis = BasisIndex(p.N, M)
     coo = H.tocoo()
     (rows, cols), vals = coo.coords, coo.data
     for r, c, val in zip(rows, cols, vals):
         if val == 0:
             continue
-        n1, m1 = basis.unflat(int(r))
-        n2, m2 = basis.unflat(int(c))
+        n1, m1 = divmod(int(r), p.N + 1)
+        n2, m2 = divmod(int(c), p.N + 1)
         dn, dm = n1 - n2, m1 - m2
         assert (dn, dm) in {(0, 0), (0, 2), (0, -2), (1, 0), (-1, 0)}
 
@@ -318,7 +293,14 @@ def test_symmetry_block_needs_even_n_and_r_of_one():
     with pytest.raises(ValidationError):
         symmetry_block(ModelParams(N=4, omega=1.0, g=0.3, v=1.0), 2, 2, 1)
     with pytest.raises(ResourceError):
-        symmetry_block(ModelParams(N=4, omega=1.0, g=0.3, v=1.0), 10**6, 0, 1)
+        symmetry_block(ModelParams(N=4, omega=1.0, g=0.3, v=1.0), 2 * 10**6, 0, 1)
+
+
+def test_block_budget_counts_the_band_not_the_whole_h():
+    # N = 2, block (0, +): one row per level and a 2-row band, 2 x 600,001
+    # entries, where the whole H would hold about 5.4e6 nonzeros
+    ab = symmetry_block(ModelParams(N=2, omega=1.0, g=0.3, v=1.0), 600_000, 0, 1)
+    assert ab.shape == (2, 600_001)
 
 
 def test_sector_hamiltonian_keeps_the_nonzero_budget():

@@ -1,13 +1,17 @@
+import ast
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dickelab
+import dickelab.reference as reference
 import dickelab.sweep as sweep
 from dickelab import (
     CSV_HEADER,
@@ -489,29 +493,43 @@ def test_point_wall_times_do_not_overlap():
     assert sum(row.wall_time_seconds for row in rows) <= 1.05 * elapsed + 1e-3
 
 
-def test_full_sweep_never_calls_block_lanczos(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("block Lanczos is a cross-check only")
+def _imports_reference(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any("reference" in alias.name.split(".") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return "reference" in (node.module or "").split(".") or any(
+            alias.name == "reference" for alias in node.names
+        )
+    return False
 
-    monkeypatch.setattr("dickelab.solvers.lanczos_lowest", refuse)
+
+def test_the_solve_path_never_uses_the_references(monkeypatch):
+    # (a) only the package's re-exports import the reference module
+    for path in Path(reference.__file__).parent.glob("*.py"):
+        if path.name not in ("reference.py", "__init__.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert not any(_imports_reference(node) for node in ast.walk(tree)), path.name
+
+    # (b) full-mode and spin-only sweeps run with every reference callable refusing
+    def refuse(*args, **kwargs):
+        raise AssertionError("the references are for tests only")
+
+    public = [
+        name for name, obj in vars(reference).items()
+        if not name.startswith("_") and callable(obj) and obj.__module__ == reference.__name__
+    ]
+    assert {"build_full_hamiltonian", "dense_spectrum", "lanczos_lowest"} <= set(public)
+    for name in public:
+        monkeypatch.setattr(reference, name, refuse)
+        monkeypatch.setattr(dickelab, name, refuse, raising=False)
     rows = run_sweep(parse_config(FULL_ARPACK))
     assert [row.N for row in rows] == [10, 11]
     assert all(row.converged for row in rows)
     assert rows[0].d > 0
     assert rows[1].d == 0.0
-
-
-def test_full_sweep_never_assembles_full_hamiltonian(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the full H is a test reference only")
-
-    monkeypatch.setattr("dickelab.model.build_full_hamiltonian", refuse)
-    monkeypatch.setattr("dickelab.diagnostics.build_full_hamiltonian", refuse, raising=False)
-    rows = run_sweep(parse_config(FULL_ARPACK))
-    assert [row.N for row in rows] == [10, 11]
-    assert all(row.converged for row in rows)
-    assert rows[0].d > 0
-    assert rows[1].d == 0.0
+    rows = run_sweep(parse_config(SPIN_EVEN))
+    assert [row.N for row in rows] == [4, 6, 8]
+    assert all(row.d > 0 for row in rows)
 
 
 def test_emit_rejects_missing_directory(tmp_path):
@@ -697,16 +715,22 @@ def test_a_dead_worker_is_a_run_error(tmp_path, monkeypatch, capsys, forking):
     # prints one error line and exits 2, the code of a run error
     parent = os.getpid()
     evaluate = sweep.evaluate_point
+    reached = tmp_path / "reached"
 
     def die_in_worker(p, *args):
         if os.getpid() != parent:
+            reached.touch()
             os._exit(3)
+        deadline = time.monotonic() + 30
+        while p.N != 4 and not reached.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)  # after the fork, leave the worker a point
         return evaluate(p, *args)
 
     monkeypatch.setattr(sweep, "evaluate_point", die_in_worker)
     with pytest.raises(ChildProcessError, match="exited without a result"):
         run_sweep(parse_config(SPIN_EVEN), 2)
     _no_child_left()
+    reached.unlink()
 
     path = tmp_path / "sweep.ini"
     path.write_text(SPIN_EVEN.replace("path = rows.csv", f"path = {tmp_path / 'rows.csv'}"))
