@@ -503,6 +503,32 @@ def _imports_reference(node: ast.AST) -> bool:
     return False
 
 
+def test_full_sweep_never_calls_block_lanczos(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("block Lanczos is a cross-check only")
+
+    monkeypatch.setattr("dickelab.reference.lanczos_lowest", refuse)
+    monkeypatch.setattr("dickelab.lanczos_lowest", refuse)
+    rows = run_sweep(parse_config(FULL_ARPACK))
+    assert [row.N for row in rows] == [10, 11]
+    assert all(row.converged for row in rows)
+    assert rows[0].d > 0
+    assert rows[1].d == 0.0
+
+
+def test_full_sweep_never_assembles_full_hamiltonian(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full H is a test reference only")
+
+    monkeypatch.setattr("dickelab.reference.build_full_hamiltonian", refuse)
+    monkeypatch.setattr("dickelab.build_full_hamiltonian", refuse)
+    rows = run_sweep(parse_config(FULL_ARPACK))
+    assert [row.N for row in rows] == [10, 11]
+    assert all(row.converged for row in rows)
+    assert rows[0].d > 0
+    assert rows[1].d == 0.0
+
+
 def test_the_solve_path_never_uses_the_references(monkeypatch):
     # (a) only the package's re-exports import the reference module
     for path in Path(reference.__file__).parent.glob("*.py"):
