@@ -39,18 +39,6 @@ from .errors import (
     ValidationError,
 )
 from .model import ModelParams
-from .reference import (
-    ParityOperator,
-    SparseOperator,
-    SpinOperatorSet,
-    build_full_hamiltonian,
-    collective_spin_matrices,
-    dense_spectrum,
-    lanczos_lowest,
-    polaron_spin_hamiltonian,
-    symmetry_commutator_norm,
-    symmetry_operator,
-)
 from .semiclassics import (
     PhasePoint,
     ScalingFit,
@@ -73,6 +61,29 @@ from .sweep import (
 )
 
 __version__ = "0.1.0"
+
+# the test references, re-exported on first use (PEP 562): importing them
+# loads scipy.sparse, which nothing on the solve path needs
+_REFERENCE_NAMES = frozenset({
+    "ParityOperator",
+    "SparseOperator",
+    "SpinOperatorSet",
+    "build_full_hamiltonian",
+    "collective_spin_matrices",
+    "dense_spectrum",
+    "lanczos_lowest",
+    "polaron_spin_hamiltonian",
+    "symmetry_commutator_norm",
+    "symmetry_operator",
+})
+
+
+def __getattr__(name: str):
+    if name in _REFERENCE_NAMES:
+        from . import reference
+
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CSV_HEADER",

@@ -8,6 +8,7 @@ error (with partial sweep results flushed when available).
 from __future__ import annotations
 
 import argparse
+import locale  # noqa: F401  argparse's gettext imports it at the first parse; it loads here instead
 import math
 import sys
 from pathlib import Path

@@ -9,15 +9,16 @@ full diagonalization against the displaced-frame spin model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import lapack
 
+from . import solvers
 from .errors import ResourceError, ValidationError
 from .model import ModelParams, spin_sector, spin_sector_halves, symmetry_block, symmetry_block_basis
-from .solvers import SolverOptions, SpectrumResult, solve_lowest
+from .solvers import SolverOptions, SpectrumResult, lapack, solve_lowest
 
 _NEG_CLIP = 1e-12
 DEFAULT_MAX_DIM = 200_000
@@ -144,6 +145,25 @@ def _blocks(p: ModelParams, M: int):
             yield (s, 0), rows, piece
 
 
+@functools.lru_cache(maxsize=8)
+def _shift_floor(p: ModelParams) -> float:
+    """A shift below the spectrum of every block :func:`_blocks` yields, at any cutoff: eps0 - 1e-3 max(1, |eps0|).
+
+    eps0 is the spin model's ground level, ``spin_model_spectrum(p, 1)[0]``.
+    With b = a + (g / omega) Sz, which commutes with Sz,
+    omega a^dag a + g (a^dag + a) Sz = omega b^dag b - u Sz^2, so
+    H = omega b^dag b - u Sz^2 - v Sx^2 exactly.  Truncating to n <= M
+    compresses omega b^dag b, which stays positive semidefinite, while the
+    spin part acts inside the truncated space and maps each block (and
+    each uncoupled piece) onto itself; so no block level lies below eps0.
+    The bound is attained at g = 0, by the n = 0 piece that holds the spin
+    ground state, hence the margin, which also covers eps0's rounding.
+    Computed once per point: the cutoff search asks at every cutoff.
+    """
+    eps0 = float(spin_model_spectrum(p, 1)[0])
+    return eps0 - 1e-3 * max(1.0, abs(eps0))
+
+
 def lowest_levels(
     p: ModelParams,
     M: int,
@@ -163,14 +183,18 @@ def lowest_levels(
     half the bandwidth of a sector.  Otherwise each sector is the block
     (s, 0) of the same function, solved one uncoupled piece at a time
     (:func:`_sector_pieces`: g = 0 or v = 0); keeping
-    degenerate and decoupled levels in separate solves keeps ARPACK from
-    missing them.  For odd N, R swaps the two sectors, so only s = 0 is
+    degenerate and decoupled levels in separate solves keeps the Lanczos
+    solve, which finds one copy of each level, from missing them.  For
+    odd N, R swaps the two sectors, so only s = 0 is
     solved and each level is reported twice, the copy's vector being R
     times the original: the odd-N doublet is exact by construction.  The
     result's ``labels`` give each level's (s, r), r = 0 where the solve
     does not resolve R (odd N, g = 0, v = 0).  Vectors are in the flat
     basis.  guess, an upper estimate of E0 such as E0 at a smaller cutoff,
-    goes to every :func:`~dickelab.solvers.solve_lowest` as its shift hint.
+    goes to every :func:`~dickelab.solvers.solve_lowest` as its shift hint,
+    and each block above ``DENSE_SOLVE_MAX_DIM`` rows gets
+    :func:`_shift_floor` as its proved floor, where a solve without a
+    usable hint, such as a point's first, shifts.
     """
     opts = opts or SolverOptions()
     dim = (M + 1) * (p.N + 1)
@@ -181,11 +205,15 @@ def lowest_levels(
     results: list[SpectrumResult] = []
     labels: list[tuple[int, int]] = []
     vectors: list[np.ndarray] = []
+    floor = None
     for label, rows, ab in _blocks(p, M):
         if not ab.shape[1]:
             continue  # the empty block (1, -1) of N = 2 at M = 0
+        if floor is None and ab.shape[1] > solvers.DENSE_SOLVE_MAX_DIM:
+            floor = _shift_floor(p)  # only the Lanczos path shifts
         res = solve_lowest(
-            ab, replace(opts, k=min(k_block, ab.shape[1])), want_vectors=want_vectors, guess=guess
+            ab, replace(opts, k=min(k_block, ab.shape[1])),
+            want_vectors=want_vectors, guess=guess, floor=floor,
         )
         results.append(res)
         labels += [label] * res.eigenvalues.size

@@ -2,66 +2,123 @@
 
 :func:`solve_lowest` is the production route.  It takes one symmetry
 block of the model (see ``diagnostics.lowest_levels``) as the lower band
-array that ``model.symmetry_block`` builds, and solves it with banded
-LAPACK (``scipy.linalg.eig_banded``) up to ``DENSE_SOLVE_MAX_DIM`` rows,
-above with ARPACK (``scipy.sparse.linalg.eigsh``) in shift-invert mode
-through a banded Cholesky factor, shifted just below a caller's estimate
-of the lowest level when there is one (the cutoff search passes the
-previous cutoff's E0), else below the Gershgorin bound.
+array that ``model.symmetry_block`` builds, and solves it with LAPACK
+``dsbevx`` up to ``DENSE_SOLVE_MAX_DIM`` rows, above by Lanczos on
+(H - sigma)^-1 (spectral transformation, Ericsson & Ruhe, Math. Comp. 35,
+1251 (1980)) through a banded Cholesky factor of H - sigma.  sigma sits
+just below a caller's estimate of the lowest level when there is one
+(the cutoff search passes the previous cutoff's E0), else at a caller's
+proved floor (``lowest_levels`` passes one from the spin model), else
+below the Gershgorin bound.
+
+The LAPACK and BLAS routines come from scipy's ``_flapack`` and ``_fblas``
+extension modules, loaded from their files so that the ``scipy.linalg``
+package, whose import costs about 0.3 s, is never imported; where that
+load fails they come from ``scipy.linalg.lapack`` and ``scipy.linalg.blas``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
+import numpy.random  # noqa: F401  numpy loads it lazily; here it loads with the package, not in a solve
 
 from .errors import ValidationError
 
+
+def _load_lapack():
+    """scipy's ``_flapack`` and ``_fblas`` modules, loaded without importing ``scipy.linalg``.
+
+    Each is loaded from its file under its own name, scipy.linalg._flapack
+    and scipy.linalg._fblas, and entered in ``sys.modules``, so a later
+    ``import scipy.linalg`` takes the same module objects.  Where scipy's
+    layout differs, ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` are
+    imported instead; they re-export the same routines.
+    """
+
+    def load(stem: str):
+        name = f"scipy.linalg.{stem}"
+        if name in sys.modules:
+            return sys.modules[name]
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(scipy_dir, "linalg", stem + suffix)
+            if os.path.isfile(path):
+                break
+        else:
+            raise ImportError(f"no extension file for {name} under {scipy_dir}")
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(name, path, loader=loader)
+        )
+        loader.exec_module(module)
+        sys.modules[name] = module
+        return module
+
+    spec = importlib.util.find_spec("scipy")
+    try:
+        if spec is None or not spec.submodule_search_locations:
+            raise ImportError("scipy is not installed as a package")
+        scipy_dir = spec.submodule_search_locations[0]
+        return load("_flapack"), load("_fblas")
+    except (ImportError, OSError):
+        from scipy.linalg import blas, lapack
+
+        return lapack, blas
+
+
+lapack, blas = _load_lapack()
+
 DENSE_SOLVE_MAX_DIM = 400
-"""Path choice, not a guard: :func:`solve_lowest` runs ``eig_banded`` up to this many rows, ARPACK above.
+"""Path choice, not a guard: :func:`solve_lowest` runs ``dsbevx`` up to this many rows, Lanczos above.
 
-Median ms for k = 6 on sector blocks (N = 16, u/v = 0.5 and N = 12,
-u/v = 0.9; 2-vCPU Xeon VM, OpenBLAS on one thread); the hint is E0 at
-half the cutoff:
+Median ms of 15 calls for k = 6 levels without vectors on sector blocks
+(N = 16, u/v = 0.5 and N = 12, u/v = 0.9; 2-vCPU Xeon VM, OpenBLAS on one
+thread).  The floor is the spin-model shift that ``lowest_levels`` passes
+for a point's first solve; the hint is E0 at half the cutoff:
 
-    rows   eig_banded   ARPACK, Gershgorin shift   ARPACK, hinted shift
-     207       1.7                4.5                       2.9
-     324       3.8                4.9                       3.0
-     405       5.8                5.2                       3.7
-     637      10.7                8.7                       4.0
-    1267        42               13.7                       6.5
+    rows   dsbevx   Lanczos, floor shift   Lanczos, hinted shift
+     207     1.6            3.1                    2.3
+     324     3.7            3.9                    3.6
+     405     5.8            3.7                    2.7
+     637    10.5            8.2                    3.1
+    1267    39.8           12.0                    4.6
 
-The first solve of a point has no hint, and for it the crossover lies
-near 400 rows; hinted solves would cross over lower, near 300.
+On the even-N (s, r) blocks, about half the bandwidth of a sector,
+``dsbevx`` is cheaper per row (N = 16, u/v = 0.5 and 0.9, N = 12,
+u/v = 0.9, block (0, +); same machine):
 
-On the even-N (s, r) blocks, about half the bandwidth of a sector, banded
-LAPACK is cheaper per row (N = 16, u/v = 0.5 and 0.9, N = 12, u/v = 0.9,
-block (0, +); same machine, median of 15):
+    rows   dsbevx   Lanczos, floor shift   Lanczos, hinted shift
+     162     0.9            2.9                    2.4
+     320     2.4            3.2                    2.8
+     401     3.4            5.5                    2.2
+     509     4.9            5.7                    2.3
+     634     6.8            4.3                    2.3
+    1013    18.0            7.7                    3.2
 
-    rows   eig_banded   ARPACK, Gershgorin shift   ARPACK, hinted shift
-     161       0.8                4.3                       3.1
-     319       2.1                5.1                       2.7
-     401       2.7                3.5                       2.7
-     509       6.3                6.5                       2.4
-     635       6.1                3.9                       3.2
-    1013      17.4               11.6                       3.9
-
-There the first solve crosses over near 500-600 rows and hinted solves
-near 350-400, so one constant of 400 still serves both kinds of block.
+First solves cross over near 400 rows on sectors and 500-600 on (s, r)
+blocks, hinted solves near 300-400, so one constant of 400 serves both.
 """
+
+LANCZOS_MAX_STEPS = 400
+"""Lanczos steps of :func:`solve_lowest` where ``SolverOptions.max_iterations`` is unset."""
+
+RITZ_CHECK_EVERY = 2
+"""Lanczos steps between two Ritz checks of :func:`solve_lowest`."""
 
 
 @dataclass
 class SolverOptions:
     """How many levels to solve for, the iteration budget and the start-vector seed.
 
-    max_iterations caps ARPACK restarts (ARPACK's default when None) and
-    the block steps of ``reference.lanczos_lowest``.  Which solver
-    :func:`solve_lowest` runs is not an option: it follows
-    ``DENSE_SOLVE_MAX_DIM``.
+    max_iterations caps the Lanczos steps of :func:`solve_lowest`
+    (``LANCZOS_MAX_STEPS`` when None) and the block steps of
+    ``reference.lanczos_lowest``.  Which solver :func:`solve_lowest` runs
+    is not an option: it follows ``DENSE_SOLVE_MAX_DIM``.
     """
 
     k: int = 6
@@ -115,26 +172,28 @@ def _gershgorin_shift(ab: np.ndarray) -> float:
     return bound - 1e-2 * max(1.0, abs(bound))
 
 
-def _no_matvec(x: np.ndarray) -> np.ndarray:
-    raise AssertionError("shift-invert eigsh applies OPinv only")
+def _shift_and_factor(ab: np.ndarray, guess: float | None, floor: float | None) -> tuple[float, np.ndarray]:
+    """A shift sigma below the spectrum of ab and the ``dpbtrf`` factor of H - sigma I.
 
-
-def _shift_and_factor(ab: np.ndarray, guess: float | None) -> tuple[float, tuple]:
-    """A shift sigma below the spectrum of ab and the ``cho_solve_banded`` factor of H - sigma I.
-
-    Given a guess at or above the lowest level, sigma = guess - delta with
-    delta = 1e-3 max(1, |guess|), widened x10 while ``cholesky_banded``
-    fails, three tries at most and never past :func:`_gershgorin_shift`,
-    which is the fallback.  A factor that succeeds proves sigma below the
-    spectrum, so no guess can give a wrong level; a failing fallback raises
-    ``numpy.linalg.LinAlgError``.
+    floor is a caller's proved lower bound, below the spectrum;
+    :func:`_gershgorin_shift` stands in where it is None.  Given a guess at
+    or above the lowest level, sigma = guess - delta with
+    delta = 1e-3 max(1, |guess|), widened x10 while ``dpbtrf`` fails, three
+    tries at most and never past the floor, which is the fallback.  A
+    factor that succeeds proves sigma below the spectrum, so no guess can
+    give a wrong level; a failing floor raises ``numpy.linalg.LinAlgError``.
     """
 
-    def factor(sigma: float) -> tuple:
-        shifted = np.vstack([ab[:1] - sigma, ab[1:]])
-        return scipy.linalg.cholesky_banded(shifted, lower=True, check_finite=False), True
+    def factor(sigma: float) -> np.ndarray:
+        shifted = np.array(ab, order="F")
+        shifted[0] -= sigma
+        c, info = lapack.dpbtrf(shifted, lower=1, overwrite_ab=1)
+        if info:
+            raise np.linalg.LinAlgError(f"{info}-th leading minor of H - sigma not positive definite")
+        return c
 
-    floor = _gershgorin_shift(ab)
+    if floor is None:
+        floor = _gershgorin_shift(ab)
     shifts = []
     if guess is not None:
         delta = 1e-3 * max(1.0, abs(guess))
@@ -147,26 +206,95 @@ def _shift_and_factor(ab: np.ndarray, guess: float | None) -> tuple[float, tuple
     return floor, factor(floor)
 
 
+def _lanczos_largest(
+    apply, dim: int, k: int, steps: int, rng, want_vectors: bool
+) -> tuple[np.ndarray, np.ndarray | None, bool]:
+    """The k largest Ritz values (descending) and vectors of the positive definite operator ``apply``.
+
+    Plain Lanczos from a uniform random vector, each new vector
+    orthogonalized twice against the whole basis (classical Gram-Schmidt
+    twice, as ARPACK's dsaitr does).  Where the second pass leaves less
+    than 0.717 of what the first left, the Krylov space is invariant: its
+    coupling beta is set to 0, and, with fewer than k Ritz pairs, the
+    recurrence goes on from a new random vector.  Every
+    ``RITZ_CHECK_EVERY`` steps from the k-th on, at an invariant space and
+    at the last step, LAPACK ``dstemr`` (MRRR, O(m k) for k of the m
+    levels, against O(m^3) for all of them by ``dstev``) finds the k
+    largest eigenpairs of the tridiagonal T; the
+    k largest Ritz values theta_i have converged once
+    |beta s_last,i| <= eps |theta_i|, the rule ARPACK applies at tol = 0.
+    At most min(steps, dim) steps (one at least); if they run out, the
+    largest min(k, steps) pairs come back with converged False.
+    """
+    cap = max(1, min(steps, dim))
+    eps = lapack.dlamch("e")
+    Q = np.empty((min(cap, 32), dim))  # the basis, one vector a row
+    alpha, beta = np.zeros(cap), np.zeros(cap)
+
+    def fresh(basis: np.ndarray) -> np.ndarray:
+        q = rng.uniform(-1.0, 1.0, dim)
+        for _ in range(2):
+            q -= (basis @ q) @ basis
+        return q / np.linalg.norm(q)
+
+    def ritz(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # dstemr overwrites its inputs and reads only the first m - 1 couplings
+        found, theta, S, info = lapack.dstemr(
+            alpha[:m].copy(), beta[:m].copy(), 2, 0.0, 0.0, max(m - k, 0) + 1, m, compute_v=1
+        )
+        if info:
+            raise np.linalg.LinAlgError(f"dstemr failed on the Lanczos tridiagonal (info {info})")
+        theta, S = theta[found - 1 :: -1], S[:, found - 1 :: -1]
+        return theta, S, np.abs(beta[m - 1] * S[-1])
+
+    Q[0] = fresh(Q[:0])
+    m = 0  # steps taken
+    while True:
+        basis = Q[: m + 1]
+        w = apply(basis[m])
+        h = basis @ w
+        w -= h @ basis
+        first = np.linalg.norm(w)
+        c = basis @ w
+        w -= c @ basis
+        alpha[m], beta[m] = h[m] + c[m], np.linalg.norm(w)
+        invariant = beta[m] <= 0.717 * first
+        if invariant:
+            beta[m] = 0.0
+        m += 1
+        if m == cap or (m >= k and (invariant or (m - k) % RITZ_CHECK_EVERY == 0)):
+            theta, S, estimate = ritz(m)
+            converged = m >= k and bool(np.all(estimate <= eps * theta))
+            if converged or m == cap:
+                return theta, (basis.T @ S if want_vectors else None), converged
+        if m == Q.shape[0]:
+            Q = np.concatenate([Q, np.empty((min(cap, 2 * m) - m, dim))])
+        Q[m] = fresh(Q[:m]) if invariant else w / beta[m - 1]
+
+
 def solve_lowest(
     ab: np.ndarray, opts: SolverOptions | None = None, *,
-    want_vectors: bool = True, guess: float | None = None,
+    want_vectors: bool = True, guess: float | None = None, floor: float | None = None,
 ) -> SpectrumResult:
-    """Lowest opts.k eigenpairs: banded LAPACK up to ``DENSE_SOLVE_MAX_DIM`` rows, else ARPACK.
+    """Lowest opts.k eigenpairs: LAPACK ``dsbevx`` up to ``DENSE_SOLVE_MAX_DIM`` rows, else shift-invert Lanczos.
 
     ab is the lower band array ab[i, c] = H[c + i, c] of symmetric H.  The
-    small blocks, and requests of k >= dim - 1 (ARPACK needs k < dim - 1),
-    go to ``scipy.linalg.eig_banded`` for the k lowest pairs (solver
-    "dense").  ARPACK runs in shift-invert mode around sigma from
-    :func:`_shift_and_factor`, below the spectrum, so the k eigenvalues
-    nearest sigma are the k lowest; guess, an upper estimate of the lowest
-    level such as the cutoff search's previous E0, moves sigma up to it.
-    ARPACK sees H only through its shape and ``OPinv``, which applies the
-    banded Cholesky factor of H - sigma I by ``cho_solve_banded``, as often
-    as ``iterations`` counts.  It starts from a vector drawn from ``seed``
-    and iterates to machine precision; if it runs out of restarts, the Ritz
-    pairs that did converge come back with converged=False.  Residuals
-    come from BLAS ``dsbmv`` (zeros for dense eigenvalues without vectors).
-    Plain Lanczos keeps one copy of each eigenvalue: pass one sector.
+    small blocks, and requests of k >= dim - 1 (for which Lanczos would
+    span nearly the whole space), go to ``dsbevx`` for the k lowest pairs
+    (solver "dense"), called with the arguments ``scipy.linalg.eig_banded``
+    passes it.  Above, Lanczos runs on (H - sigma)^-1 (solver
+    "shift-invert") around sigma from :func:`_shift_and_factor`, below the
+    spectrum, so the k largest eigenvalues theta of the inverse give the
+    k lowest levels sigma + 1/theta.  guess, an upper estimate of the
+    lowest level such as the cutoff search's previous E0, moves sigma up to
+    it; floor, a proved lower bound, is where sigma goes without a usable
+    guess.  The inverse is applied by LAPACK ``dpbtrs`` on the banded
+    Cholesky factor of H - sigma I, as often as ``iterations`` counts,
+    starting from a vector drawn from ``seed``, until the Ritz values are
+    converged to machine precision or ``max_iterations`` steps run out; then
+    the best pairs come back with converged=False.  Residuals come from BLAS
+    ``dsbmv`` (zeros for eigenvalues without vectors).  Plain Lanczos keeps
+    one copy of each eigenvalue: pass one sector.
     """
     if opts is None:
         opts = SolverOptions()
@@ -175,43 +303,40 @@ def solve_lowest(
     opts.validate(dim)
     applied, converged = 0, True
     if dim <= DENSE_SOLVE_MAX_DIM or k >= dim - 1:
-        out = scipy.linalg.eig_banded(
-            ab, lower=True, eigvals_only=not want_vectors, select="i",
-            select_range=(0, k - 1), check_finite=False,
+        evals, evecs, found, _, info = lapack.dsbevx(
+            ab, 0.0, 1.0, 1, k, compute_v=int(want_vectors), mmax=k if want_vectors else 1,
+            range=2, lower=1, abstol=2 * lapack.dlamch("s"),
         )
-        evals, evecs = out if want_vectors else (out, None)
+        if info:
+            raise np.linalg.LinAlgError(f"dsbevx failed to converge ({info})")
+        evals, evecs = evals[:found], evecs[:, :found] if want_vectors else None
         solver = "dense"
     else:
-        sigma, factor = _shift_and_factor(ab, guess)
+        sigma, factor = _shift_and_factor(ab, guess, floor)
 
         def apply_inverse(x: np.ndarray) -> np.ndarray:
             nonlocal applied
             applied += 1
-            return scipy.linalg.cho_solve_banded(factor, x, check_finite=False)
+            y, info = lapack.dpbtrs(factor, x, lower=1)
+            if info:
+                raise ValueError(f"illegal value in argument {-info} of dpbtrs")
+            return y
 
-        shape_only = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=_no_matvec, dtype=float)
-        inverse = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=apply_inverse, dtype=float)
-        rng = np.random.default_rng(opts.seed)
-        try:
-            evals, evecs = scipy.sparse.linalg.eigsh(
-                shape_only, k=k, sigma=sigma, which="LM", tol=0, OPinv=inverse,
-                maxiter=opts.max_iterations, v0=rng.uniform(-1.0, 1.0, dim), rng=rng,
-            )
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            evals, evecs = exc.eigenvalues, exc.eigenvectors
-            converged = False
-        order = np.argsort(evals)
-        evals, evecs = evals[order], evecs[:, order]
-        solver = "eigsh"
+        steps = LANCZOS_MAX_STEPS if opts.max_iterations is None else opts.max_iterations
+        theta, evecs, converged = _lanczos_largest(
+            apply_inverse, dim, k, steps, np.random.default_rng(opts.seed), want_vectors
+        )
+        evals = sigma + 1.0 / theta
+        solver = "shift-invert"
     residuals = np.zeros(evals.size)
     if evecs is not None:
         Hv = np.empty_like(evecs)
         for j, x in enumerate(evecs.T):
-            Hv[:, j] = scipy.linalg.blas.dsbmv(ab.shape[0] - 1, 1.0, ab, x, lower=1)
+            Hv[:, j] = blas.dsbmv(ab.shape[0] - 1, 1.0, ab, x, lower=1)
         residuals = np.linalg.norm(Hv - evecs * evals, axis=0)
     return SpectrumResult(
         eigenvalues=evals,
-        eigenvectors=evecs if want_vectors else None,
+        eigenvectors=evecs,
         solver=solver,
         iterations=applied,
         residual_norms=residuals,

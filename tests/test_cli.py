@@ -251,7 +251,7 @@ def test_convergence_runs_the_full_search_in_spin_only_mode(tmp_path, capsys):
     assert outputs[0].count("M,E0,E1,E2") == 2
 
 
-ARPACK_POINT = "[model]\nN_list = 12\nomega = 1\ng_list = 0.9487\nv_list = 1\n[engine]\n"
+SHIFT_INVERT_POINT = "[model]\nN_list = 12\nomega = 1\ng_list = 0.9487\nv_list = 1\n[engine]\n"
 
 
 @pytest.mark.parametrize(
@@ -270,7 +270,7 @@ ARPACK_POINT = "[model]\nN_list = 12\nomega = 1\ng_list = 0.9487\nv_list = 1\n[e
 def test_bad_engine_value_exits_one_with_one_line(tmp_path, capsys, engine, flags, message):
     # each value is refused before any solve, so nothing reaches stdout
     cfg = tmp_path / "engine.cfg"
-    cfg.write_text(ARPACK_POINT + engine)
+    cfg.write_text(SHIFT_INVERT_POINT + engine)
     assert main(["spectrum", str(cfg), *flags]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -609,9 +609,69 @@ def test_lowest_levels_sums_arpack_operator_applications(monkeypatch):
     # and 51 * 8 - 4 = 404 rows, all past DENSE_SOLVE_MAX_DIM
     p = ModelParams(N=16, omega=1.0, g=float(np.sqrt(0.5)), v=1.0)
     res = lowest_levels(p, 100, 3)
-    assert [r.solver for r in sector_results] == ["eigsh"] * 4
+    assert [r.solver for r in sector_results] == ["shift-invert"] * 4
     assert all(r.iterations > 0 for r in sector_results)
     assert res.iterations == sum(r.iterations for r in sector_results)
+
+
+# odd and even N; g = 0 (the floor's spin level is attained), u < v, u = v,
+# u > v, and v = 0; three cavity frequencies
+FLOOR_POINTS = [
+    ModelParams(N=N, omega=omega, g=float(np.sqrt(ratio * omega)), v=v)
+    for N in (1, 2, 3, 4, 5, 8, 9, 12)
+    for omega in (0.5, 1.0, 4.0)
+    for ratio, v in ((0.0, 1.0), (0.5, 1.0), (1.0, 1.0), (3.0, 1.0), (0.5, 0.0))
+]
+
+
+def test_shift_floor_lies_below_every_block():
+    # H = omega b^dag b - u Sz^2 - v Sx^2 with b = a + (g / omega) Sz, so no
+    # truncated block lies below the spin model's ground level eps0
+    for p in FLOOR_POINTS:
+        eps0 = float(spin_model_spectrum(p, 1)[0])
+        floor = diagnostics._shift_floor(p)
+        assert floor == eps0 - 1e-3 * max(1.0, abs(eps0))
+        lowest = math.inf
+        for M in (0, 1, 2, 7, 24):
+            for label, _, ab in diagnostics._blocks(p, M):
+                if not ab.shape[1]:
+                    continue
+                E0 = scipy.linalg.eigvals_banded(ab, lower=True, select="i", select_range=(0, 0))[0]
+                assert floor < E0, (p, M, label)
+                assert eps0 <= E0 + 1e-12 * max(1.0, abs(eps0)), (p, M, label, E0 - eps0)
+                lowest = min(lowest, E0)
+        if p.g == 0:  # attained by the n = 0 piece that holds the spin ground state
+            assert abs(lowest - eps0) <= 1e-12 * max(1.0, abs(eps0)), p
+
+
+def test_first_solve_of_a_point_shifts_at_the_spin_model_floor(monkeypatch):
+    # N = 24, u/v = 0.9 starts its search at M = 79, where all four (s, r)
+    # blocks exceed DENSE_SOLVE_MAX_DIM; with no hint they shift at the
+    # floor, not at the Gershgorin shift
+    p = ModelParams(N=24, omega=1.0, g=float(np.sqrt(0.9)), v=1.0)
+    floor = diagnostics._shift_floor(p)
+    solves, factored = [], []
+    solve, dpbtrf = diagnostics.solve_lowest, solvers.lapack.dpbtrf
+
+    def solve_spy(ab, *args, **kwargs):
+        solves.append((ab, kwargs["guess"], kwargs["floor"]))
+        return solve(ab, *args, **kwargs)
+
+    def dpbtrf_spy(ab, *args, **kwargs):
+        factored.append(np.array(ab[0]))  # dpbtrf factors in place
+        return dpbtrf(ab, *args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "solve_lowest", solve_spy)
+    monkeypatch.setattr(solvers.lapack, "dpbtrf", dpbtrf_spy)
+    rep = converge_cutoff(p, 1e-10)
+    first = [(ab, f) for ab, guess, f in solves if guess is None]
+    assert len(first) == 4 and rep.history[0][0] == initial_cutoff(p) == 79
+    for (ab, f), diagonal in zip(first, factored):
+        assert ab.shape[1] > solvers.DENSE_SOLVE_MAX_DIM
+        assert f == floor
+        assert solvers._gershgorin_shift(ab) < floor
+        np.testing.assert_array_equal(diagonal, ab[0] - floor)
+    assert all(f == floor for _, _, f in solves)  # every block of this point is past the crossover
 
 
 def test_search_shift_hint_keeps_every_cutoff(monkeypatch):

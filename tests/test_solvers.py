@@ -163,29 +163,57 @@ def test_lanczos_nonconvergence_reports_best_effort():
     assert np.all(np.isfinite(res.eigenvalues))
 
 
+def _spy(monkeypatch, name):
+    """Calls of the solver module's loaded LAPACK routine ``name``: (band diagonal on entry, info)."""
+    calls = []
+    routine = getattr(solvers.lapack, name)
+
+    def spy(ab, *args, **kwargs):
+        diagonal = np.array(ab[0])  # dpbtrf factors in place
+        out = routine(ab, *args, **kwargs)
+        calls.append((diagonal, out[-1]))
+        return out
+
+    monkeypatch.setattr(solvers.lapack, name, spy)
+    return calls
+
+
+def _factored_shifts(ab, calls):
+    """The shift sigma of each successful dpbtrf call on H - sigma I, H the band array ab."""
+    return [ab[0, 0] - diagonal[0] for diagonal, info in calls if info == 0]
+
+
 def test_solve_lowest_dispatch(monkeypatch):
     p = ModelParams(N=2, omega=1.0, g=0.2, v=0.5)
     H = build_full_hamiltonian(p, 10)
     assert solve_lowest(lower_band(H), SolverOptions(k=3)).solver == "dense"
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
     res = solve_lowest(lower_band(H), SolverOptions(k=3, seed=2))
-    assert res.solver == "eigsh"
+    assert res.solver == "shift-invert"
     ref = dense_spectrum(H, 3)
     np.testing.assert_allclose(res.eigenvalues, ref.eigenvalues, atol=1e-9)
 
 
-def test_eigsh_nonconvergence_reports_best_effort(monkeypatch):
+def test_shift_invert_nonconvergence_reports_best_effort(monkeypatch):
+    # the Lanczos steps run out: the best Ritz pairs come back, flagged
     p = ModelParams(N=4, omega=1.0, g=0.7, v=1.0)
     H = build_full_hamiltonian(p, 200)
+    ref = dense_spectrum(H, 6).eigenvalues
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 100)
-    res = solve_lowest(lower_band(H), SolverOptions(k=6, seed=0, max_iterations=1))
-    assert res.solver == "eigsh"
-    assert not res.converged
-    assert res.eigenvalues.size == res.residual_norms.size <= 6
+    for steps, size in ((1, 1), (8, 6)):
+        res = solve_lowest(lower_band(H), SolverOptions(k=6, seed=0, max_iterations=steps))
+        assert res.solver == "shift-invert"
+        assert not res.converged
+        assert res.iterations == steps
+        assert res.eigenvalues.size == res.residual_norms.size == size
+        assert np.all(np.diff(res.eigenvalues) >= 0)
+        assert np.all(res.eigenvalues >= ref[:size] - 1e-12 * abs(ref[0]))  # Ritz values: upper bounds
+    res = solve_lowest(lower_band(H), SolverOptions(k=6, seed=0))
+    assert res.converged and res.iterations > 8
 
 
 def test_solve_lowest_near_full_k_goes_dense(monkeypatch):
-    # ARPACK needs k < dim - 1
+    # Lanczos would need nearly the whole space
     H = lower_band(np.diag(np.arange(12.0)))
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 5)
     res = solve_lowest(H, SolverOptions(k=11))
@@ -209,43 +237,31 @@ def test_shift_invert_returns_every_level_of_an_unsplit_operator(monkeypatch):
     ref = np.linalg.eigvalsh(A)[:6]
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
     res = solve_lowest(lower_band(A), SolverOptions(k=6, seed=1))
-    assert res.solver == "eigsh" and res.converged
+    assert res.solver == "shift-invert" and res.converged
     assert abs(ref[1]) <= 1e-12  # the decoupled zero level is among those compared
     assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12
 
 
 def test_shift_invert_sigma_lies_below_the_spectrum(monkeypatch):
-    shifts = []
-    eigsh = scipy.sparse.linalg.eigsh
-
-    def spy(A, *args, **kwargs):
-        shifts.append(kwargs["sigma"])
-        return eigsh(A, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
     p = ModelParams(N=4, omega=1.0, g=0.7, v=1.0)
     unsplit = _diag_with_decoupled_zero(80, seed=4)
     for H in (build_full_hamiltonian(p, 60), unsplit):
-        solve_lowest(lower_band(H), SolverOptions(k=4))
-        assert shifts[-1] < dense_spectrum(H, 1).eigenvalues[0]
-    assert len(shifts) == 2
+        calls = _spy(monkeypatch, "dpbtrf")
+        ab = lower_band(H)
+        solve_lowest(ab, SolverOptions(k=4))
+        (sigma,) = _factored_shifts(ab, calls)
+        assert sigma < dense_spectrum(H, 1).eigenvalues[0]
 
 
-def test_eigsh_iterations_count_inverse_applications(monkeypatch):
-    calls = []
-    cho_solve_banded = scipy.linalg.cho_solve_banded
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return cho_solve_banded(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", spy)
+def test_shift_invert_iterations_count_inverse_applications(monkeypatch):
+    calls = _spy(monkeypatch, "dpbtrs")
     p = ModelParams(N=16, omega=1.0, g=0.7, v=1.0)
     H = symmetry_block(p, 50, 0, 0)  # 459 rows: past DENSE_SOLVE_MAX_DIM
     res = solve_lowest(H, SolverOptions(k=6, seed=1))
-    assert res.solver == "eigsh" and res.converged
+    assert res.solver == "shift-invert" and res.converged
     assert res.iterations == len(calls) > 0
+    assert all(info == 0 for _, info in calls)
     ref = dense_spectrum(dense_from_band(H), 6).eigenvalues
     assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12 * abs(ref[0])
 
@@ -258,6 +274,8 @@ def test_shift_above_the_ground_level_fails_the_band_factorization(monkeypatch):
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
     with pytest.raises(np.linalg.LinAlgError):
         solve_lowest(H, SolverOptions(k=4))
+    with pytest.raises(np.linalg.LinAlgError):  # a floor is trusted no further
+        solve_lowest(H, SolverOptions(k=4), floor=e0 + 0.5)
 
 
 def _strong_block_and_hint():
@@ -271,8 +289,8 @@ def test_guess_from_the_smaller_cutoff_cuts_inverse_applications():
     opts = SolverOptions(k=6, seed=1)
     ref = solve_lowest(ab, opts)
     res = solve_lowest(ab, opts, guess=guess)
-    assert ref.solver == res.solver == "eigsh" and res.converged
-    assert res.iterations <= 50 < ref.iterations  # 42 against 99 (Gershgorin shift)
+    assert ref.solver == res.solver == "shift-invert" and res.converged
+    assert res.iterations <= 40 < ref.iterations  # 32 against 58 (Gershgorin shift)
     assert guess >= res.eigenvalues[0]  # interlacing: E0 only falls as M grows
     assert np.max(np.abs(res.eigenvalues - ref.eigenvalues)) <= 1e-12 * abs(ref.eigenvalues[0])
 
@@ -281,46 +299,25 @@ def test_guess_above_the_ground_level_retries_below_it(monkeypatch):
     ab, _ = _strong_block_and_hint()
     ref = solve_lowest(ab, SolverOptions(k=6, seed=1))
     e0 = ref.eigenvalues[0]
-    outcomes, shifts = [], []
-    cholesky_banded, eigsh = scipy.linalg.cholesky_banded, scipy.sparse.linalg.eigsh
-
-    def factor_spy(*args, **kwargs):
-        try:
-            out = cholesky_banded(*args, **kwargs)
-        except np.linalg.LinAlgError:
-            outcomes.append("failed")
-            raise
-        outcomes.append("factored")
-        return out
-
-    def eigsh_spy(A, *args, **kwargs):
-        shifts.append(kwargs["sigma"])
-        return eigsh(A, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", factor_spy)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", eigsh_spy)
+    calls = _spy(monkeypatch, "dpbtrf")
     res = solve_lowest(ab, SolverOptions(k=6, seed=1), guess=e0 + 1.0)
-    assert outcomes[0] == "failed" and outcomes[-1] == "factored"
-    assert solvers._gershgorin_shift(ab) < shifts[0] < e0  # a widened guess, not the fallback
+    assert calls[0][1] > 0 and calls[-1][1] == 0  # failed, then factored
+    (sigma,) = _factored_shifts(ab, calls)
+    assert solvers._gershgorin_shift(ab) < sigma < e0  # a widened guess, not the fallback
     assert np.max(np.abs(res.eigenvalues - ref.eigenvalues)) <= 1e-12 * abs(e0)
-
 
 
 def test_guess_below_the_gershgorin_shift_is_not_taken(monkeypatch):
     # a hint far below a block's spectrum (say, E0 of the whole point for a
-    # higher v = 0 chain) would shift further off than the Gershgorin bound
+    # higher v = 0 chain) would shift further off than the floor: the
+    # Gershgorin shift, or a floor the caller passes
     ab, _ = _strong_block_and_hint()
-    floor = solvers._gershgorin_shift(ab)
-    shifts = []
-    eigsh = scipy.sparse.linalg.eigsh
-
-    def spy(A, *args, **kwargs):
-        shifts.append(kwargs["sigma"])
-        return eigsh(A, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
-    solve_lowest(ab, SolverOptions(k=6, seed=1), guess=floor - 10.0)
-    assert shifts == [floor]
+    gershgorin = solvers._gershgorin_shift(ab)
+    for floor in (None, gershgorin + 1.0):
+        calls = _spy(monkeypatch, "dpbtrf")
+        solve_lowest(ab, SolverOptions(k=6, seed=1), guess=gershgorin - 10.0, floor=floor)
+        assert _factored_shifts(ab, calls) == [gershgorin if floor is None else floor]
+        assert len(calls) == 1
 
 BANDED_BLOCKS = [  # (N, u/v, M, s): 93 to 378 rows
     (4, 0.5, 30, 0), (7, 0.9, 40, 0), (10, 0.5, 40, 1), (12, 0.9, 53, 0), (16, 0.5, 41, 1),
@@ -348,6 +345,23 @@ def test_banded_lapack_matches_dense_spectrum_of_the_expanded_block(want_vectors
         else:
             assert res.eigenvectors is None
             np.testing.assert_array_equal(res.residual_norms, np.zeros(6))
+
+
+@pytest.mark.parametrize("want_vectors", [True, False])
+def test_dense_path_is_eig_banded_bit_for_bit(want_vectors):
+    # one dsbevx call with the arguments scipy.linalg.eig_banded passes it
+    for N, r, M, s in BANDED_BLOCKS:
+        p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(r)), v=1.0)
+        ab = symmetry_block(p, M, s, 0)
+        res = solve_lowest(ab, SolverOptions(k=6), want_vectors=want_vectors)
+        ref = scipy.linalg.eig_banded(
+            ab, lower=True, eigvals_only=not want_vectors, select="i", select_range=(0, 5)
+        )
+        if want_vectors:
+            np.testing.assert_array_equal(res.eigenvalues, ref[0])
+            np.testing.assert_array_equal(res.eigenvectors, ref[1])
+        else:
+            np.testing.assert_array_equal(res.eigenvalues, ref)
 
 
 @pytest.mark.parametrize("want_vectors", [True, False])
