@@ -21,6 +21,7 @@ from .model import ModelParams
 
 HBAR = 1.054571817e-34  # J s
 FLUX_QUANTUM = 2.067833848e-15  # Wb
+REGIME_TOL = 1e-9  # |epsilon| and |eta| below it count as zero, in angular-frequency units
 
 _DEVICE_KEYS = ("E_c", "E_J", "n_g", "Phi_x", "Phi_e", "L", "I_c", "omega", "g", "N")
 _FREQ_KEYS = ("E_c", "E_J", "omega", "g")
@@ -68,16 +69,6 @@ def flux_radians_from_weber(phi_weber: float) -> float:
     return 2.0 * math.pi * phi_weber / FLUX_QUANTUM
 
 
-def si_energy_from_angular(omega_rad_per_s: float) -> float:
-    """Angular frequency (rad/s) to SI energy (J)."""
-    return HBAR * omega_rad_per_s
-
-
-def angular_from_si_energy(energy_joule: float) -> float:
-    """SI energy (J) to angular frequency (rad/s)."""
-    return energy_joule / HBAR
-
-
 def derive_model_params(c: CircuitParams) -> tuple[ModelParams, DerivedSingleAtom]:
     """Map device parameters to (ModelParams, DerivedSingleAtom).
 
@@ -94,7 +85,7 @@ def derive_model_params(c: CircuitParams) -> tuple[ModelParams, DerivedSingleAto
         * math.cos(c.Phi_e)
         * (1.0 - 2.0 * kappa**2 * math.sin(c.Phi_e) ** 2)
     )
-    v = angular_from_si_energy(c.L * c.I_c**2 * math.sin(c.Phi_e) ** 2 / 2.0)
+    v = c.L * c.I_c**2 * math.sin(c.Phi_e) ** 2 / 2.0 / HBAR
     model = ModelParams(N=int(c.N), omega=c.omega, g=c.g, v=v)
     return model, DerivedSingleAtom(epsilon=epsilon, eta=eta, kappa=kappa)
 
@@ -109,20 +100,18 @@ class RegimeReport:
     messages: tuple[str, ...]
 
 
-def validate_regime(
-    m: ModelParams, d: DerivedSingleAtom, tol_abs: float = 1e-9
-) -> RegimeReport:
-    """Check u < v, |epsilon| < tol (gate at 1/2), and |eta| < tol."""
+def validate_regime(m: ModelParams, d: DerivedSingleAtom) -> RegimeReport:
+    """Check u < v, |epsilon| < ``REGIME_TOL`` (gate at 1/2), and |eta| < ``REGIME_TOL``."""
     msgs = []
     u_lt_v = m.u < m.v
     if not u_lt_v:
         msgs.append(f"two-well condition violated: u = {m.u:.6g} >= v = {m.v:.6g}")
-    optimal = abs(d.epsilon) < tol_abs
+    optimal = abs(d.epsilon) < REGIME_TOL
     if not optimal:
         msgs.append(
             f"optimal point violated: epsilon = {d.epsilon:.6g} (gate charge n_g != 1/2)"
         )
-    eta_zero = abs(d.eta) < tol_abs
+    eta_zero = abs(d.eta) < REGIME_TOL
     if not eta_zero:
         msgs.append(f"residual tunneling: eta = {d.eta:.6g} (cos(Phi_x) != 0)")
     return RegimeReport(

@@ -487,10 +487,6 @@ def oracle_spectrum_equivalence(
     p: ModelParams,
     k: int = 6,
     tol: float = 1e-8,
-    *,
-    conv_tol: float = 1e-10,
-    options: SolverOptions | None = None,
-    max_dim: int = DEFAULT_MAX_DIM,
 ) -> OracleEquivalence:
     """Lowest-k full eigenvalues vs the merge {eps_i + omega*n} of the spin model.
 
@@ -498,8 +494,7 @@ def oracle_spectrum_equivalence(
     displacement dressing of the Sx^2 term shifts the true spectrum, and
     the returned deviation measures that shift honestly.
     """
-    opts = options or SolverOptions()
-    conv = converge_cutoff(p, conv_tol, k=k, options=opts, max_dim=max_dim)
+    conv = converge_cutoff(p, 1e-10, k=k)
     full = conv.spectrum.eigenvalues[:k]
     merged = spin_ladder_levels(p, full.size)
     dev = float(np.max(np.abs(full - merged)))

@@ -298,7 +298,7 @@ def lanczos_lowest(H, opts: SolverOptions | None = None) -> SpectrumResult:
     k = opts.k
     rng = np.random.default_rng(opts.seed)
     scale = frobenius_norm(H) or 1.0
-    tol_abs = LANCZOS_RESIDUAL_TOL * scale
+    resid_tol = LANCZOS_RESIDUAL_TOL * scale
     max_iter = opts.max_iterations if opts.max_iterations is not None else 10 * dim
 
     Q, T = np.zeros((dim, 0)), np.zeros((0, 0))
@@ -315,7 +315,7 @@ def lanczos_lowest(H, opts: SolverOptions | None = None) -> SpectrumResult:
             theta, S = np.linalg.eigh(T)
             theta, vectors = theta[:k], Q @ S[:, :k]
             resid = np.linalg.norm(H @ vectors - vectors * theta, axis=0)
-            if room == 0 or np.all(resid <= tol_abs) or iterations >= max_iter:
+            if room == 0 or np.all(resid <= resid_tol) or iterations >= max_iter:
                 break
         W = HX
         for _ in range(2):
@@ -334,5 +334,5 @@ def lanczos_lowest(H, opts: SolverOptions | None = None) -> SpectrumResult:
         solver="lanczos",
         iterations=iterations,
         residual_norms=resid,
-        converged=bool(np.all(resid <= tol_abs)),
+        converged=bool(np.all(resid <= resid_tol)),
     )

@@ -7,9 +7,8 @@ array that ``model.symmetry_block`` builds, and solves it with LAPACK
 (H - sigma)^-1 (spectral transformation, Ericsson & Ruhe, Math. Comp. 35,
 1251 (1980)) through a banded Cholesky factor of H - sigma.  sigma sits
 just below a caller's estimate of the lowest level when there is one
-(the cutoff search passes the previous cutoff's E0), else at a caller's
-proved floor (``lowest_levels`` passes one from the spin model), else
-below the Gershgorin bound.
+(the cutoff search passes the previous cutoff's E0), else at the caller's
+proved floor (``lowest_levels`` passes one from the spin model).
 
 The LAPACK and BLAS routines come from scipy's ``_flapack`` and ``_fblas``
 extension modules, loaded from their files so that the ``scipy.linalg``
@@ -156,31 +155,14 @@ class SpectrumResult:
     labels: tuple[tuple[int, int], ...] = ()
 
 
-def _gershgorin_shift(ab: np.ndarray) -> float:
-    """A shift strictly below the spectrum of the symmetric matrix with lower band array ab.
-
-    No eigenvalue is below min_i(a_ii - sum_{j != i} |a_ij|) (Gershgorin);
-    the shift sits a further 1 % of max(1, |bound|) below that bound.  Band
-    row k holds the entries k left of the diagonal and, mirrored, k right.
-    """
-    dim = ab.shape[1]
-    radius = np.zeros(dim)
-    for k, row in enumerate(np.abs(ab[1:]), start=1):
-        radius[k:] += row[: dim - k]
-        radius[: dim - k] += row[: dim - k]
-    bound = float(np.min(ab[0] - radius))
-    return bound - 1e-2 * max(1.0, abs(bound))
-
-
-def _shift_and_factor(ab: np.ndarray, guess: float | None, floor: float | None) -> tuple[float, np.ndarray]:
+def _shift_and_factor(ab: np.ndarray, guess: float | None, floor: float) -> tuple[float, np.ndarray]:
     """A shift sigma below the spectrum of ab and the ``dpbtrf`` factor of H - sigma I.
 
-    floor is a caller's proved lower bound, below the spectrum;
-    :func:`_gershgorin_shift` stands in where it is None.  Given a guess at
-    or above the lowest level, sigma = guess - delta with
+    floor is a caller's proved lower bound, below the spectrum.  Given a
+    guess at or above the lowest level, sigma = guess - delta with
     delta = 1e-3 max(1, |guess|), widened x10 while ``dpbtrf`` fails, three
-    tries at most and never past the floor, which is the fallback.  A
-    factor that succeeds proves sigma below the spectrum, so no guess can
+    tries at most and never past the floor, which is the last shift tried.
+    A factor that succeeds proves sigma below the spectrum, so no guess can
     give a wrong level; a failing floor raises ``numpy.linalg.LinAlgError``.
     """
 
@@ -192,8 +174,6 @@ def _shift_and_factor(ab: np.ndarray, guess: float | None, floor: float | None) 
             raise np.linalg.LinAlgError(f"{info}-th leading minor of H - sigma not positive definite")
         return c
 
-    if floor is None:
-        floor = _gershgorin_shift(ab)
     shifts = []
     if guess is not None:
         delta = 1e-3 * max(1.0, abs(guess))
@@ -288,13 +268,15 @@ def solve_lowest(
     k lowest levels sigma + 1/theta.  guess, an upper estimate of the
     lowest level such as the cutoff search's previous E0, moves sigma up to
     it; floor, a proved lower bound, is where sigma goes without a usable
-    guess.  The inverse is applied by LAPACK ``dpbtrs`` on the banded
-    Cholesky factor of H - sigma I, as often as ``iterations`` counts,
-    starting from a vector drawn from ``seed``, until the Ritz values are
-    converged to machine precision or ``max_iterations`` steps run out; then
-    the best pairs come back with converged=False.  Residuals come from BLAS
-    ``dsbmv`` (zeros for eigenvalues without vectors).  Plain Lanczos keeps
-    one copy of each eigenvalue: pass one sector.
+    guess, and a block that goes to Lanczos without one raises
+    ``ValidationError`` (the dense path needs none).  The inverse is
+    applied by LAPACK ``dpbtrs`` on the banded Cholesky factor of
+    H - sigma I, as often as ``iterations`` counts, starting from a vector
+    drawn from ``seed``, until the Ritz values are converged to machine
+    precision or ``max_iterations`` steps run out; then the best pairs come
+    back with converged=False.  Residuals come from BLAS ``dsbmv`` (zeros
+    for eigenvalues without vectors).  Plain Lanczos keeps one copy of each
+    eigenvalue: pass one sector.
     """
     if opts is None:
         opts = SolverOptions()
@@ -312,6 +294,8 @@ def solve_lowest(
         evals, evecs = evals[:found], evecs[:, :found] if want_vectors else None
         solver = "dense"
     else:
+        if floor is None:
+            raise ValidationError(f"shift-invert on {dim} rows needs a floor: a proved lower bound on H")
         sigma, factor = _shift_and_factor(ab, guess, floor)
 
         def apply_inverse(x: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from dickelab import (
     parse_device_text,
     validate_regime,
 )
-from dickelab.circuit import FLUX_QUANTUM, HBAR, angular_from_si_energy, si_energy_from_angular
+from dickelab.circuit import FLUX_QUANTUM, HBAR
 
 HALF_PI = math.pi / 2
 
@@ -91,12 +91,6 @@ def test_u_from_typical_operating_values():
     direct = model.g**2 / model.omega
     assert model.u == pytest.approx(direct, rel=1e-6)
     assert model.u / (2 * math.pi) / 1e6 == pytest.approx(5.6067e-3, rel=1e-3)
-
-
-def test_unit_round_trip():
-    model, _ = derive_model_params(make_circuit())
-    back = angular_from_si_energy(si_energy_from_angular(model.v))
-    assert back == pytest.approx(model.v, rel=1e-12)
 
 
 def test_regime_report_typical_point():

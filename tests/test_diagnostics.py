@@ -647,7 +647,7 @@ def test_shift_floor_lies_below_every_block():
 def test_first_solve_of_a_point_shifts_at_the_spin_model_floor(monkeypatch):
     # N = 24, u/v = 0.9 starts its search at M = 79, where all four (s, r)
     # blocks exceed DENSE_SOLVE_MAX_DIM; with no hint they shift at the
-    # floor, not at the Gershgorin shift
+    # floor
     p = ModelParams(N=24, omega=1.0, g=float(np.sqrt(0.9)), v=1.0)
     floor = diagnostics._shift_floor(p)
     solves, factored = [], []
@@ -669,7 +669,6 @@ def test_first_solve_of_a_point_shifts_at_the_spin_model_floor(monkeypatch):
     for (ab, f), diagonal in zip(first, factored):
         assert ab.shape[1] > solvers.DENSE_SOLVE_MAX_DIM
         assert f == floor
-        assert solvers._gershgorin_shift(ab) < floor
         np.testing.assert_array_equal(diagonal, ab[0] - floor)
     assert all(f == floor for _, _, f in solves)  # every block of this point is past the crossover
 

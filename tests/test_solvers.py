@@ -16,6 +16,7 @@ from dickelab import (
     solve_lowest,
 )
 import dickelab.solvers as solvers
+from dickelab.diagnostics import _shift_floor
 from dickelab.model import symmetry_block
 from oracles import dense_from_band, lower_band, random_sparse_symmetric
 
@@ -183,12 +184,18 @@ def _factored_shifts(ab, calls):
     return [ab[0, 0] - diagonal[0] for diagonal, info in calls if info == 0]
 
 
+def _floor_below(H) -> float:
+    """A shift floor for a generic matrix: its dense reference's E0 less 1e-2 max(1, |E0|)."""
+    e0 = float(np.linalg.eigvalsh(H)[0])
+    return e0 - 1e-2 * max(1.0, abs(e0))
+
+
 def test_solve_lowest_dispatch(monkeypatch):
     p = ModelParams(N=2, omega=1.0, g=0.2, v=0.5)
     H = build_full_hamiltonian(p, 10)
     assert solve_lowest(lower_band(H), SolverOptions(k=3)).solver == "dense"
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
-    res = solve_lowest(lower_band(H), SolverOptions(k=3, seed=2))
+    res = solve_lowest(lower_band(H), SolverOptions(k=3, seed=2), floor=_shift_floor(p))
     assert res.solver == "shift-invert"
     ref = dense_spectrum(H, 3)
     np.testing.assert_allclose(res.eigenvalues, ref.eigenvalues, atol=1e-9)
@@ -200,15 +207,16 @@ def test_shift_invert_nonconvergence_reports_best_effort(monkeypatch):
     H = build_full_hamiltonian(p, 200)
     ref = dense_spectrum(H, 6).eigenvalues
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 100)
+    floor = _shift_floor(p)
     for steps, size in ((1, 1), (8, 6)):
-        res = solve_lowest(lower_band(H), SolverOptions(k=6, seed=0, max_iterations=steps))
+        res = solve_lowest(lower_band(H), SolverOptions(k=6, seed=0, max_iterations=steps), floor=floor)
         assert res.solver == "shift-invert"
         assert not res.converged
         assert res.iterations == steps
         assert res.eigenvalues.size == res.residual_norms.size == size
         assert np.all(np.diff(res.eigenvalues) >= 0)
         assert np.all(res.eigenvalues >= ref[:size] - 1e-12 * abs(ref[0]))  # Ritz values: upper bounds
-    res = solve_lowest(lower_band(H), SolverOptions(k=6, seed=0))
+    res = solve_lowest(lower_band(H), SolverOptions(k=6, seed=0), floor=floor)
     assert res.converged and res.iterations > 8
 
 
@@ -236,7 +244,7 @@ def test_shift_invert_returns_every_level_of_an_unsplit_operator(monkeypatch):
     A = _diag_with_decoupled_zero(80, seed=4)
     ref = np.linalg.eigvalsh(A)[:6]
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
-    res = solve_lowest(lower_band(A), SolverOptions(k=6, seed=1))
+    res = solve_lowest(lower_band(A), SolverOptions(k=6, seed=1), floor=_floor_below(A))
     assert res.solver == "shift-invert" and res.converged
     assert abs(ref[1]) <= 1e-12  # the decoupled zero level is among those compared
     assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12
@@ -246,19 +254,20 @@ def test_shift_invert_sigma_lies_below_the_spectrum(monkeypatch):
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
     p = ModelParams(N=4, omega=1.0, g=0.7, v=1.0)
     unsplit = _diag_with_decoupled_zero(80, seed=4)
-    for H in (build_full_hamiltonian(p, 60), unsplit):
+    # the model's floor is proved for the whole truncated H; the generic one is set from its E0
+    for H, floor in ((build_full_hamiltonian(p, 60), _shift_floor(p)), (unsplit, _floor_below(unsplit))):
         calls = _spy(monkeypatch, "dpbtrf")
         ab = lower_band(H)
-        solve_lowest(ab, SolverOptions(k=4))
+        solve_lowest(ab, SolverOptions(k=4), floor=floor)
         (sigma,) = _factored_shifts(ab, calls)
-        assert sigma < dense_spectrum(H, 1).eigenvalues[0]
+        assert sigma == floor < dense_spectrum(H, 1).eigenvalues[0]
 
 
 def test_shift_invert_iterations_count_inverse_applications(monkeypatch):
     calls = _spy(monkeypatch, "dpbtrs")
     p = ModelParams(N=16, omega=1.0, g=0.7, v=1.0)
     H = symmetry_block(p, 50, 0, 0)  # 459 rows: past DENSE_SOLVE_MAX_DIM
-    res = solve_lowest(H, SolverOptions(k=6, seed=1))
+    res = solve_lowest(H, SolverOptions(k=6, seed=1), floor=_shift_floor(p))
     assert res.solver == "shift-invert" and res.converged
     assert res.iterations == len(calls) > 0
     assert all(info == 0 for _, info in calls)
@@ -270,54 +279,61 @@ def test_shift_above_the_ground_level_fails_the_band_factorization(monkeypatch):
     p = ModelParams(N=4, omega=1.0, g=0.7, v=1.0)
     H = symmetry_block(p, 60, 0, 0)
     e0 = dense_spectrum(dense_from_band(H), 1).eigenvalues[0]
-    monkeypatch.setattr(solvers, "_gershgorin_shift", lambda ab: e0 + 0.5)
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
-    with pytest.raises(np.linalg.LinAlgError):
-        solve_lowest(H, SolverOptions(k=4))
     with pytest.raises(np.linalg.LinAlgError):  # a floor is trusted no further
         solve_lowest(H, SolverOptions(k=4), floor=e0 + 0.5)
 
 
+def test_shift_invert_needs_a_floor(monkeypatch):
+    p = ModelParams(N=4, omega=1.0, g=0.7, v=1.0)
+    H = symmetry_block(p, 60, 0, 0)  # 183 rows
+    ref = dense_spectrum(dense_from_band(H), 4).eigenvalues
+    assert solve_lowest(H, SolverOptions(k=4)).solver == "dense"  # the dense path needs none
+    monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
+    with pytest.raises(ValidationError, match="needs a floor"):
+        solve_lowest(H, SolverOptions(k=4), guess=ref[0])
+    res = solve_lowest(H, SolverOptions(k=4), floor=_shift_floor(p))
+    assert res.solver == "shift-invert"
+    assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12 * abs(ref[0])
+
+
 def _strong_block_and_hint():
-    """N = 12, u/v = 0.9: the s = 0 block at M = 180 (1267 rows) and E0 at M = 90."""
+    """N = 12, u/v = 0.9: the s = 0 block at M = 180 (1267 rows), E0 at M = 90 and the spin-model floor."""
     p = ModelParams(N=12, omega=1.0, g=float(np.sqrt(0.9)), v=1.0)
-    return symmetry_block(p, 180, 0, 0), float(lowest_levels(p, 90, 3).eigenvalues[0])
+    return symmetry_block(p, 180, 0, 0), float(lowest_levels(p, 90, 3).eigenvalues[0]), _shift_floor(p)
 
 
 def test_guess_from_the_smaller_cutoff_cuts_inverse_applications():
-    ab, guess = _strong_block_and_hint()
+    ab, guess, floor = _strong_block_and_hint()
     opts = SolverOptions(k=6, seed=1)
-    ref = solve_lowest(ab, opts)
-    res = solve_lowest(ab, opts, guess=guess)
+    ref = solve_lowest(ab, opts, floor=floor)
+    res = solve_lowest(ab, opts, guess=guess, floor=floor)
     assert ref.solver == res.solver == "shift-invert" and res.converged
-    assert res.iterations <= 40 < ref.iterations  # 32 against 58 (Gershgorin shift)
+    assert res.iterations <= 40 < ref.iterations  # 32 against 52 (floor shift)
     assert guess >= res.eigenvalues[0]  # interlacing: E0 only falls as M grows
     assert np.max(np.abs(res.eigenvalues - ref.eigenvalues)) <= 1e-12 * abs(ref.eigenvalues[0])
 
 
 def test_guess_above_the_ground_level_retries_below_it(monkeypatch):
-    ab, _ = _strong_block_and_hint()
-    ref = solve_lowest(ab, SolverOptions(k=6, seed=1))
+    ab, _, floor = _strong_block_and_hint()
+    ref = solve_lowest(ab, SolverOptions(k=6, seed=1), floor=floor)
     e0 = ref.eigenvalues[0]
     calls = _spy(monkeypatch, "dpbtrf")
-    res = solve_lowest(ab, SolverOptions(k=6, seed=1), guess=e0 + 1.0)
+    res = solve_lowest(ab, SolverOptions(k=6, seed=1), guess=e0 + 1.0, floor=floor)
     assert calls[0][1] > 0 and calls[-1][1] == 0  # failed, then factored
     (sigma,) = _factored_shifts(ab, calls)
-    assert solvers._gershgorin_shift(ab) < sigma < e0  # a widened guess, not the fallback
+    assert floor < sigma < e0  # a widened guess, not the floor
     assert np.max(np.abs(res.eigenvalues - ref.eigenvalues)) <= 1e-12 * abs(e0)
 
 
-def test_guess_below_the_gershgorin_shift_is_not_taken(monkeypatch):
+def test_guess_below_the_floor_is_not_taken(monkeypatch):
     # a hint far below a block's spectrum (say, E0 of the whole point for a
-    # higher v = 0 chain) would shift further off than the floor: the
-    # Gershgorin shift, or a floor the caller passes
-    ab, _ = _strong_block_and_hint()
-    gershgorin = solvers._gershgorin_shift(ab)
-    for floor in (None, gershgorin + 1.0):
-        calls = _spy(monkeypatch, "dpbtrf")
-        solve_lowest(ab, SolverOptions(k=6, seed=1), guess=gershgorin - 10.0, floor=floor)
-        assert _factored_shifts(ab, calls) == [gershgorin if floor is None else floor]
-        assert len(calls) == 1
+    # higher v = 0 chain) would shift further off than the floor the caller passes
+    ab, _, floor = _strong_block_and_hint()
+    calls = _spy(monkeypatch, "dpbtrf")
+    solve_lowest(ab, SolverOptions(k=6, seed=1), guess=floor - 10.0, floor=floor)
+    assert _factored_shifts(ab, calls) == [floor]
+    assert len(calls) == 1
 
 BANDED_BLOCKS = [  # (N, u/v, M, s): 93 to 378 rows
     (4, 0.5, 30, 0), (7, 0.9, 40, 0), (10, 0.5, 40, 1), (12, 0.9, 53, 0), (16, 0.5, 41, 1),

@@ -450,13 +450,13 @@ def test_emit_landscape_grid(tmp_path):
     assert e == pytest.approx(-0.16 * 2.25, rel=1e-12)  # -u S^2 at the pole
 
 
-# the cutoff search's 2M solves have blocks of 738, 615 (N = 10) and 858
-# (N = 11), above DENSE_SOLVE_MAX_DIM, so they run ARPACK
-FULL_ARPACK = """
+# u/v = 0.9: N = 13 accepts its cutoff on a 665-row block, above
+# DENSE_SOLVE_MAX_DIM, solved by shift-invert Lanczos; N = 12 stays dense
+FULL_SHIFT_INVERT = """
 [model]
-N_list = 10, 11
+N_list = 12, 13
 omega = 1.0
-g_list = 0.70710678118654757
+g_list = 0.9486832980505138
 v_list = 1.0
 
 [engine]
@@ -471,7 +471,7 @@ emit = splitting, degeneracy, spectrum
 
 
 def test_reruns_give_the_same_bytes(tmp_path):
-    for name, text in (("spin", SPIN_EVEN), ("full", FULL_ARPACK)):
+    for name, text in (("spin", SPIN_EVEN), ("full", FULL_SHIFT_INVERT)):
         blobs = []
         for run in (1, 2):
             out = tmp_path / f"{name}_{run}.csv"
@@ -493,6 +493,14 @@ def test_point_wall_times_do_not_overlap():
     assert sum(row.wall_time_seconds for row in rows) <= 1.05 * elapsed + 1e-3
 
 
+def _check_full_rows(rows):
+    assert [row.N for row in rows] == [12, 13]
+    assert all(row.converged for row in rows)
+    assert rows[0].d > 0
+    assert rows[1].d == 0.0
+    assert "shift-invert" in {row.solver for row in rows}  # the grid reaches the Lanczos path
+
+
 def _imports_reference(node: ast.AST) -> bool:
     if isinstance(node, ast.Import):
         return any("reference" in alias.name.split(".") for alias in node.names)
@@ -509,11 +517,7 @@ def test_full_sweep_never_calls_block_lanczos(monkeypatch):
 
     monkeypatch.setattr("dickelab.reference.lanczos_lowest", refuse)
     monkeypatch.setattr("dickelab.lanczos_lowest", refuse)
-    rows = run_sweep(parse_config(FULL_ARPACK))
-    assert [row.N for row in rows] == [10, 11]
-    assert all(row.converged for row in rows)
-    assert rows[0].d > 0
-    assert rows[1].d == 0.0
+    _check_full_rows(run_sweep(parse_config(FULL_SHIFT_INVERT)))
 
 
 def test_full_sweep_never_assembles_full_hamiltonian(monkeypatch):
@@ -522,11 +526,7 @@ def test_full_sweep_never_assembles_full_hamiltonian(monkeypatch):
 
     monkeypatch.setattr("dickelab.reference.build_full_hamiltonian", refuse)
     monkeypatch.setattr("dickelab.build_full_hamiltonian", refuse)
-    rows = run_sweep(parse_config(FULL_ARPACK))
-    assert [row.N for row in rows] == [10, 11]
-    assert all(row.converged for row in rows)
-    assert rows[0].d > 0
-    assert rows[1].d == 0.0
+    _check_full_rows(run_sweep(parse_config(FULL_SHIFT_INVERT)))
 
 
 def test_the_solve_path_never_uses_the_references(monkeypatch):
@@ -548,11 +548,7 @@ def test_the_solve_path_never_uses_the_references(monkeypatch):
     for name in public:
         monkeypatch.setattr(reference, name, refuse)
         monkeypatch.setattr(dickelab, name, refuse, raising=False)
-    rows = run_sweep(parse_config(FULL_ARPACK))
-    assert [row.N for row in rows] == [10, 11]
-    assert all(row.converged for row in rows)
-    assert rows[0].d > 0
-    assert rows[1].d == 0.0
+    _check_full_rows(run_sweep(parse_config(FULL_SHIFT_INVERT)))
     rows = run_sweep(parse_config(SPIN_EVEN))
     assert [row.N for row in rows] == [4, 6, 8]
     assert all(row.d > 0 for row in rows)
@@ -601,7 +597,7 @@ def test_sweep_from_circuit_file(tmp_path):
 WORKER_GRIDS = {
     "spin-only": SPIN_EVEN.replace("N_list = 4, 6, 8", "N_list = 2, 3, 4, 5, 6, 7, 8, 9, 40, 41")
     .replace("[outputs]", "[outputs]\nemit = splitting, degeneracy, spectrum"),
-    "full even and odd N": FULL_ARPACK.replace("N_list = 10, 11", "N_list = 6, 7, 10, 11"),
+    "full even and odd N": FULL_SHIFT_INVERT.replace("N_list = 12, 13", "N_list = 6, 7, 12, 13"),
     "a failing point": (
         "[model]\nN_list = 1, 7, 2, 3, 8\nomega = 1\ng_list = 0.5\nv_list = 0.5\n"
         "[engine]\nmode = full\nk = 3\nmax_dim = 120\n"
