@@ -50,7 +50,7 @@ from .semiclassics import (
     splitting_scaling_fit,
     surface_gradient,
 )
-from .solvers import SolverOptions, SpectrumResult, solve_lowest
+from .solvers import SpectrumResult, solve_lowest
 from .sweep import (
     CSV_HEADER,
     SweepConfig,
@@ -102,7 +102,6 @@ __all__ = [
     "RegimeReport",
     "ResourceError",
     "ScalingFit",
-    "SolverOptions",
     "SparseOperator",
     "SpectrumResult",
     "SpinOperatorSet",

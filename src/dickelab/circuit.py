@@ -125,7 +125,8 @@ def parse_device_text(text: str) -> CircuitParams:
     Keys are exactly E_c, E_J, n_g, Phi_x, Phi_e, L, I_c, omega, g, N plus
     an optional ``units`` key: ``angular`` (default; frequency-like values
     in rad/s) or ``linear`` (in Hz, multiplied by 2 pi on read).  L and
-    I_c are always SI; fluxes always radians.  Unknown keys fail closed.
+    I_c are always SI; fluxes always radians.  Unknown keys fail closed,
+    as does a value that is not a finite number, with its line.
     """
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
@@ -159,12 +160,11 @@ def parse_device_text(text: str) -> CircuitParams:
         try:
             parsed[key] = float(values[key])
         except ValueError:
-            raise ConfigError(
-                f"malformed number for {key!r}: {values[key]!r}", line=lines[key]
-            ) from None
-    if units == "linear":
-        for key in _FREQ_KEYS:
+            parsed[key] = math.nan
+        if key in _FREQ_KEYS and units == "linear":
             parsed[key] *= 2.0 * math.pi
+        if not math.isfinite(parsed[key]):  # inf, nan and 1e400 included
+            raise ConfigError(f"malformed number for {key!r}: {values[key]!r}", line=lines[key])
     N = parsed.pop("N")
     if abs(N - round(N)) > 1e-9:
         raise ConfigError(f"N must be an integer, got {N}", line=lines["N"])

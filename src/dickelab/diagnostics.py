@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import solvers
 from .errors import ResourceError, ValidationError
 from .model import ModelParams, spin_sector, spin_sector_halves, symmetry_block, symmetry_block_basis
-from .solvers import SolverOptions, SpectrumResult, lapack, solve_lowest
+from .solvers import SpectrumResult, lapack, solve_lowest
 
 _NEG_CLIP = 1e-12
 DEFAULT_MAX_DIM = 200_000
@@ -168,8 +168,8 @@ def lowest_levels(
     p: ModelParams,
     M: int,
     k: int,
-    opts: SolverOptions | None = None,
     *,
+    seed: int = 0,
     want_vectors: bool = False,
     guess: float | None = None,
 ) -> SpectrumResult:
@@ -194,9 +194,10 @@ def lowest_levels(
     goes to every :func:`~dickelab.solvers.solve_lowest` as its shift hint,
     and each block above ``DENSE_SOLVE_MAX_DIM`` rows gets
     :func:`_shift_floor` as its proved floor, where a solve without a
-    usable hint, such as a point's first, shifts.
+    usable hint, such as a point's first, shifts.  seed draws each Lanczos
+    start vector; k outside [1, dim] or a negative seed raises
+    ``ValidationError``.
     """
-    opts = opts or SolverOptions()
     dim = (M + 1) * (p.N + 1)
     if k < 1 or k > dim:
         raise ValidationError(f"k must be in [1, {dim}], got {k}")
@@ -212,7 +213,7 @@ def lowest_levels(
         if floor is None and ab.shape[1] > solvers.DENSE_SOLVE_MAX_DIM:
             floor = _shift_floor(p)  # only the Lanczos path shifts
         res = solve_lowest(
-            ab, replace(opts, k=min(k_block, ab.shape[1])),
+            ab, min(k_block, ab.shape[1]), seed=seed,
             want_vectors=want_vectors, guess=guess, floor=floor,
         )
         results.append(res)
@@ -340,7 +341,8 @@ def converge_cutoff(
     tol: float = 1e-10,
     k: int = 3,
     *,
-    options: SolverOptions | None = None,
+    levels: int = 6,
+    seed: int = 0,
     max_dim: int = DEFAULT_MAX_DIM,
 ) -> ConvergenceReport:
     """Double the Fock cutoff until the lowest k levels are accepted, on a bound or on a comparison.
@@ -355,8 +357,10 @@ def converge_cutoff(
     dim(2M*) <= max_dim.  The accepted M is returned with the full history
     (which ends at M* where the bound accepted it, at 2M* where the
     comparison did), the bound (NaN for a comparison) and the
-    :func:`lowest_levels` solve at M* (max(k, 3, options.k) levels), so
-    callers need not solve again.  Each solve after the first takes the
+    :func:`lowest_levels` solve at M*, so callers need not solve again.
+    k counts the levels compared and bounded, levels those the caller
+    needs: each cutoff solves max(k, 3, levels) of them, with Lanczos
+    start vectors drawn from seed.  Each solve after the first takes the
     previous E0 as its shift hint: by Cauchy interlacing E0(2M) <= E0(M).
     Breaching max_dim before acceptance raises a ResourceError carrying
     the history.
@@ -365,7 +369,6 @@ def converge_cutoff(
         raise ValidationError(f"tol must be finite and > 0, got {tol}")
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    opts = options or SolverOptions()
     history: list[tuple[int, float, float, float]] = []
     M = initial_cutoff(p)
     prev: SpectrumResult | None = None
@@ -378,7 +381,7 @@ def converge_cutoff(
                 history=tuple(history),
             )
         guess = None if prev is None else float(prev.eigenvalues[0])
-        res = lowest_levels(p, M, min(max(k, 3, opts.k), dim), opts, guess=guess)
+        res = lowest_levels(p, M, min(max(k, 3, levels), dim), seed=seed, guess=guess)
         e = res.eigenvalues
         e3 = tuple(float(e[i]) if i < e.size else math.nan for i in range(3))
         history.append((M, *e3))
@@ -542,14 +545,12 @@ def cat_overlap(ground_pair, p: ModelParams, M: int) -> CatOverlap:
     return CatOverlap(f_plus=f_plus, f_minus=f_minus)
 
 
-def ground_pair(
-    p: ModelParams, M: int, *, options: SolverOptions | None = None
-) -> tuple[np.ndarray, np.ndarray, SpectrumResult]:
-    """Lowest two eigenvectors of the full model at cutoff M, via :func:`lowest_levels`.
+def ground_pair(p: ModelParams, M: int) -> tuple[np.ndarray, np.ndarray, SpectrumResult]:
+    """Lowest two eigenvectors of the full model at cutoff M, and the solve they come from.
 
-    For odd N the second vector is the mirror R x0 of the first, so the
-    pair spans the exact doublet.
+    That solve is :func:`lowest_levels` of the six lowest levels.  For odd
+    N the second vector is the mirror R x0 of the first, so the pair spans
+    the exact doublet.
     """
-    opts = options or SolverOptions()
-    res = lowest_levels(p, M, max(opts.k, 3), opts, want_vectors=True)
+    res = lowest_levels(p, M, 6, want_vectors=True)
     return res.eigenvectors[:, 0], res.eigenvectors[:, 1], res

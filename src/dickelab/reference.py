@@ -27,7 +27,7 @@ import scipy.sparse as sparse
 
 from .errors import ResourceError, ValidationError
 from .model import DEFAULT_MAX_NONZEROS, ModelParams
-from .solvers import SolverOptions, SpectrumResult
+from .solvers import SpectrumResult, check_request
 
 DEFAULT_DENSE_THRESHOLD = 4000  # dense_spectrum's guard: larger matrices need a larger dense_threshold
 LANCZOS_BLOCK = 4  # lanczos_lowest's block width; >= 2 keeps degenerate doublets
@@ -273,7 +273,7 @@ def _orthonormal_block(X: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return X
 
 
-def lanczos_lowest(H, opts: SolverOptions | None = None) -> SpectrumResult:
+def lanczos_lowest(H, k: int = 6, *, seed: int = 0, max_iterations: int | None = None) -> SpectrumResult:
     """Lowest-k eigenpairs via block Lanczos with full reorthogonalization.
 
     Under full reorthogonalization block Lanczos is Rayleigh-Ritz on the
@@ -290,16 +290,13 @@ def lanczos_lowest(H, opts: SolverOptions | None = None) -> SpectrumResult:
     pairs exist; running out returns converged=False with the best
     residuals.
     """
-    if opts is None:
-        opts = SolverOptions()
     H = as_matrix(H)
     dim = H.shape[0]
-    opts.validate(dim)
-    k = opts.k
-    rng = np.random.default_rng(opts.seed)
+    check_request(k, seed, dim)
+    rng = np.random.default_rng(seed)
     scale = frobenius_norm(H) or 1.0
     resid_tol = LANCZOS_RESIDUAL_TOL * scale
-    max_iter = opts.max_iterations if opts.max_iterations is not None else 10 * dim
+    max_iter = max_iterations if max_iterations is not None else 10 * dim
 
     Q, T = np.zeros((dim, 0)), np.zeros((0, 0))
     X = _orthonormal_block(rng.standard_normal((dim, min(LANCZOS_BLOCK, dim))), Q)

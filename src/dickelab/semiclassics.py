@@ -13,8 +13,11 @@ degenerate minima sit on the equator at phi = 0 and phi = pi with the
 cavity in vacuum; for u > v they move to the poles with a displaced
 cavity.  The parity factor |cos(N pi / 2)| decides whether tunneling
 between the equatorial minima interferes destructively (odd N) or not
-(even N), and the even-N splitting decays like exp(-c N), which
-splitting_scaling_fit extracts from diagonalization data.
+(even N).  In the spin model -u Sz^2 - v Sx^2 the even-N splitting
+decays like exp(-c N), the rate splitting_scaling_fit extracts from
+diagonalization data; the full model's splitting falls faster than one
+exponential (its rate per atom grows with N), so a fit to full-model rows
+gives an average rate over its N range.
 """
 
 from __future__ import annotations

@@ -104,33 +104,18 @@ blocks, hinted solves near 300-400, so one constant of 400 serves both.
 """
 
 LANCZOS_MAX_STEPS = 400
-"""Lanczos steps of :func:`solve_lowest` where ``SolverOptions.max_iterations`` is unset."""
+"""Lanczos steps :func:`solve_lowest` takes at most before it returns its best pairs unconverged."""
 
 RITZ_CHECK_EVERY = 2
 """Lanczos steps between two Ritz checks of :func:`solve_lowest`."""
 
 
-@dataclass
-class SolverOptions:
-    """How many levels to solve for, the iteration budget and the start-vector seed.
-
-    max_iterations caps the Lanczos steps of :func:`solve_lowest`
-    (``LANCZOS_MAX_STEPS`` when None) and the block steps of
-    ``reference.lanczos_lowest``.  Which solver :func:`solve_lowest` runs
-    is not an option: it follows ``DENSE_SOLVE_MAX_DIM``.
-    """
-
-    k: int = 6
-    max_iterations: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-
-    def validate(self, dim: int) -> None:
-        if not 1 <= self.k <= dim:
-            raise ValidationError(f"k must be in [1, {dim}], got {self.k}")
+def check_request(k: int, seed: int, dim: int) -> None:
+    """Raise ``ValidationError`` unless 1 <= k <= dim and seed >= 0."""
+    if not 1 <= k <= dim:
+        raise ValidationError(f"k must be in [1, {dim}], got {k}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass
@@ -160,7 +145,7 @@ def _shift_and_factor(ab: np.ndarray, guess: float | None, floor: float) -> tupl
 
     floor is a caller's proved lower bound, below the spectrum.  Given a
     guess at or above the lowest level, sigma = guess - delta with
-    delta = 1e-3 max(1, |guess|), widened x10 while ``dpbtrf`` fails, three
+    delta = 1e-3 max(1, |guess|), widened x10 once if ``dpbtrf`` fails, two
     tries at most and never past the floor, which is the last shift tried.
     A factor that succeeds proves sigma below the spectrum, so no guess can
     give a wrong level; a failing floor raises ``numpy.linalg.LinAlgError``.
@@ -177,7 +162,7 @@ def _shift_and_factor(ab: np.ndarray, guess: float | None, floor: float) -> tupl
     shifts = []
     if guess is not None:
         delta = 1e-3 * max(1.0, abs(guess))
-        shifts = [guess - delta * 10.0**i for i in range(3)]
+        shifts = [guess - delta, guess - 10.0 * delta]
     for sigma in [x for x in shifts if x > floor]:
         try:
             return sigma, factor(sigma)
@@ -187,7 +172,7 @@ def _shift_and_factor(ab: np.ndarray, guess: float | None, floor: float) -> tupl
 
 
 def _lanczos_largest(
-    apply, dim: int, k: int, steps: int, rng, want_vectors: bool
+    apply, dim: int, k: int, rng, want_vectors: bool
 ) -> tuple[np.ndarray, np.ndarray | None, bool]:
     """The k largest Ritz values (descending) and vectors of the positive definite operator ``apply``.
 
@@ -203,10 +188,11 @@ def _lanczos_largest(
     largest eigenpairs of the tridiagonal T; the
     k largest Ritz values theta_i have converged once
     |beta s_last,i| <= eps |theta_i|, the rule ARPACK applies at tol = 0.
-    At most min(steps, dim) steps (one at least); if they run out, the
-    largest min(k, steps) pairs come back with converged False.
+    At most min(``LANCZOS_MAX_STEPS``, dim) steps (one at least); if they
+    run out, the largest min(k, steps taken) pairs come back with
+    converged False.
     """
-    cap = max(1, min(steps, dim))
+    cap = max(1, min(LANCZOS_MAX_STEPS, dim))
     eps = lapack.dlamch("e")
     Q = np.empty((min(cap, 32), dim))  # the basis, one vector a row
     alpha, beta = np.zeros(cap), np.zeros(cap)
@@ -253,10 +239,10 @@ def _lanczos_largest(
 
 
 def solve_lowest(
-    ab: np.ndarray, opts: SolverOptions | None = None, *,
+    ab: np.ndarray, k: int = 6, *, seed: int = 0,
     want_vectors: bool = True, guess: float | None = None, floor: float | None = None,
 ) -> SpectrumResult:
-    """Lowest opts.k eigenpairs: LAPACK ``dsbevx`` up to ``DENSE_SOLVE_MAX_DIM`` rows, else shift-invert Lanczos.
+    """Lowest k eigenpairs: LAPACK ``dsbevx`` up to ``DENSE_SOLVE_MAX_DIM`` rows, else shift-invert Lanczos.
 
     ab is the lower band array ab[i, c] = H[c + i, c] of symmetric H.  The
     small blocks, and requests of k >= dim - 1 (for which Lanczos would
@@ -273,16 +259,15 @@ def solve_lowest(
     applied by LAPACK ``dpbtrs`` on the banded Cholesky factor of
     H - sigma I, as often as ``iterations`` counts, starting from a vector
     drawn from ``seed``, until the Ritz values are converged to machine
-    precision or ``max_iterations`` steps run out; then the best pairs come
-    back with converged=False.  Residuals come from BLAS ``dsbmv`` (zeros
-    for eigenvalues without vectors).  Plain Lanczos keeps one copy of each
-    eigenvalue: pass one sector.
+    precision or ``LANCZOS_MAX_STEPS`` steps run out; then the best pairs
+    come back with converged=False.  k outside [1, dim] or a negative seed
+    raises ``ValidationError`` on either path.  Residuals come from BLAS
+    ``dsbmv`` (zeros for eigenvalues without vectors).  Plain Lanczos keeps
+    one copy of each eigenvalue: pass one sector.
     """
-    if opts is None:
-        opts = SolverOptions()
     ab = np.asarray(ab, dtype=float)
-    dim, k = ab.shape[1], opts.k
-    opts.validate(dim)
+    dim = ab.shape[1]
+    check_request(k, seed, dim)
     applied, converged = 0, True
     if dim <= DENSE_SOLVE_MAX_DIM or k >= dim - 1:
         evals, evecs, found, _, info = lapack.dsbevx(
@@ -306,9 +291,8 @@ def solve_lowest(
                 raise ValueError(f"illegal value in argument {-info} of dpbtrs")
             return y
 
-        steps = LANCZOS_MAX_STEPS if opts.max_iterations is None else opts.max_iterations
         theta, evecs, converged = _lanczos_largest(
-            apply_inverse, dim, k, steps, np.random.default_rng(opts.seed), want_vectors
+            apply_inverse, dim, k, np.random.default_rng(seed), want_vectors
         )
         evals = sigma + 1.0 / theta
         solver = "shift-invert"

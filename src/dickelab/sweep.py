@@ -35,7 +35,6 @@ from .diagnostics import (
 from .errors import ConfigError, DickeLabError, SweepAborted, ValidationError
 from .model import ModelParams
 from .semiclassics import splitting_scaling_fit
-from .solvers import SolverOptions
 
 CSV_HEADER = (
     "N,S,omega,g,v,u,M_star,E0,E1,E2,d,Delta,pairing_ok,oracle_deviation,"
@@ -127,15 +126,14 @@ class SweepRow:
 
 
 def _parse_scalar(val: str, key: str, lineno: int, kind):
+    """val as a finite float, or as an int where kind is int; inf, nan and 1e400 are malformed."""
     try:
-        if kind is int:
-            f = float(val)
-            if abs(f - round(f)) > 1e-9:
-                raise ValueError
-            return int(round(f))
-        return kind(val)
+        f = float(val)
     except ValueError:
-        raise ConfigError(f"malformed number for {key!r}: {val!r}", line=lineno) from None
+        f = math.nan
+    if not math.isfinite(f) or (kind is int and abs(f - round(f)) > 1e-9):
+        raise ConfigError(f"malformed number for {key!r}: {val!r}", line=lineno)
+    return int(round(f)) if kind is int else f
 
 
 def _parse_list(val: str, key: str, lineno: int, kind) -> tuple:
@@ -318,10 +316,7 @@ def evaluate_point(
         eigs = spin_model_spectrum(p, engine.k)
         M_star, oracle_dev, converged, solver, conv = 0, None, True, "tridiagonal", None
     else:
-        conv = converge_cutoff(
-            p, engine.tol, k=3, options=SolverOptions(k=engine.k, seed=seed),
-            max_dim=engine.max_dim,
-        )
+        conv = converge_cutoff(p, engine.tol, k=3, levels=engine.k, seed=seed, max_dim=engine.max_dim)
         M_star = conv.M_star
         # every solve of the cutoff search, not only the accepted one
         budget.charge(sum((M + 1) * (p.N + 1) for M, *_ in conv.history))

@@ -16,7 +16,6 @@ import pytest
 
 from dickelab import (
     ModelParams,
-    SolverOptions,
     SparseOperator,
     build_full_hamiltonian,
     converge_cutoff,
@@ -237,7 +236,7 @@ def test_criterion_8_solver_cross_validation():
         rng = np.random.default_rng(1000 + trial)
         dim = int(rng.integers(60, 501))
         H = SparseOperator(dim, *random_sparse_symmetric(rng, dim))
-        lan = lanczos_lowest(H, SolverOptions(k=6, seed=trial))
+        lan = lanczos_lowest(H, 6, seed=trial)
         ref = dense_spectrum(H, 6)
         scale = max(float(np.max(np.abs(ref.eigenvalues))), 1e-12)
         dev = float(np.max(np.abs(lan.eigenvalues - ref.eigenvalues))) / scale
@@ -253,7 +252,7 @@ def test_criterion_8_solver_cross_validation():
     ]
     for N, g, v, M in instances:
         H = build_full_hamiltonian(ModelParams(N=N, omega=1.0, g=g, v=v), M)
-        lan = lanczos_lowest(H, SolverOptions(k=6, seed=N))
+        lan = lanczos_lowest(H, 6, seed=N)
         ref = dense_spectrum(H, 6, dense_threshold=5000)
         scale = float(np.max(np.abs(ref.eigenvalues)))
         dev = float(np.max(np.abs(lan.eigenvalues - ref.eigenvalues))) / scale

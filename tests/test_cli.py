@@ -264,8 +264,9 @@ SHIFT_INVERT_POINT = "[model]\nN_list = 12\nomega = 1\ng_list = 0.9487\nv_list =
         ("budget_dim_total = 0\n", [], "error: line 7: budget_dim_total must be >= 1, got 0\n"),
         ("k = 0\n", [], "error: line 7: k must be >= 1, got 0\n"),
         ("k = 2\n", [], "error: line 7: k must be >= 3 when splitting is requested\n"),
+        ("k = inf\n", [], "error: line 7: malformed number for 'k': 'inf'\n"),
     ],
-    ids=["config", "flag", "max_dim-negative", "max_dim-zero", "budget-zero", "k-zero", "k-splitting"],
+    ids=["config", "flag", "max_dim-negative", "max_dim-zero", "budget-zero", "k-zero", "k-splitting", "k-inf"],
 )
 def test_bad_engine_value_exits_one_with_one_line(tmp_path, capsys, engine, flags, message):
     # each value is refused before any solve, so nothing reaches stdout
@@ -293,6 +294,15 @@ def test_map_circuit_reports(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "u < v         : yes" in out
     assert "optimal point : yes" in out
+
+
+def test_map_circuit_non_finite_value_exits_one_with_its_line(tmp_path, capsys):
+    dev = tmp_path / "device.txt"
+    dev.write_text(DEVICE.replace("E_c = 3.0e10", "E_c = nan"))
+    assert main(["map-circuit", str(dev)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3: malformed number for 'E_c': 'nan'\n"
 
 
 def test_map_circuit_linear_display(tmp_path, capsys):

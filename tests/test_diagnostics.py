@@ -8,7 +8,6 @@ import scipy.sparse.linalg
 from dickelab import (
     ModelParams,
     ResourceError,
-    SolverOptions,
     ValidationError,
     build_full_hamiltonian,
     cat_overlap,
@@ -179,7 +178,9 @@ def test_converge_resource_error_carries_history():
 def test_negative_seed_is_a_validation_error():
     p = ModelParams(N=12, omega=1.0, g=0.9487, v=1.0)
     with pytest.raises(ValidationError, match="seed must be >= 0"):
-        converge_cutoff(p, options=SolverOptions(seed=-1))
+        converge_cutoff(p, seed=-1)
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        lowest_levels(p, 20, 6, seed=-1)
 
 
 def test_converge_rejects_bad_tolerance():
@@ -388,7 +389,7 @@ def test_converge_with_lanczos_path(monkeypatch):
     p = ModelParams(N=3, omega=1.0, g=0.3, v=1.0)
     dense_rep = converge_cutoff(p, 1e-9)
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
-    rep = converge_cutoff(p, 1e-9, options=SolverOptions(seed=1))
+    rep = converge_cutoff(p, 1e-9, seed=1)
     assert rep.converged
     np.testing.assert_allclose(
         rep.history[-1][1:], dense_rep.history[-1][1:], atol=1e-8
@@ -412,10 +413,9 @@ def _patch_solvers(monkeypatch, extra):
 def test_lowest_levels_match_unsplit_dense(extra, monkeypatch):
     M, k = 30, 6
     _patch_solvers(monkeypatch, extra)
-    opts = SolverOptions(k=k, seed=3)
     for N, g, v in SECTOR_GRID:
         p = ModelParams(N=N, omega=1.0, g=g, v=v)
-        res = lowest_levels(p, M, k, opts)
+        res = lowest_levels(p, M, k, seed=3)
         ref = dense_spectrum(build_full_hamiltonian(p, M), k).eigenvalues
         assert res.converged
         dev = np.max(np.abs(res.eigenvalues - ref))
@@ -430,7 +430,7 @@ def test_split_line_vectors_are_orthonormal_eigenvectors_of_full_h(extra, monkey
     _patch_solvers(monkeypatch, extra)
     for N, g, v in SPLIT_LINES:
         p = ModelParams(N=N, omega=1.0, g=g, v=v)
-        res = lowest_levels(p, M, k, SolverOptions(k=k, seed=3), want_vectors=True)
+        res = lowest_levels(p, M, k, seed=3, want_vectors=True)
         H = build_full_hamiltonian(p, M)
         V = res.eigenvectors
         np.testing.assert_allclose(V.T @ V, np.eye(k), atol=1e-12)
@@ -461,7 +461,7 @@ def test_even_n_vectors_are_orthonormal_eigenvectors_of_full_h(extra, monkeypatc
     for N in (4, 6, 8):
         for ratio in (0.5, 0.9):
             p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(ratio)), v=1.0)
-            res = lowest_levels(p, M, k, SolverOptions(k=k, seed=3), want_vectors=True)
+            res = lowest_levels(p, M, k, want_vectors=True)  # ground_pair's solve: k = 6, seed 0
             H = build_full_hamiltonian(p, M)
             V = res.eigenvectors
             np.testing.assert_allclose(V.T @ V, np.eye(k), atol=1e-12)
@@ -474,7 +474,7 @@ def test_even_n_vectors_are_orthonormal_eigenvectors_of_full_h(extra, monkeypatc
             for x, (s, r) in zip(V.T, res.labels):
                 assert not np.any(x[parity != s]), (N, ratio, s, r)
                 np.testing.assert_allclose(R.op @ x, R.spin_sign * r * x, atol=1e-12)
-            x0, x1, pair = ground_pair(p, M, options=SolverOptions(k=k, seed=3))
+            x0, x1, pair = ground_pair(p, M)
             np.testing.assert_array_equal(np.column_stack([x0, x1]), V[:, :2])
             assert pair.labels == res.labels
 
@@ -490,7 +490,7 @@ def test_odd_n_mirror_vectors_are_the_joint_parity_images():
     for N in range(1, 16, 2):
         for g, v in MIRROR_GV:
             p = ModelParams(N=N, omega=1.0, g=g, v=v)
-            res = lowest_levels(p, M, k, SolverOptions(k=k, seed=3), want_vectors=True)
+            res = lowest_levels(p, M, k, seed=3, want_vectors=True)
             # the stable sort keeps each sector's vectors in one order, so the
             # i-th s = 1 vector is the mirror of the i-th s = 0 vector
             s = np.array([label[0] for label in res.labels])
@@ -506,7 +506,7 @@ def test_lowest_levels_at_the_smallest_cutoffs():
         for M in (0, 1, 2):
             p = ModelParams(N=N, omega=1.0, g=0.8, v=1.0)
             dim = (M + 1) * (N + 1)
-            res = lowest_levels(p, M, dim, SolverOptions(k=dim), want_vectors=True)
+            res = lowest_levels(p, M, dim, want_vectors=True)
             ref = np.linalg.eigvalsh(build_full_hamiltonian(p, M).toarray())
             np.testing.assert_allclose(res.eigenvalues, ref, rtol=0, atol=1e-13 * max(1.0, abs(ref[0])))
             np.testing.assert_allclose(res.eigenvectors.T @ res.eigenvectors, np.eye(dim), atol=1e-13)

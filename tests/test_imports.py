@@ -63,13 +63,13 @@ print({"codes": codes, "applied": len(applied), "new": sorted(set(sys.modules) -
 LEVELS = """
 import json, sys
 import numpy as np
-from dickelab import ModelParams, SolverOptions, converge_cutoff, lowest_levels, spin_model_spectrum
+from dickelab import ModelParams, converge_cutoff, lowest_levels, spin_model_spectrum
 from dickelab import solvers
 
 out = {"lapack": solvers.lapack.__name__, "linalg": "scipy.linalg" in sys.modules, "levels": []}
 for N in (12, 13):
     p = ModelParams(N=N, omega=1.0, g=0.9487, v=1.0)
-    rep = converge_cutoff(p, 1e-10, options=SolverOptions(k=6))
+    rep = converge_cutoff(p, 1e-10)
     out["levels"] += [float(x) for x in rep.spectrum.eigenvalues] + [rep.bound]
     res = lowest_levels(p, 60, 6, want_vectors=True)
     out["levels"] += [float(x) for x in res.eigenvalues] + [float(x) for x in res.residual_norms]
@@ -125,4 +125,4 @@ import dickelab.reference as reference
 print(lanczos_lowest is reference.lanczos_lowest, build_full_hamiltonian is reference.build_full_hamiltonian)
 print(all(hasattr(dickelab, name) for name in dickelab.__all__), len(dickelab.__all__))
 """
-    assert _run(code).splitlines() == ["False False", "True True", "True 55"]
+    assert _run(code).splitlines() == ["False False", "True True", "True 54"]

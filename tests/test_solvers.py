@@ -6,7 +6,6 @@ import scipy.sparse.linalg
 from dickelab import (
     ModelParams,
     ResourceError,
-    SolverOptions,
     SparseOperator,
     ValidationError,
     build_full_hamiltonian,
@@ -55,7 +54,7 @@ def test_dense_invalid_k():
 
 def test_lanczos_diagonal_100():
     H = np.diag(np.arange(100.0))
-    res = lanczos_lowest(H, SolverOptions(k=3, seed=1))
+    res = lanczos_lowest(H, 3, seed=1)
     np.testing.assert_allclose(res.eigenvalues, [0.0, 1.0, 2.0], atol=1e-9)
     assert res.converged
 
@@ -63,7 +62,7 @@ def test_lanczos_diagonal_100():
 def test_lanczos_matches_dense_on_model():
     p = ModelParams(N=3, omega=1.0, g=0.3, v=1.0)
     H = build_full_hamiltonian(p, 40)
-    lan = lanczos_lowest(H, SolverOptions(k=4, seed=7))
+    lan = lanczos_lowest(H, 4, seed=7)
     ref = dense_spectrum(H, 4)
     scale = np.max(np.abs(ref.eigenvalues))
     assert np.max(np.abs(lan.eigenvalues - ref.eigenvalues)) <= 1e-9 * scale
@@ -74,7 +73,7 @@ def test_lanczos_blockdiag_degenerate_pair():
     B = np.zeros((4, 4))
     B[:2, :2] = A
     B[2:, 2:] = A
-    res = lanczos_lowest(B, SolverOptions(k=2, seed=5))
+    res = lanczos_lowest(B, 2, seed=5)
     np.testing.assert_allclose(res.eigenvalues, [-1.0, -1.0], atol=1e-10)
 
 
@@ -86,7 +85,7 @@ def test_lanczos_blockdiag_full_multiplicity(half_dim):
     B = np.zeros((2 * half_dim, 2 * half_dim))
     B[:half_dim, :half_dim] = A
     B[half_dim:, half_dim:] = A
-    res = lanczos_lowest(B, SolverOptions(k=6, seed=0))
+    res = lanczos_lowest(B, 6, seed=0)
     e = res.eigenvalues
     scale = np.max(np.abs(e))
     for i in (0, 2, 4):  # every level appears twice
@@ -99,7 +98,7 @@ def test_lanczos_saturates_small_space():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((10, 10))
     A = (A + A.T) / 2
-    res = lanczos_lowest(A, SolverOptions(k=10, seed=1))
+    res = lanczos_lowest(A, 10, seed=1)
     ref = np.linalg.eigvalsh(A)
     assert res.converged
     np.testing.assert_allclose(res.eigenvalues, ref, atol=1e-10 * np.max(np.abs(ref)))
@@ -107,7 +106,9 @@ def test_lanczos_saturates_small_space():
 
 def test_lanczos_k_exceeds_dim():
     with pytest.raises(ValidationError):
-        lanczos_lowest(np.eye(3), SolverOptions(k=4))
+        lanczos_lowest(np.eye(3), 4)
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        lanczos_lowest(np.eye(3), 2, seed=-1)
 
 
 def test_lanczos_refills_a_closed_krylov_space():
@@ -116,7 +117,7 @@ def test_lanczos_refills_a_closed_krylov_space():
     # directions, the other two columns of the next block are refilled at
     # random, and without them the 1-levels would never be found
     H = np.diag([0.0, 0.0] + [1.0] * 98)
-    res = lanczos_lowest(H, SolverOptions(k=6, seed=0))
+    res = lanczos_lowest(H, 6, seed=0)
     assert res.converged
     np.testing.assert_allclose(res.eigenvalues, [0, 0, 1, 1, 1, 1], atol=1e-10)
 
@@ -126,7 +127,7 @@ def test_lanczos_random_oracle_agreement():
         rng = np.random.default_rng(100 + trial)
         dim = int(rng.integers(40, 401))
         H = SparseOperator(dim, *random_sparse_symmetric(rng, dim))
-        lan = lanczos_lowest(H, SolverOptions(k=6, seed=trial))
+        lan = lanczos_lowest(H, 6, seed=trial)
         ref = dense_spectrum(H, 6)
         scale = max(np.max(np.abs(ref.eigenvalues)), 1e-12)
         assert lan.converged
@@ -136,8 +137,8 @@ def test_lanczos_random_oracle_agreement():
 def test_lanczos_identical_seed_identical_bits():
     p = ModelParams(N=2, omega=1.0, g=0.5, v=0.3)
     H = build_full_hamiltonian(p, 30)
-    r1 = lanczos_lowest(H, SolverOptions(k=5, seed=11))
-    r2 = lanczos_lowest(H, SolverOptions(k=5, seed=11))
+    r1 = lanczos_lowest(H, 5, seed=11)
+    r2 = lanczos_lowest(H, 5, seed=11)
     np.testing.assert_array_equal(r1.eigenvalues, r2.eigenvalues)
     np.testing.assert_array_equal(r1.eigenvectors, r2.eigenvectors)
     assert r1.iterations == r2.iterations
@@ -146,7 +147,7 @@ def test_lanczos_identical_seed_identical_bits():
 def test_lanczos_vector_quality():
     p = ModelParams(N=3, omega=1.0, g=0.4, v=0.8)
     H = build_full_hamiltonian(p, 25)
-    res = lanczos_lowest(H, SolverOptions(k=6, seed=3))
+    res = lanczos_lowest(H, 6, seed=3)
     V = res.eigenvectors
     np.testing.assert_allclose(V.T @ V, np.eye(6), atol=1e-10)
     resid = np.linalg.norm(H @ V - V * res.eigenvalues, axis=0)
@@ -158,7 +159,7 @@ def test_lanczos_nonconvergence_reports_best_effort():
     rng = np.random.default_rng(9)
     dim = 300
     H = SparseOperator(dim, *random_sparse_symmetric(rng, dim))
-    res = lanczos_lowest(H, SolverOptions(k=6, seed=0, max_iterations=1))
+    res = lanczos_lowest(H, 6, seed=0, max_iterations=1)
     assert not res.converged
     assert res.residual_norms.size == 6
     assert np.all(np.isfinite(res.eigenvalues))
@@ -193,12 +194,24 @@ def _floor_below(H) -> float:
 def test_solve_lowest_dispatch(monkeypatch):
     p = ModelParams(N=2, omega=1.0, g=0.2, v=0.5)
     H = build_full_hamiltonian(p, 10)
-    assert solve_lowest(lower_band(H), SolverOptions(k=3)).solver == "dense"
+    assert solve_lowest(lower_band(H), 3).solver == "dense"
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
-    res = solve_lowest(lower_band(H), SolverOptions(k=3, seed=2), floor=_shift_floor(p))
+    res = solve_lowest(lower_band(H), 3, seed=2, floor=_shift_floor(p))
     assert res.solver == "shift-invert"
     ref = dense_spectrum(H, 3)
     np.testing.assert_allclose(res.eigenvalues, ref.eigenvalues, atol=1e-9)
+
+
+def test_solve_lowest_checks_k_and_seed_on_both_paths():
+    p = ModelParams(N=16, omega=1.0, g=0.7, v=1.0)
+    floor = _shift_floor(p)
+    for M, solver in ((20, "dense"), (50, "shift-invert")):  # 189 and 459 rows
+        ab = symmetry_block(p, M, 0, 0)
+        assert solve_lowest(ab, 6, want_vectors=False, floor=floor).solver == solver
+        bad = [(6, -1, "seed must be >= 0"), (0, 0, "k must be in"), (ab.shape[1] + 1, 0, "k must be in")]
+        for k, seed, message in bad:
+            with pytest.raises(ValidationError, match=message):
+                solve_lowest(ab, k, seed=seed, floor=floor)
 
 
 def test_shift_invert_nonconvergence_reports_best_effort(monkeypatch):
@@ -208,15 +221,18 @@ def test_shift_invert_nonconvergence_reports_best_effort(monkeypatch):
     ref = dense_spectrum(H, 6).eigenvalues
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 100)
     floor = _shift_floor(p)
+    cap = solvers.LANCZOS_MAX_STEPS
     for steps, size in ((1, 1), (8, 6)):
-        res = solve_lowest(lower_band(H), SolverOptions(k=6, seed=0, max_iterations=steps), floor=floor)
+        monkeypatch.setattr(solvers, "LANCZOS_MAX_STEPS", steps)
+        res = solve_lowest(lower_band(H), 6, seed=0, floor=floor)
         assert res.solver == "shift-invert"
         assert not res.converged
         assert res.iterations == steps
         assert res.eigenvalues.size == res.residual_norms.size == size
         assert np.all(np.diff(res.eigenvalues) >= 0)
         assert np.all(res.eigenvalues >= ref[:size] - 1e-12 * abs(ref[0]))  # Ritz values: upper bounds
-    res = solve_lowest(lower_band(H), SolverOptions(k=6, seed=0), floor=floor)
+    monkeypatch.setattr(solvers, "LANCZOS_MAX_STEPS", cap)
+    res = solve_lowest(lower_band(H), 6, seed=0, floor=floor)
     assert res.converged and res.iterations > 8
 
 
@@ -224,7 +240,7 @@ def test_solve_lowest_near_full_k_goes_dense(monkeypatch):
     # Lanczos would need nearly the whole space
     H = lower_band(np.diag(np.arange(12.0)))
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 5)
-    res = solve_lowest(H, SolverOptions(k=11))
+    res = solve_lowest(H, 11)
     assert res.solver == "dense"
     np.testing.assert_allclose(res.eigenvalues, np.arange(11.0), atol=1e-14)
 
@@ -244,7 +260,7 @@ def test_shift_invert_returns_every_level_of_an_unsplit_operator(monkeypatch):
     A = _diag_with_decoupled_zero(80, seed=4)
     ref = np.linalg.eigvalsh(A)[:6]
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
-    res = solve_lowest(lower_band(A), SolverOptions(k=6, seed=1), floor=_floor_below(A))
+    res = solve_lowest(lower_band(A), 6, seed=1, floor=_floor_below(A))
     assert res.solver == "shift-invert" and res.converged
     assert abs(ref[1]) <= 1e-12  # the decoupled zero level is among those compared
     assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12
@@ -258,7 +274,7 @@ def test_shift_invert_sigma_lies_below_the_spectrum(monkeypatch):
     for H, floor in ((build_full_hamiltonian(p, 60), _shift_floor(p)), (unsplit, _floor_below(unsplit))):
         calls = _spy(monkeypatch, "dpbtrf")
         ab = lower_band(H)
-        solve_lowest(ab, SolverOptions(k=4), floor=floor)
+        solve_lowest(ab, 4, floor=floor)
         (sigma,) = _factored_shifts(ab, calls)
         assert sigma == floor < dense_spectrum(H, 1).eigenvalues[0]
 
@@ -267,7 +283,7 @@ def test_shift_invert_iterations_count_inverse_applications(monkeypatch):
     calls = _spy(monkeypatch, "dpbtrs")
     p = ModelParams(N=16, omega=1.0, g=0.7, v=1.0)
     H = symmetry_block(p, 50, 0, 0)  # 459 rows: past DENSE_SOLVE_MAX_DIM
-    res = solve_lowest(H, SolverOptions(k=6, seed=1), floor=_shift_floor(p))
+    res = solve_lowest(H, 6, seed=1, floor=_shift_floor(p))
     assert res.solver == "shift-invert" and res.converged
     assert res.iterations == len(calls) > 0
     assert all(info == 0 for _, info in calls)
@@ -281,18 +297,18 @@ def test_shift_above_the_ground_level_fails_the_band_factorization(monkeypatch):
     e0 = dense_spectrum(dense_from_band(H), 1).eigenvalues[0]
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
     with pytest.raises(np.linalg.LinAlgError):  # a floor is trusted no further
-        solve_lowest(H, SolverOptions(k=4), floor=e0 + 0.5)
+        solve_lowest(H, 4, floor=e0 + 0.5)
 
 
 def test_shift_invert_needs_a_floor(monkeypatch):
     p = ModelParams(N=4, omega=1.0, g=0.7, v=1.0)
     H = symmetry_block(p, 60, 0, 0)  # 183 rows
     ref = dense_spectrum(dense_from_band(H), 4).eigenvalues
-    assert solve_lowest(H, SolverOptions(k=4)).solver == "dense"  # the dense path needs none
+    assert solve_lowest(H, 4).solver == "dense"  # the dense path needs none
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 10)
     with pytest.raises(ValidationError, match="needs a floor"):
-        solve_lowest(H, SolverOptions(k=4), guess=ref[0])
-    res = solve_lowest(H, SolverOptions(k=4), floor=_shift_floor(p))
+        solve_lowest(H, 4, guess=ref[0])
+    res = solve_lowest(H, 4, floor=_shift_floor(p))
     assert res.solver == "shift-invert"
     assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12 * abs(ref[0])
 
@@ -305,9 +321,8 @@ def _strong_block_and_hint():
 
 def test_guess_from_the_smaller_cutoff_cuts_inverse_applications():
     ab, guess, floor = _strong_block_and_hint()
-    opts = SolverOptions(k=6, seed=1)
-    ref = solve_lowest(ab, opts, floor=floor)
-    res = solve_lowest(ab, opts, guess=guess, floor=floor)
+    ref = solve_lowest(ab, 6, seed=1, floor=floor)
+    res = solve_lowest(ab, 6, seed=1, guess=guess, floor=floor)
     assert ref.solver == res.solver == "shift-invert" and res.converged
     assert res.iterations <= 40 < ref.iterations  # 32 against 52 (floor shift)
     assert guess >= res.eigenvalues[0]  # interlacing: E0 only falls as M grows
@@ -316,10 +331,11 @@ def test_guess_from_the_smaller_cutoff_cuts_inverse_applications():
 
 def test_guess_above_the_ground_level_retries_below_it(monkeypatch):
     ab, _, floor = _strong_block_and_hint()
-    ref = solve_lowest(ab, SolverOptions(k=6, seed=1), floor=floor)
+    ref = solve_lowest(ab, 6, seed=1, floor=floor)
     e0 = ref.eigenvalues[0]
     calls = _spy(monkeypatch, "dpbtrf")
-    res = solve_lowest(ab, SolverOptions(k=6, seed=1), guess=e0 + 1.0, floor=floor)
+    # delta = 1e-3 |guess| is about 0.037: guess - delta lies above E0, guess - 10 delta below
+    res = solve_lowest(ab, 6, seed=1, guess=e0 + 0.1, floor=floor)
     assert calls[0][1] > 0 and calls[-1][1] == 0  # failed, then factored
     (sigma,) = _factored_shifts(ab, calls)
     assert floor < sigma < e0  # a widened guess, not the floor
@@ -331,7 +347,7 @@ def test_guess_below_the_floor_is_not_taken(monkeypatch):
     # higher v = 0 chain) would shift further off than the floor the caller passes
     ab, _, floor = _strong_block_and_hint()
     calls = _spy(monkeypatch, "dpbtrf")
-    solve_lowest(ab, SolverOptions(k=6, seed=1), guess=floor - 10.0, floor=floor)
+    solve_lowest(ab, 6, seed=1, guess=floor - 10.0, floor=floor)
     assert _factored_shifts(ab, calls) == [floor]
     assert len(calls) == 1
 
@@ -346,7 +362,7 @@ def test_banded_lapack_matches_dense_spectrum_of_the_expanded_block(want_vectors
         p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(r)), v=1.0)
         ab = symmetry_block(p, M, s, 0)
         assert ab.shape[1] <= solvers.DENSE_SOLVE_MAX_DIM
-        res = solve_lowest(ab, SolverOptions(k=6), want_vectors=want_vectors)
+        res = solve_lowest(ab, 6, want_vectors=want_vectors)
         H = dense_from_band(ab)
         ref = dense_spectrum(H, 6)
         e0 = abs(ref.eigenvalues[0])
@@ -369,7 +385,7 @@ def test_dense_path_is_eig_banded_bit_for_bit(want_vectors):
     for N, r, M, s in BANDED_BLOCKS:
         p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(r)), v=1.0)
         ab = symmetry_block(p, M, s, 0)
-        res = solve_lowest(ab, SolverOptions(k=6), want_vectors=want_vectors)
+        res = solve_lowest(ab, 6, want_vectors=want_vectors)
         ref = scipy.linalg.eig_banded(
             ab, lower=True, eigvals_only=not want_vectors, select="i", select_range=(0, 5)
         )
@@ -387,11 +403,11 @@ def test_banded_lapack_serves_requests_that_arpack_cannot(want_vectors, monkeypa
     H = dense_from_band(ab)
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 5)
     for k in (11, 12):  # k >= dim - 1
-        res = solve_lowest(ab, SolverOptions(k=k), want_vectors=want_vectors)
+        res = solve_lowest(ab, k, want_vectors=want_vectors)
         ref = dense_spectrum(H, k).eigenvalues
         assert res.solver == "dense"
         assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12 * abs(ref[0])
         if want_vectors:
             assert np.all(res.residual_norms <= 1e-10 * abs(ref[0]))
     with pytest.raises(ValidationError):
-        solve_lowest(ab, SolverOptions(k=13))
+        solve_lowest(ab, 13)

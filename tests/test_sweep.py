@@ -93,6 +93,19 @@ def test_parse_malformed_number_reports_line():
         parse_config(text)
     assert "omega" in str(err.value)
     assert err.value.line == 3
+    # a number that is not finite is malformed, for int and float keys alike
+    model = "[model]\nN_list = {N}\nomega = {omega}\ng_list = 0.1\nv_list = {v}\n"
+    cases = [(model.format(N=3, omega=1, v=1) + f"[engine]\n{key} = {value}\n", key, 7)
+             for key in ("k", "seed", "max_dim", "budget_dim_total", "tol") for value in ("inf", "-inf", "1e400", "nan")]
+    cases += [(model.format(N=3, omega=1, v=1) + f"[outputs]\n{key} = inf\n", key, 7)
+              for key in ("landscape_theta_points", "landscape_phi_points")]
+    cases += [(model.format(N="3, inf", omega=1, v=1), "N_list", 2), (model.format(N=3, omega="nan", v=1), "omega", 3),
+              (model.format(N=3, omega=1, v="1, -inf"), "v_list", 5)]
+    for text, key, line in cases:
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert f"malformed number for {key!r}" in str(err.value), text
+        assert err.value.line == line
 
 
 def test_parse_empty_axis_rejected():
@@ -214,7 +227,7 @@ def test_per_point_failure_isolated():
 
 
 def test_negative_seed_built_in_code_fails_its_row_only():
-    # parse_config rejects seed = -1; an EngineConfig built in code reaches SolverOptions
+    # parse_config rejects seed = -1; an EngineConfig built in code reaches solve_lowest
     cfg = parse_config("[model]" + MINIMAL + "[engine]\nmode = full\n")
     cfg.engine.seed = -1
     rows = run_sweep(cfg)
