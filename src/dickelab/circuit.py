@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, parse_number, read_sections
 from .model import ModelParams
 
 HBAR = 1.054571817e-34  # J s
@@ -120,55 +120,29 @@ def validate_regime(m: ModelParams, d: DerivedSingleAtom) -> RegimeReport:
 
 
 def parse_device_text(text: str) -> CircuitParams:
-    """Parse a key = value device file.
+    """Parse a key = value device file, read by :func:`~dickelab.errors.read_sections`.
 
     Keys are exactly E_c, E_J, n_g, Phi_x, Phi_e, L, I_c, omega, g, N plus
     an optional ``units`` key: ``angular`` (default; frequency-like values
     in rad/s) or ``linear`` (in Hz, multiplied by 2 pi on read).  L and
-    I_c are always SI; fluxes always radians.  Unknown keys fail closed,
-    as does a value that is not a finite number, with its line.
+    I_c are always SI; fluxes always radians.  A section header, an
+    unknown key, and a value that is not a finite number (an integer for
+    N) fail closed, with their line.
     """
-    values: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {line!r}", line=lineno)
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key != "units" and key not in _DEVICE_KEYS:
-            raise ConfigError(f"unknown device key {key!r}", line=lineno)
-        if key in values:
-            raise ConfigError(f"duplicate key {key!r}", line=lineno)
-        values[key] = val
-        lines[key] = lineno
-
-    units = values.pop("units", "angular")
+    values = read_sections(text, {None: ("units", *_DEVICE_KEYS)})[None]
+    units, units_line = values.pop("units", ("angular", None))
     if units not in ("angular", "linear"):
-        raise ConfigError(
-            f"units must be 'angular' or 'linear', got {units!r}", line=lines.get("units")
-        )
+        raise ConfigError(f"units must be 'angular' or 'linear', got {units!r}", line=units_line)
     missing = [k for k in _DEVICE_KEYS if k not in values]
     if missing:
         raise ConfigError(f"missing device keys: {', '.join(missing)}")
-
-    parsed: dict[str, float] = {}
-    for key in _DEVICE_KEYS:
-        try:
-            parsed[key] = float(values[key])
-        except ValueError:
-            parsed[key] = math.nan
-        if key in _FREQ_KEYS and units == "linear":
-            parsed[key] *= 2.0 * math.pi
-        if not math.isfinite(parsed[key]):  # inf, nan and 1e400 included
-            raise ConfigError(f"malformed number for {key!r}: {values[key]!r}", line=lines[key])
-    N = parsed.pop("N")
-    if abs(N - round(N)) > 1e-9:
-        raise ConfigError(f"N must be an integer, got {N}", line=lines["N"])
-    return CircuitParams(N=int(round(N)), **parsed)
+    scale = 2.0 * math.pi if units == "linear" else 1.0
+    return CircuitParams(**{
+        key: parse_number(
+            val, key, line, int if key == "N" else float, scale if key in _FREQ_KEYS else 1.0
+        )
+        for key, (val, line) in values.items()
+    })
 
 
 def read_device_file(path: str | Path) -> CircuitParams:

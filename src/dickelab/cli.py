@@ -18,6 +18,7 @@ import numpy as np
 from .circuit import derive_model_params, read_device_file, validate_regime
 from .errors import ResourceError, SweepAborted, ValidationError
 from .sweep import (
+    TABLE_FORMATS,
     Budget,
     SweepConfig,
     emit_results,
@@ -82,7 +83,7 @@ def _load_config(args) -> SweepConfig:
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         cfg.engine.seed = args.seed
     if getattr(args, "format", None):
-        cfg.outputs.format = {"jsonl": "json-lines"}.get(args.format, args.format)
+        cfg.outputs.format = TABLE_FORMATS[args.format]
     return cfg
 
 
@@ -147,8 +148,8 @@ def _cmd_convergence(args) -> int:
     cfg = _load_config(args)
     cfg.engine.mode = "full"  # the cutoff search is the full model's, whatever the mode
     budget = Budget(cfg.engine.budget_dim_total)
-    for p in cfg.grid_points():
-        rep = evaluate_point(p, cfg.engine, cfg.engine.seed, budget).convergence
+    for i, p in enumerate(cfg.grid_points()):  # seeded as the sweep seeds its row i
+        rep = evaluate_point(p, cfg.engine, cfg.engine.seed + i, budget).convergence
         print(f"# N={p.N} omega={_FMT(p.omega)} g={_FMT(p.g)} v={_FMT(p.v)}")
         print("M,E0,E1,E2")
         for M, e0, e1, e2 in rep.history:

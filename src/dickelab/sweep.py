@@ -32,7 +32,8 @@ from .diagnostics import (
     spin_model_spectrum,
     splitting_and_gap,
 )
-from .errors import ConfigError, DickeLabError, SweepAborted, ValidationError
+from .errors import ConfigError, DickeLabError, ResourceError, SweepAborted, ValidationError
+from .errors import parse_number, read_sections
 from .model import ModelParams
 from .semiclassics import splitting_scaling_fit
 
@@ -52,6 +53,11 @@ FORK_WORTH_S = 0.2
 _MODEL_KEYS = ("N_list", "omega", "g_list", "v_list", "circuit_file")
 _ENGINE_KEYS = ("mode", "k", "tol", "seed", "max_dim", "budget_dim_total")
 _OUTPUT_KEYS = ("path", "format", "emit", "landscape_theta_points", "landscape_phi_points")
+# the least value of each integer engine and output key
+_INT_MINIMUM = dict(k=1, seed=0, max_dim=1, budget_dim_total=1,
+                    landscape_theta_points=2, landscape_phi_points=2)
+# each table format a config or the --format flag may name, and the format it names
+TABLE_FORMATS = {"csv": "csv", "json-lines": "json-lines", "jsonl": "json-lines"}
 
 
 @dataclass
@@ -125,59 +131,15 @@ class SweepRow:
     convergence: ConvergenceReport | None = field(default=None, repr=False)  # full mode only
 
 
-def _parse_scalar(val: str, key: str, lineno: int, kind):
-    """val as a finite float, or as an int where kind is int; inf, nan and 1e400 are malformed."""
-    try:
-        f = float(val)
-    except ValueError:
-        f = math.nan
-    if not math.isfinite(f) or (kind is int and abs(f - round(f)) > 1e-9):
-        raise ConfigError(f"malformed number for {key!r}: {val!r}", line=lineno)
-    return int(round(f)) if kind is int else f
-
-
-def _parse_list(val: str, key: str, lineno: int, kind) -> tuple:
-    items = [s.strip() for s in val.split(",")]
-    items = [s for s in items if s]
-    if not items:
-        raise ConfigError(f"empty sweep axis {key!r}", line=lineno)
-    return tuple(_parse_scalar(s, key, lineno, kind) for s in items)
-
-
 def parse_config(text: str) -> SweepConfig:
-    """Parse the line-oriented config format.
+    """Parse the line-oriented config format, read by :func:`~dickelab.errors.read_sections`.
 
     Sections [model], [engine], [outputs]; 'key = value' entries; list
     values use commas.  Unknown sections or keys are errors with the
     offending line number (fail closed).
     """
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
-    current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if current not in ("model", "engine", "outputs"):
-                raise ConfigError(f"unknown section [{current}]", line=lineno)
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {line!r}", line=lineno)
-        if current is None:
-            current = "model"  # bare keys before any header belong to the model
-            sections.setdefault(current, {})
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        allowed = {"model": _MODEL_KEYS, "engine": _ENGINE_KEYS, "outputs": _OUTPUT_KEYS}[current]
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in section [{current}]", line=lineno)
-        if key in sections[current]:
-            raise ConfigError(f"duplicate key {key!r}", line=lineno)
-        sections[current][key] = (val, lineno)
-
-    model_sec = sections.get("model", {})
+    sections = read_sections(text, {"model": _MODEL_KEYS, "engine": _ENGINE_KEYS, "outputs": _OUTPUT_KEYS})
+    model_sec = sections["model"]
     engine_sec = sections.get("engine", {})
     out_sec = sections.get("outputs", {})
 
@@ -191,40 +153,44 @@ def parse_config(text: str) -> SweepConfig:
             )
         model.circuit_file = model_sec["circuit_file"][0]
     else:
-        for key in ("N_list", "omega", "g_list", "v_list"):
+        for key, kind in (("N_list", int), ("omega", float), ("g_list", float), ("v_list", float)):
             if key not in model_sec:
                 raise ConfigError(f"missing required model key {key!r}")
-        model.N_list = _parse_list(model_sec["N_list"][0], "N_list", model_sec["N_list"][1], int)
-        model.omega = _parse_scalar(model_sec["omega"][0], "omega", model_sec["omega"][1], float)
-        model.g_list = _parse_list(model_sec["g_list"][0], "g_list", model_sec["g_list"][1], float)
-        model.v_list = _parse_list(model_sec["v_list"][0], "v_list", model_sec["v_list"][1], float)
+            val, lineno = model_sec[key]
+            if key == "omega":
+                model.omega = parse_number(val, key, lineno)
+                continue
+            items = [s.strip() for s in val.split(",") if s.strip()]
+            if not items:
+                raise ConfigError(f"empty sweep axis {key!r}", line=lineno)
+            setattr(model, key, tuple(parse_number(s, key, lineno, kind) for s in items))
 
-    engine = EngineConfig()
+    engine, outputs = EngineConfig(), OutputConfig()
     if "mode" in engine_sec:
         mode, lineno = engine_sec["mode"]
         if mode not in ("full", "spin-only"):
             raise ConfigError(f"mode must be 'full' or 'spin-only', got {mode!r}", line=lineno)
         engine.mode = mode
-    for key, kind in (("k", int), ("seed", int), ("max_dim", int), ("budget_dim_total", int), ("tol", float)):
-        if key in engine_sec:
-            setattr(engine, key, _parse_scalar(engine_sec[key][0], key, engine_sec[key][1], kind))
-    for key in ("k", "max_dim", "budget_dim_total"):
-        if getattr(engine, key) < 1:
-            raise ConfigError(f"{key} must be >= 1, got {getattr(engine, key)}", engine_sec[key][1])
-    if not 0 < engine.tol < math.inf:
-        raise ConfigError(f"tol must be finite and > 0, got {engine.tol}", engine_sec["tol"][1])
-    if engine.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {engine.seed}", engine_sec["seed"][1])
+    for target, sec in ((engine, engine_sec), (outputs, out_sec)):
+        for key, (val, lineno) in sec.items():
+            if key in _INT_MINIMUM:
+                n = parse_number(val, key, lineno, int)
+                if n < _INT_MINIMUM[key]:
+                    raise ConfigError(f"{key} must be >= {_INT_MINIMUM[key]}, got {n}", lineno)
+                setattr(target, key, n)
+    if "tol" in engine_sec:
+        val, lineno = engine_sec["tol"]
+        engine.tol = parse_number(val, "tol", lineno)
+        if engine.tol <= 0:
+            raise ConfigError(f"tol must be finite and > 0, got {engine.tol}", lineno)
 
-    outputs = OutputConfig()
     if "path" in out_sec:
         outputs.path = out_sec["path"][0]
     if "format" in out_sec:
         fmt, lineno = out_sec["format"]
-        fmt = {"jsonl": "json-lines"}.get(fmt, fmt)
-        if fmt not in ("csv", "json-lines"):
+        if fmt not in TABLE_FORMATS:
             raise ConfigError(f"format must be 'csv' or 'json-lines', got {fmt!r}", line=lineno)
-        outputs.format = fmt
+        outputs.format = TABLE_FORMATS[fmt]
     if "emit" in out_sec:
         val, lineno = out_sec["emit"]
         tokens = tuple(s.strip() for s in val.split(",") if s.strip())
@@ -234,12 +200,6 @@ def parse_config(text: str) -> SweepConfig:
             if tok not in EMIT_CHOICES:
                 raise ConfigError(f"unknown emit target {tok!r}", line=lineno)
         outputs.emit = tokens
-    for key in ("landscape_theta_points", "landscape_phi_points"):
-        if key in out_sec:
-            n = _parse_scalar(out_sec[key][0], key, out_sec[key][1], int)
-            if n < 2:
-                raise ConfigError(f"{key} must be >= 2", line=out_sec[key][1])
-            setattr(outputs, key, n)
 
     if "splitting" in outputs.emit and engine.k < 3:
         raise ConfigError("k must be >= 3 when splitting is requested", engine_sec["k"][1])
@@ -300,13 +260,19 @@ def _point_row(p: ModelParams, wall_time_seconds: float, **fields) -> SweepRow:
     return SweepRow(wall_time_seconds=wall_time_seconds, **{**base, **fields})
 
 
+def _search_rows(p: ModelParams, history) -> int:
+    """The rows of every solve of a cutoff search, (M + 1)(N + 1) for each M of its history."""
+    return sum((M + 1) * (p.N + 1) for M, *_ in history)
+
+
 def evaluate_point(
     p: ModelParams, engine: EngineConfig, seed: int, budget: Budget
 ) -> SweepRow:
     """Solve one grid point and derive its row; the one evaluation path of every solving command.
 
     Spin-only mode charges N + 1 to the budget, full mode every solve of
-    the cutoff search (whose report is the row's ``convergence``).  Solve
+    the cutoff search (whose report is the row's ``convergence``), the
+    solves of a search that breached ``max_dim`` included.  Solve
     errors (``DickeLabError``, ``numpy.linalg.LinAlgError``) propagate;
     :func:`run_sweep` records them as failed rows.
     """
@@ -316,10 +282,13 @@ def evaluate_point(
         eigs = spin_model_spectrum(p, engine.k)
         M_star, oracle_dev, converged, solver, conv = 0, None, True, "tridiagonal", None
     else:
-        conv = converge_cutoff(p, engine.tol, k=3, levels=engine.k, seed=seed, max_dim=engine.max_dim)
+        try:
+            conv = converge_cutoff(p, engine.tol, k=3, levels=engine.k, seed=seed, max_dim=engine.max_dim)
+        except ResourceError as exc:  # a search that breached max_dim did its solves too
+            budget.charge(_search_rows(p, exc.history or ()))  # None from a refused block
+            raise
         M_star = conv.M_star
-        # every solve of the cutoff search, not only the accepted one
-        budget.charge(sum((M + 1) * (p.N + 1) for M, *_ in conv.history))
+        budget.charge(_search_rows(p, conv.history))
         eigs = conv.spectrum.eigenvalues[: engine.k]
         oracle_dev = float(np.max(np.abs(eigs - spin_ladder_levels(p, eigs.size))))
         converged = conv.spectrum.converged and conv.converged

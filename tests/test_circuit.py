@@ -171,14 +171,23 @@ def test_device_file_malformed_number():
     with pytest.raises(ConfigError) as err:
         parse_device_text(bad)
     assert "L" in str(err.value)
-    # so is a value that is not finite, integer N included
-    for key, value in [("N", "inf"), ("N", "nan"), ("E_c", "nan"), ("L", "nan"), ("g", "-inf"), ("I_c", "1e400")]:
+    # so is a value that is not finite, integer N included, and an N that is not an integer
+    for key, value in [("N", "inf"), ("N", "nan"), ("E_c", "nan"), ("L", "nan"), ("g", "-inf"), ("I_c", "1e400"),
+                       ("N", "3.5")]:
         old = next(line for line in DEVICE_TEXT.splitlines() if line.startswith(f"{key} ="))
         bad = DEVICE_TEXT.replace(old, f"{key} = {value}")
         with pytest.raises(ConfigError) as err:
             parse_device_text(bad)
         assert f"malformed number for {key!r}" in str(err.value)
         assert err.value.line == bad.splitlines().index(f"{key} = {value}") + 1
+
+
+def test_device_file_section_header_names_line():
+    bad = DEVICE_TEXT + "[device]\n"
+    with pytest.raises(ConfigError) as err:
+        parse_device_text(bad)
+    assert "[device]" in str(err.value)
+    assert err.value.line == len(DEVICE_TEXT.splitlines()) + 1
 
 
 def test_device_file_duplicate_key():

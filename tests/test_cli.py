@@ -200,6 +200,26 @@ def test_convergence_subcommand(cfg_file, capsys):
     assert "M_star=" in out
 
 
+def test_convergence_prints_the_levels_of_each_sweep_row(tmp_path, capsys):
+    # the sweep seeds point i with seed + i; at seed 6 the N = 13 levels at
+    # M* differ in their last digits between seeds 6 and 7
+    out = tmp_path / "rows.csv"
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "[model]\nN_list = 12, 13\nomega = 1\ng_list = 0.9486832980505138\nv_list = 1\n"
+        f"[outputs]\npath = {out}\n"
+    )
+    assert main(["convergence", str(cfg), "--seed", "6"]) == 0
+    blocks = capsys.readouterr().out.split("# N=")[1:]
+    assert main(["sweep", str(cfg), "--seed", "6"]) == 0
+    header, *values = out.read_text().splitlines()
+    assert len(blocks) == len(values) == 2
+    for block, line in zip(blocks, values):
+        row = dict(zip(header.split(","), line.split(",")))
+        history = {h.split(",")[0]: h.split(",")[1:] for h in block.splitlines()[2:-1]}
+        assert history[row["M_star"]] == [row["E0"], row["E1"], row["E2"]]
+
+
 def _budget_cfg(tmp_path, g_list, budget, mode="full"):
     cfg = tmp_path / f"budget-{budget}-{mode}.cfg"
     cfg.write_text(

@@ -108,6 +108,14 @@ def test_parse_malformed_number_reports_line():
         assert err.value.line == line
 
 
+@pytest.mark.parametrize("key", ["landscape_theta_points", "landscape_phi_points"])
+def test_parse_rejects_a_single_landscape_point(key):
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + f"[outputs]\n{key} = 1\n")
+    assert f"{key} must be >= 2" in str(err.value)
+    assert err.value.line == 7
+
+
 def test_parse_empty_axis_rejected():
     text = "[model]\nN_list = 3\nomega = 1\ng_list = \nv_list = 1\n"
     with pytest.raises(ConfigError):
@@ -259,6 +267,29 @@ def test_budget_charges_every_cutoff_search_solve():
     assert err.value.rows == []
     # g = 0.3 is certified at M = 11 without a solve at 22: it costs 12*4 = 48
     assert run_sweep(parse_config(text.format(g=0.3, limit=48)))[0].M_star == 11
+
+
+def test_budget_charges_the_solves_of_a_search_that_breaches_max_dim():
+    # at max_dim = 100 the N = 3, g = 1.0 search solves M = 19 (80 rows) and
+    # stops at M = 38 (156 rows): the failed row costs 80
+    text = (
+        "[model]\nN_list = {N}\nomega = 1\ng_list = {g}\nv_list = 1\n"
+        "[engine]\nmode = full\nmax_dim = {max_dim}\nbudget_dim_total = {limit}\n"
+    )
+    rows = run_sweep(parse_config(text.format(N=3, g="1.0", max_dim=100, limit=80)))
+    assert not rows[0].converged and math.isnan(rows[0].E0)
+    with pytest.raises(SweepAborted) as err:
+        run_sweep(parse_config(text.format(N=3, g="1.0", max_dim=100, limit=79)))
+    assert str(err.value) == "global dimension budget exceeded (80 > 79)"
+    assert err.value.rows == []
+    # two such points cost 160; the second breaches a budget of 159
+    with pytest.raises(SweepAborted) as err:
+        run_sweep(parse_config(text.format(N=3, g="1.0, 1.0", max_dim=100, limit=159)))
+    assert [row.converged for row in err.value.rows] == [False]
+    # at N = 400, g = 2 the first cutoff, M = 640010, is refused for its band
+    # entries before any solve, by a ResourceError without a history: it costs 0
+    rows = run_sweep(parse_config(text.format(N=400, g="2.0", max_dim=10**9, limit=1)))
+    assert not rows[0].converged and math.isnan(rows[0].E0)
 
 
 def test_emit_csv_exact_header_and_digits(tmp_path):
