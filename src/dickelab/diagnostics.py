@@ -17,18 +17,19 @@ import numpy as np
 
 from . import solvers
 from .errors import ResourceError, ValidationError
-from .model import ModelParams, spin_sector, spin_sector_halves, symmetry_block, symmetry_block_basis
+from .model import ModelParams, spin_skeleton, symmetry_block, symmetry_block_basis
 from .solvers import SpectrumResult, lapack, solve_lowest
 
 _NEG_CLIP = 1e-12
 DEFAULT_MAX_DIM = 200_000
 # float64 spacings of |E0| below which two computed levels are not resolved
 RESOLUTION_FLOOR_ULPS = 32
+_EPS = float(np.finfo(float).eps)
 
 
 def resolution_floor(E0: float) -> float:
     """Smallest level spacing float64 resolves at energy scale E0: 32 eps |E0|, at least 1e-15."""
-    return max(RESOLUTION_FLOOR_ULPS * np.finfo(float).eps * abs(E0), 1e-15)
+    return max(RESOLUTION_FLOOR_ULPS * _EPS * abs(E0), 1e-15)
 
 
 @dataclass(frozen=True)
@@ -39,16 +40,29 @@ class SplittingGap:
     Delta: float
 
 
+def _level_list(eigs) -> list[float]:
+    """eigs as a list of Python floats: a list of floats as it is, anything else through numpy.
+
+    The levels must be one-dimensional, else ValidationError.
+    """
+    if type(eigs) is list and all(type(x) is float for x in eigs):
+        return eigs
+    e = np.asarray(eigs, dtype=float)
+    if e.ndim != 1:
+        raise ValidationError(f"eigenvalues must be one-dimensional, got shape {e.shape}")
+    return e.tolist()
+
+
 def splitting_and_gap(eigs) -> SplittingGap:
     """Observables from an ascending spectrum; needs at least 3 values.
 
     Negative differences within solver noise (1e-12) are clipped to 0.
     """
-    e = np.asarray(eigs, dtype=float)
-    if e.ndim != 1 or e.size < 3:
-        raise ValidationError(f"need at least 3 ascending eigenvalues, got {e.size}")
-    d = float(e[1] - e[0])
-    Delta = float(e[2] - e[1])
+    e = _level_list(eigs)
+    if len(e) < 3:
+        raise ValidationError(f"need at least 3 ascending eigenvalues, got {len(e)}")
+    d = e[1] - e[0]
+    Delta = e[2] - e[1]
     if d < -_NEG_CLIP or Delta < -_NEG_CLIP:
         raise ValidationError("eigenvalues are not ascending")
     return SplittingGap(d=max(d, 0.0), Delta=max(Delta, 0.0))
@@ -68,18 +82,18 @@ def degeneracy_classes(eigs, cluster_tol: float) -> DegeneracyReport:
 
     pairing_ok is True iff every class has even multiplicity.
     """
-    e = np.asarray(eigs, dtype=float)
-    if e.size == 0:
+    e = _level_list(eigs)
+    if not e:
         return DegeneracyReport(classes=(), pairing_ok=True, max_intra_class_spread=0.0)
-    if np.any(np.diff(e) < -_NEG_CLIP):
+    if any(b - a < -_NEG_CLIP for a, b in zip(e, e[1:])):
         raise ValidationError("eigenvalues must be ascending")
     classes: list[tuple[float, int]] = []
     start = 0
     spread = 0.0
-    for i in range(1, e.size + 1):
-        if i == e.size or e[i] - e[i - 1] > cluster_tol:
-            classes.append((float(e[start]), i - start))
-            spread = max(spread, float(e[i - 1] - e[start]))
+    for i in range(1, len(e) + 1):
+        if i == len(e) or e[i] - e[i - 1] > cluster_tol:
+            classes.append((e[start], i - start))
+            spread = max(spread, e[i - 1] - e[start])
             start = i
     pairing_ok = all(mult % 2 == 0 for _, mult in classes)
     return DegeneracyReport(
@@ -362,8 +376,9 @@ def converge_cutoff(
     needs: each cutoff solves max(k, 3, levels) of them, with Lanczos
     start vectors drawn from seed.  Each solve after the first takes the
     previous E0 as its shift hint: by Cauchy interlacing E0(2M) <= E0(M).
-    Breaching max_dim before acceptance raises a ResourceError carrying
-    the history.
+    Breaching max_dim before acceptance, or a block at M refused for its
+    band entries (:func:`~dickelab.model.symmetry_block`), raises a
+    ResourceError carrying the history of the cutoffs solved before M.
     """
     if not 0 < tol < math.inf:
         raise ValidationError(f"tol must be finite and > 0, got {tol}")
@@ -381,7 +396,11 @@ def converge_cutoff(
                 history=tuple(history),
             )
         guess = None if prev is None else float(prev.eigenvalues[0])
-        res = lowest_levels(p, M, min(max(k, 3, levels), dim), seed=seed, guess=guess)
+        try:
+            res = lowest_levels(p, M, min(max(k, 3, levels), dim), seed=seed, guess=guess)
+        except ResourceError as exc:  # a block refused for its band entries
+            exc.history = tuple(history)
+            raise
         e = res.eigenvalues
         e3 = tuple(float(e[i]) if i < e.size else math.nan for i in range(3))
         history.append((M, *e3))
@@ -428,12 +447,6 @@ def _tridiagonal_levels(diag: np.ndarray, off: np.ndarray, k: int | None = None)
     return levels[:k]
 
 
-def _spin_sector_levels(p: ModelParams, s: int, k: int | None = None) -> np.ndarray:
-    """The k lowest (all where k is None) eigenvalues of -u Sz^2 - v Sx^2 on the sector m + S = s (mod 2)."""
-    _, diag, off = spin_sector(p, s, p.u)
-    return _tridiagonal_levels(diag, off, k)
-
-
 def spin_model_spectrum(p: ModelParams, k: int | None = None) -> np.ndarray:
     """The k lowest eigenvalues (all N+1 where k is None) of the spin model -u Sz^2 - v Sx^2, ascending.
 
@@ -451,19 +464,19 @@ def spin_model_spectrum(p: ModelParams, k: int | None = None) -> np.ndarray:
     call: for 6 levels a call took 0.21-0.28 ms against 0.65-0.68 ms with
     dsterf on each half at N = 298, and 0.09-0.14 against 0.16 ms at
     N = 100 (2-vCPU Xeon VM, OpenBLAS on one thread).  All of them come
-    from dsterf, which splits the matrix at the zero couplings.
+    from dsterf, which splits the matrix at the zero couplings.  Everything
+    but the -u m^2 of the diagonal depends only on (N, v) and comes from the
+    cached :func:`~dickelab.model.spin_skeleton`, so a sweep over u builds
+    it once per (N, v).
     """
     if k is not None and k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
+    skeleton = spin_skeleton(p.N, p.v, math.copysign(1.0, p.v))
+    diag = skeleton.diagonal(p.u)
     if p.N % 2:
         half = None if k is None else -(-k // 2)
-        return np.repeat(_spin_sector_levels(p, 0, half), 2)[:k]
-    halves = [
-        (diag, off) for s in (0, 1) for _, diag, off in spin_sector_halves(p, s, p.u) if diag.size
-    ]
-    diag = np.concatenate([diag for diag, _ in halves])
-    off = np.concatenate([np.append(off, 0.0) for _, off in halves])[:-1]
-    return _tridiagonal_levels(diag, off, k)
+        return np.repeat(_tridiagonal_levels(diag, skeleton.off, half), 2)[:k]
+    return _tridiagonal_levels(diag, skeleton.off, k)
 
 
 def spin_ladder_levels(p: ModelParams, n: int) -> np.ndarray:
@@ -543,14 +556,3 @@ def cat_overlap(ground_pair, p: ModelParams, M: int) -> CatOverlap:
     f_plus = float(np.sum((vac[:, even] @ cat[even]) ** 2))
     f_minus = float(np.sum((vac[:, ~even] @ cat[~even]) ** 2))
     return CatOverlap(f_plus=f_plus, f_minus=f_minus)
-
-
-def ground_pair(p: ModelParams, M: int) -> tuple[np.ndarray, np.ndarray, SpectrumResult]:
-    """Lowest two eigenvectors of the full model at cutoff M, and the solve they come from.
-
-    That solve is :func:`lowest_levels` of the six lowest levels.  For odd
-    N the second vector is the mirror R x0 of the first, so the pair spans
-    the exact doublet.
-    """
-    res = lowest_levels(p, M, 6, want_vectors=True)
-    return res.eigenvectors[:, 0], res.eigenvectors[:, 1], res

@@ -21,12 +21,14 @@ sector of H onto itself, which splits H into four banded blocks (s, r) of
 about half the rows and half the bandwidth of a sector.
 :func:`symmetry_block` builds every block of H as a band array: the
 (s, +/-1) blocks from those halves, and a whole sector, at any N, as the
-block (s, 0).
+block (s, 0).  :func:`spin_skeleton` caches what the spin model's blocks
+keep for every u at one (N, v).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -80,16 +82,40 @@ def spin_sector(
     -v sqrt(S(S+1) - m(m+1)) sqrt(S(S+1) - (m+1)(m+2)) / 4.
     """
     m = -p.S + np.arange(s, p.N + 1, 2)
-    return (m, *_spin_entries(p, m, u))
+    msq, vpart, off = _spin_parts(p, m)
+    return m, -u * msq - vpart, off
 
 
-def _spin_entries(p: ModelParams, m: np.ndarray, u: float) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal at each m and (m, m+2) off-diagonal of -u Sz^2 - v Sx^2, for m ascending by 2."""
+def _spin_parts(p: ModelParams, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """m^2, the v part v (S(S+1) - m^2)/2 and the (m, m+2) off-diagonal of -u Sz^2 - v Sx^2, for m ascending by 2.
+
+    The diagonal at u is -u m^2 minus the v part.
+    """
     ss = p.S * (p.S + 1)
-    diag = -u * m**2 - p.v * (ss - m**2) / 2
+    msq = m**2
+    vpart = p.v * (ss - msq) / 2
     lo = m[:-1]
     off = -p.v * np.sqrt(ss - lo * (lo + 1)) * np.sqrt(ss - (lo + 1) * (lo + 2)) / 4
-    return diag, off
+    return msq, vpart, off
+
+
+def _unfolded_halves(p: ModelParams, s: int) -> tuple[tuple, tuple]:
+    """(m, m^2, v part, off-diagonal, fold) of each J half of :func:`spin_sector_halves`, (plus, minus).
+
+    fold, None or +/- O_{-1,1}, is added to the half's first diagonal
+    entry after -u m^2 - v part, the order the halves' diagonals take.
+    """
+    if p.N % 2:
+        raise ValidationError(f"J halves need even N (integer S), got N = {p.N}")
+    # the sector's Sz values from m = 0, or from m = -1 when it has no m = 0
+    m = np.arange(-((p.N // 2 + s) % 2), p.S + 1, 2)
+    msq, vpart, off = _spin_parts(p, m)
+    if m[0] < 0:  # fold O_{-1,1} into D_1
+        half = (m[1:], msq[1:], vpart[1:], off[1:])
+        return (*half, off[0]), (*half, -off[0])
+    minus = (m[1:], msq[1:], vpart[1:], off[1:], None)  # m = 0 belongs to the + half only
+    off[:1] *= math.sqrt(2.0)
+    return (m, msq, vpart, off, None), minus
 
 
 def spin_sector_halves(
@@ -106,20 +132,70 @@ def spin_sector_halves(
     m = 1, with D_1 + r O_{-1,1} in place of the diagonal D_1.  A half may
     be empty (N = 2, s = 1, r = -1).
     """
-    if p.N % 2:
-        raise ValidationError(f"J halves need even N (integer S), got N = {p.N}")
-    # the sector's Sz values from m = 0, or from m = -1 when it has no m = 0
-    m = np.arange(-((p.N // 2 + s) % 2), p.S + 1, 2)
-    diag, off = _spin_entries(p, m, u)
-    if m[0] < 0:  # fold O_{-1,1} into D_1
-        plus = diag[1:].copy()
-        plus[0] += off[0]
-        minus = diag[1:]
-        minus[0] -= off[0]
-        return (m[1:], plus, off[1:]), (m[1:], minus, off[1:])
-    minus = (m[1:], diag[1:], off[1:])  # m = 0 belongs to the + half only
-    off[:1] *= math.sqrt(2.0)
-    return (m, diag, off), minus
+    halves = []
+    for m, msq, vpart, off, fold in _unfolded_halves(p, s):
+        diag = -u * msq - vpart
+        if fold is not None:
+            diag[0] += fold
+        halves.append((m, diag, off))
+    return tuple(halves)
+
+
+@dataclass(frozen=True)
+class SpinSkeleton:
+    """The parts of the spin model's tridiagonal matrix that do not depend on u, for one (N, v).
+
+    msq holds m^2 and vpart v (S(S+1) - m^2)/2 of each row, off the
+    off-diagonal, and folds the (row, value) pairs added to the diagonal
+    last.  The arrays are read-only.
+    """
+
+    msq: np.ndarray
+    vpart: np.ndarray
+    off: np.ndarray
+    folds: tuple[tuple[int, float], ...]
+
+    def diagonal(self, u: float) -> np.ndarray:
+        """The diagonal at u: -u m^2 - vpart, then the folds, in the order of :func:`spin_sector_halves`.
+
+        So each entry is that of :func:`spin_sector` or
+        :func:`spin_sector_halves` bit for bit; adding a fold before
+        -u m^2 would round differently.
+        """
+        diag = -u * self.msq - self.vpart
+        for row, value in self.folds:
+            diag[row] += value
+        return diag
+
+
+@functools.lru_cache(maxsize=64)
+def spin_skeleton(N: int, v: float, v_sign: float) -> SpinSkeleton:
+    """The u-free parts of the tridiagonal matrix of -u Sz^2 - v Sx^2 that ``spin_model_spectrum`` solves.
+
+    At odd N that matrix is the sector m + S even of :func:`spin_sector`.
+    At even N it is the four J halves of :func:`spin_sector_halves`, the
+    sector s = 0's (plus, minus) then s = 1's, empty halves left out,
+    joined with a zero coupling between halves.  Cached by (N, v): a
+    sweep solves each (N, v) at several couplings u.  v_sign, which is
+    ``math.copysign(1.0, v)``, only keys the cache: v = -0.0 equals 0.0
+    but gives other signed zeros, so it gets an entry of its own.
+    """
+    p = ModelParams(N=N, omega=1.0, g=0.0, v=v)
+    if N % 2:
+        msq, vpart, off = _spin_parts(p, -p.S + np.arange(0, N + 1, 2))
+        skeleton = SpinSkeleton(msq, vpart, off, ())
+    else:
+        halves = [h for s in (0, 1) for h in _unfolded_halves(p, s) if h[0].size]
+        starts = itertools.accumulate([h[0].size for h in halves], initial=0)
+        skeleton = SpinSkeleton(
+            msq=np.concatenate([h[1] for h in halves]),
+            vpart=np.concatenate([h[2] for h in halves]),
+            off=np.concatenate([a for h in halves for a in (h[3], (0.0,))])[:-1],
+            folds=tuple((row, float(h[4])) for row, h in zip(starts, halves) if h[4] is not None),
+        )
+    for a in (skeleton.msq, skeleton.vpart, skeleton.off):
+        a.flags.writeable = False
+    return skeleton
 
 
 @functools.lru_cache(maxsize=8)

@@ -15,6 +15,8 @@ none of them imports it.
   Lanczos with full reorthogonalization, run as Rayleigh-Ritz on its
   orthogonal block Krylov basis) take a scipy sparse matrix or a dense
   array, converted once by :func:`as_matrix`, and always return vectors.
+- :func:`ground_pair` is the lowest two eigenvectors of the solve path's
+  :func:`~dickelab.diagnostics.lowest_levels`, for the vector checks.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
+from .diagnostics import lowest_levels
 from .errors import ResourceError, ValidationError
 from .model import DEFAULT_MAX_NONZEROS, ModelParams
 from .solvers import SpectrumResult, check_request
@@ -333,3 +336,14 @@ def lanczos_lowest(H, k: int = 6, *, seed: int = 0, max_iterations: int | None =
         residual_norms=resid,
         converged=bool(np.all(resid <= resid_tol)),
     )
+
+
+def ground_pair(p: ModelParams, M: int) -> tuple[np.ndarray, np.ndarray, SpectrumResult]:
+    """Lowest two eigenvectors of the full model at cutoff M, and the solve they come from.
+
+    That solve is :func:`~dickelab.diagnostics.lowest_levels` of the six
+    lowest levels.  For odd N the second vector is the mirror R x0 of the
+    first, so the pair spans the exact doublet.
+    """
+    res = lowest_levels(p, M, 6, want_vectors=True)
+    return res.eigenvectors[:, 0], res.eigenvectors[:, 1], res

@@ -21,11 +21,11 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
+import random
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.random  # noqa: F401  numpy loads it lazily; here it loads with the package, not in a solve
 
 from .errors import ValidationError
 
@@ -172,16 +172,18 @@ def _shift_and_factor(ab: np.ndarray, guess: float | None, floor: float) -> tupl
 
 
 def _lanczos_largest(
-    apply, dim: int, k: int, rng, want_vectors: bool
+    apply, dim: int, k: int, rng: random.Random, want_vectors: bool
 ) -> tuple[np.ndarray, np.ndarray | None, bool]:
     """The k largest Ritz values (descending) and vectors of the positive definite operator ``apply``.
 
-    Plain Lanczos from a uniform random vector, each new vector
-    orthogonalized twice against the whole basis (classical Gram-Schmidt
-    twice, as ARPACK's dsaitr does).  Where the second pass leaves less
-    than 0.717 of what the first left, the Krylov space is invariant: its
-    coupling beta is set to 0, and, with fewer than k Ritz pairs, the
-    recurrence goes on from a new random vector.  Every
+    Plain Lanczos from a random vector uniform on [-1, 1], drawn from rng,
+    the standard library's generator (importing numpy's costs about 13 ms),
+    each new vector orthogonalized twice against the whole basis
+    (classical Gram-Schmidt twice, as ARPACK's dsaitr does).  Where the
+    second pass leaves less than 0.717 of what the first left, the Krylov
+    space is invariant: its coupling beta is set to 0, and, with fewer
+    than k Ritz pairs, the recurrence goes on from a new random vector.
+    Every
     ``RITZ_CHECK_EVERY`` steps from the k-th on, at an invariant space and
     at the last step, LAPACK ``dstemr`` (MRRR, O(m k) for k of the m
     levels, against O(m^3) for all of them by ``dstev``) finds the k
@@ -198,7 +200,7 @@ def _lanczos_largest(
     alpha, beta = np.zeros(cap), np.zeros(cap)
 
     def fresh(basis: np.ndarray) -> np.ndarray:
-        q = rng.uniform(-1.0, 1.0, dim)
+        q = np.frombuffer(rng.randbytes(8 * dim), np.uint64) * 2.0**-63 - 1.0
         for _ in range(2):
             q -= (basis @ q) @ basis
         return q / np.linalg.norm(q)
@@ -292,7 +294,7 @@ def solve_lowest(
             return y
 
         theta, evecs, converged = _lanczos_largest(
-            apply_inverse, dim, k, np.random.default_rng(seed), want_vectors
+            apply_inverse, dim, k, random.Random(seed), want_vectors
         )
         evals = sigma + 1.0 / theta
         solver = "shift-invert"

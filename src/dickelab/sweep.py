@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import pickle
 import signal
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -249,15 +250,19 @@ class Budget:
         self.used += amount
 
 
-def _point_row(p: ModelParams, wall_time_seconds: float, **fields) -> SweepRow:
+def _point_row(
+    p: ModelParams, wall_time_seconds: float, *, M_star: int = 0,
+    E0: float = math.nan, E1: float = math.nan, E2: float = math.nan,
+    d: float = math.nan, Delta: float = math.nan, pairing_ok: bool = False,
+    oracle_deviation: float | None = None, converged: bool = False, **extra,
+) -> SweepRow:
     """A row for point p; fields left out read as a failed point's (NaN levels, not converged)."""
-    base = dict(
-        N=p.N, S=p.S, omega=p.omega, g=p.g, v=p.v, u=p.u,
-        M_star=0, E0=math.nan, E1=math.nan, E2=math.nan,
-        d=math.nan, Delta=math.nan, pairing_ok=False,
-        oracle_deviation=None, converged=False,
+    return SweepRow(
+        N=p.N, S=p.S, omega=p.omega, g=p.g, v=p.v, u=p.u, M_star=M_star,
+        E0=E0, E1=E1, E2=E2, d=d, Delta=Delta, pairing_ok=pairing_ok,
+        oracle_deviation=oracle_deviation, converged=converged,
+        wall_time_seconds=wall_time_seconds, **extra,
     )
-    return SweepRow(wall_time_seconds=wall_time_seconds, **{**base, **fields})
 
 
 def _search_rows(p: ModelParams, history) -> int:
@@ -272,7 +277,7 @@ def evaluate_point(
 
     Spin-only mode charges N + 1 to the budget, full mode every solve of
     the cutoff search (whose report is the row's ``convergence``), the
-    solves of a search that breached ``max_dim`` included.  Solve
+    solves of a search refused at a later cutoff included.  Solve
     errors (``DickeLabError``, ``numpy.linalg.LinAlgError``) propagate;
     :func:`run_sweep` records them as failed rows.
     """
@@ -284,8 +289,8 @@ def evaluate_point(
     else:
         try:
             conv = converge_cutoff(p, engine.tol, k=3, levels=engine.k, seed=seed, max_dim=engine.max_dim)
-        except ResourceError as exc:  # a search that breached max_dim did its solves too
-            budget.charge(_search_rows(p, exc.history or ()))  # None from a refused block
+        except ResourceError as exc:  # a search refused at some cutoff did its earlier solves too
+            budget.charge(_search_rows(p, exc.history))
             raise
         M_star = conv.M_star
         budget.charge(_search_rows(p, conv.history))
@@ -294,9 +299,10 @@ def evaluate_point(
         converged = conv.spectrum.converged and conv.converged
         solver = conv.spectrum.solver
 
-    levels = dict(zip(("E0", "E1", "E2"), map(float, eigs[:3])))
-    if eigs.size >= 3:
-        sg = splitting_and_gap(eigs[:3])
+    values = eigs.tolist()  # the row is derived from plain floats
+    levels = dict(zip(("E0", "E1", "E2"), values))
+    if len(values) >= 3:
+        sg = splitting_and_gap(values[:3])
         levels.update(d=sg.d, Delta=sg.Delta)
     E0 = levels.get("E0", math.nan)
     return _point_row(
@@ -305,8 +311,8 @@ def evaluate_point(
         M_star=M_star,
         oracle_deviation=oracle_dev,
         converged=bool(converged),
-        pairing_ok=degeneracy_classes(eigs, resolution_floor(E0)).pairing_ok,
-        eigenvalues=tuple(float(x) for x in eigs),
+        pairing_ok=degeneracy_classes(values, resolution_floor(E0)).pairing_ok,
+        eigenvalues=tuple(values),
         solver=solver,
         convergence=conv,
         **levels,
@@ -506,28 +512,41 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _render_value(name: str, value, fmt: str) -> str:
-    """One table cell.  JSON has no NaN or inf, so a non-finite value is null there, like a missing one."""
-    if value is None or (fmt == "json-lines" and not math.isfinite(value)):
-        return "" if fmt == "csv" else "null"
-    if name in ("N", "M_star"):
-        return str(int(value))
-    if name in ("pairing_ok", "converged"):
-        return "true" if value else "false"
-    return _fmt_float(float(value))
+_TABLE_FIELDS = tuple(CSV_HEADER.split(","))
+_table_values = operator.attrgetter(*_TABLE_FIELDS)
+# how each column's cell is written: integers, true/false, or 17-digit floats
+_CELL_FORMATS = tuple(
+    "%d" if n in ("N", "M_star") else "bool" if n in ("pairing_ok", "converged") else "%.17g"
+    for n in _TABLE_FIELDS
+)
 
 
-def render_rows(rows: list[SweepRow], fmt: str) -> str:
+def render_rows(rows: list[SweepRow], fmt: str, *, include_timing: bool = True) -> str:
+    """The table of ``rows`` in fmt, csv or json-lines, one line a row, in the CSV header's column order.
+
+    A missing value is an empty cell in CSV and null in JSON, which has no
+    NaN or inf either, so a non-finite value is null there too.  With
+    include_timing False every wall time is written as 0.
+    """
     if fmt not in ("csv", "json-lines"):
         raise ValidationError(f"unknown output format {fmt!r}")
-    names = CSV_HEADER.split(",")
+    missing = "" if fmt == "csv" else "null"
+    finite_only = fmt == "json-lines"
     lines = [CSV_HEADER] if fmt == "csv" else []
     for row in rows:
-        cells = [_render_value(n, getattr(row, n), fmt) for n in names]
+        values = _table_values(row)
+        if not include_timing:
+            values = (*values[:-1], 0.0)
+        cells = [
+            missing if value is None or (finite_only and not math.isfinite(value))
+            else ("true" if value else "false") if cell == "bool"
+            else cell % value
+            for cell, value in zip(_CELL_FORMATS, values)
+        ]
         if fmt == "csv":
             lines.append(",".join(cells))
         else:
-            lines.append("{" + ", ".join(f'"{n}": {c}' for n, c in zip(names, cells)) + "}")
+            lines.append("{" + ", ".join(f'"{n}": {c}' for n, c in zip(_TABLE_FIELDS, cells)) + "}")
     return "\n".join(lines) + "\n"
 
 
@@ -599,27 +618,23 @@ def emit_results(
         raise ValidationError("no output path configured (set outputs.path or --out)")
     main = Path(path_str)  # unwritable paths surface as OSError from write_text
 
-    emit_rows = rows
-    if not include_timing:
-        emit_rows = [replace(row, wall_time_seconds=0.0) for row in rows]
-
     written: list[Path] = []
-    main.write_text(render_rows(emit_rows, cfg.outputs.format), encoding="utf-8")
+    main.write_text(
+        render_rows(rows, cfg.outputs.format, include_timing=include_timing), encoding="utf-8"
+    )
     written.append(main)
 
     if "spectrum" in cfg.outputs.emit:
-        lines = ["point,N,omega,g,v,u,level,energy"]
+        # one %-template per row, the row's prefix and "level,%.17g" for each
+        # level, fills in all its energies in a single call
+        tails = [f"{level},%.17g\n" for level in range(max(len(row.eigenvalues) for row in rows))]
+        parts = ["point,N,omega,g,v,u,level,energy\n"]
         for i, row in enumerate(rows):
-            prefix = (
-                f"{i},{row.N},{_fmt_float(row.omega)},{_fmt_float(row.g)},"
-                f"{_fmt_float(row.v)},{_fmt_float(row.u)},"
-            )
-            lines += [
-                f"{prefix}{level},{energy:.17g}"
-                for level, energy in enumerate(row.eigenvalues)
-            ]
+            if row.eigenvalues:  # a failed point has none
+                prefix = "%d,%d,%.17g,%.17g,%.17g,%.17g," % (i, row.N, row.omega, row.g, row.v, row.u)
+                parts.append((prefix + prefix.join(tails[: len(row.eigenvalues)])) % row.eigenvalues)
         path = _extra_path(main, "spectrum")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text("".join(parts), encoding="utf-8")
         written.append(path)
 
     if "landscape" in cfg.outputs.emit:

@@ -24,8 +24,9 @@ from dickelab import (
 )
 import dickelab.diagnostics as diagnostics
 import dickelab.solvers as solvers
-from dickelab.diagnostics import ground_pair, initial_cutoff
-from dickelab.model import spin_sector
+from dickelab.diagnostics import initial_cutoff
+from dickelab.model import spin_sector, spin_sector_halves, spin_skeleton
+from dickelab.reference import ground_pair
 from dickelab.sweep import CSV_HEADER, Budget, EngineConfig, evaluate_point
 from oracles import dense_spin_xz
 
@@ -310,6 +311,12 @@ def test_spin_model_spectrum_matches_dense_reference():
 SPIN_UV = ((0.2, 1.0), (0.5, 1.0), (0.9, 1.0), (1.0, 1.0), (0.0, 1.0), (0.7, 0.0), (0.37, 0.37))
 
 
+def _sector_levels(p, s):
+    """All levels of the spin model's parity sector s, from the sector's own tridiagonal matrix."""
+    _, diag, off = spin_sector(p, s, p.u)
+    return diagnostics._tridiagonal_levels(diag, off)
+
+
 def test_spin_model_sectors_match_dense_eigvalsh():
     for N in range(1, 61):
         for u, v in SPIN_UV:
@@ -331,7 +338,7 @@ def test_spin_sector_levels_are_those_of_eigvalsh_tridiagonal_bit_for_bit():
             for s in (0, 1):
                 _, diag, off = spin_sector(p, s, p.u)
                 ref = scipy.linalg.eigvalsh_tridiagonal(diag, off)
-                assert np.array_equal(diagnostics._spin_sector_levels(p, s), ref), (N, u, v, s)
+                assert np.array_equal(_sector_levels(p, s), ref), (N, u, v, s)
 
 
 def test_even_n_j_halves_give_the_levels_of_the_unsplit_sectors():
@@ -339,9 +346,7 @@ def test_even_n_j_halves_give_the_levels_of_the_unsplit_sectors():
         for u, v in SPIN_UV:
             p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(u)), v=v)
             levels = spin_model_spectrum(p)
-            unsplit = np.sort(
-                np.concatenate([diagnostics._spin_sector_levels(p, s) for s in (0, 1)])
-            )
+            unsplit = np.sort(np.concatenate([_sector_levels(p, s) for s in (0, 1)]))
             assert levels.shape == (N + 1,)
             dev = np.max(np.abs(levels - unsplit))
             assert dev <= 1e-13 * max(1.0, abs(unsplit[0])), (N, u, v, dev)
@@ -367,6 +372,33 @@ def test_k_lowest_spin_levels_are_the_head_of_the_whole_spectrum():
                     continue
                 pairs = levels[: levels.size // 2 * 2]  # doublets exact by construction
                 assert np.array_equal(pairs[0::2], pairs[1::2]), (N, u, v, k)
+
+
+def _fresh_spin_levels(p, k):
+    """spin_model_spectrum's levels from the arrays of spin_sector and spin_sector_halves, built anew."""
+    if p.N % 2:
+        _, diag, off = spin_sector(p, 0, p.u)
+        half = None if k is None else -(-k // 2)
+        return np.repeat(diagnostics._tridiagonal_levels(diag, off, half), 2)[:k]
+    halves = [(d, o) for s in (0, 1) for _, d, o in spin_sector_halves(p, s, p.u) if d.size]
+    diag = np.concatenate([d for d, _ in halves])
+    off = np.concatenate([np.append(o, 0.0) for _, o in halves])[:-1]
+    return diagnostics._tridiagonal_levels(diag, off, k)
+
+
+def test_cached_spin_skeleton_gives_the_fresh_levels_bit_for_bit():
+    # u/v from 0 to 3 at v = 1, then the v = 0 line; v = -0.0 right after 0.0
+    # would take 0.0's cache entry, and its signed zeros, if the key ignored the sign
+    uv = [(r, 1.0) for r in (0.0, 0.2, 0.5, 0.9, 1.0, 1.5, 3.0)]
+    uv += [(u, v) for u in (0.0, 0.7) for v in (0.0, -0.0)]
+    hits = spin_skeleton.cache_info().hits
+    for N in range(1, 161):
+        for u, v in uv:
+            p = ModelParams(N=N, omega=1.0, g=math.sqrt(u), v=v)
+            for k in (1, 3, 6, None):
+                cached = spin_model_spectrum(p, k)
+                assert cached.tobytes() == _fresh_spin_levels(p, k).tobytes(), (N, u, v, k)
+    assert spin_skeleton.cache_info().hits > hits  # the levels came through the cache
 
 
 def test_spin_levels_need_k_of_at_least_one():

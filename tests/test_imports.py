@@ -1,4 +1,4 @@
-"""What dickelab imports: the solve path loads LAPACK without scipy's packages.
+"""What dickelab imports: the solve path loads LAPACK without scipy's packages, and never numpy.random.
 
 Each check runs in a fresh interpreter, since the test process has
 imported scipy.linalg and scipy.sparse long before.
@@ -55,7 +55,8 @@ solvers.lapack.dpbtrs = lambda *a, **kw: applied.append(1) or dpbtrs(*a, **kw)
 before = set(sys.modules)
 codes = [dickelab.cli.main(["sweep", name, "--workers", "1"]) for name in ("spin.cfg", "full.cfg")]
 print({"codes": codes, "applied": len(applied), "new": sorted(set(sys.modules) - before),
-       "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))})
+       "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+       "numpy.random": "numpy.random" in sys.modules})
 """
 
 # levels from every LAPACK route: dsbevx, dpbtrf/dpbtrs, dstebz, dsterf and
@@ -102,6 +103,7 @@ def test_sweeps_load_no_scipy_package_and_nothing_new(tmp_path):
     # whatever the solve path needs loads with dickelab.cli, not inside a run
     assert out["new"] == []
     assert out["scipy"] == ["scipy.linalg._fblas", "scipy.linalg._flapack"]
+    assert not out["numpy.random"]  # Lanczos start vectors come from the stdlib generator
     assert (tmp_path / "full.csv").is_file() and (tmp_path / "spin.csv").is_file()
 
 

@@ -11,20 +11,23 @@ import numpy as np
 import pytest
 
 import dickelab
+import dickelab.model as model
 import dickelab.reference as reference
 import dickelab.sweep as sweep
 from dickelab import (
     CSV_HEADER,
     ConfigError,
     ModelParams,
+    ResourceError,
     SweepAborted,
     ValidationError,
+    converge_cutoff,
     emit_results,
     parse_config,
     run_sweep,
 )
 from dickelab.cli import main
-from dickelab.diagnostics import resolution_floor
+from dickelab.diagnostics import initial_cutoff, resolution_floor
 from dickelab.sweep import render_rows
 
 MINIMAL = """
@@ -287,9 +290,33 @@ def test_budget_charges_the_solves_of_a_search_that_breaches_max_dim():
         run_sweep(parse_config(text.format(N=3, g="1.0, 1.0", max_dim=100, limit=159)))
     assert [row.converged for row in err.value.rows] == [False]
     # at N = 400, g = 2 the first cutoff, M = 640010, is refused for its band
-    # entries before any solve, by a ResourceError without a history: it costs 0
+    # entries before any solve, by a ResourceError with an empty history: it costs 0
     rows = run_sweep(parse_config(text.format(N=400, g="2.0", max_dim=10**9, limit=1)))
     assert not rows[0].converged and math.isnan(rows[0].E0)
+
+
+def test_budget_charges_the_solves_before_a_block_refused_for_its_band_entries(monkeypatch):
+    # N = 6, u/v = 0.5 solves M = 15, then M = 30: a band guard that just
+    # admits the blocks of M = 15 refuses those of M = 30
+    p = ModelParams(N=6, omega=1.0, g=math.sqrt(0.5), v=1.0)
+    M0 = initial_cutoff(p)
+    limit = max(model.symmetry_block(p, M0, s, r).size for s in (0, 1) for r in (1, -1))
+    monkeypatch.setattr(model, "DEFAULT_MAX_NONZEROS", limit)
+    with pytest.raises(ResourceError, match="band entries") as err:
+        converge_cutoff(p)
+    assert [M for M, *_ in err.value.history] == [M0] == [15]
+    budget = sweep.Budget(10**6)
+    with pytest.raises(ResourceError, match="band entries"):
+        sweep.evaluate_point(p, sweep.EngineConfig(), 0, budget)
+    assert budget.used == (M0 + 1) * (p.N + 1)  # the solve at M = 15
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(example)
+    assert cfg.model.N_list == (3, 4, 5, 6, 8) and cfg.engine.budget_dim_total == 5_000_000
+    assert cfg.outputs.emit == ("splitting", "degeneracy", "spectrum", "scaling-fit")
 
 
 def test_emit_csv_exact_header_and_digits(tmp_path):
