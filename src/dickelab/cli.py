@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("spectrum", "sweep", "convergence"):
         commands[name].add_argument("--seed", type=int, help="solver seed (overrides the config)")
     sweep = commands["sweep"]
-    sweep.add_argument("--format", choices=["csv", "jsonl"], help="table format")
+    sweep.add_argument("--format", choices=list(TABLE_FORMATS), help="table format")
     sweep.add_argument(
         "--workers",
         type=int,

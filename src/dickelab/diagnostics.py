@@ -18,7 +18,7 @@ import numpy as np
 from . import solvers
 from .errors import ResourceError, ValidationError
 from .model import ModelParams, spin_skeleton, symmetry_block, symmetry_block_basis
-from .solvers import SpectrumResult, lapack, solve_lowest
+from .solvers import SpectrumResult, lapack, level_vector, solve_lowest
 
 _NEG_CLIP = 1e-12
 DEFAULT_MAX_DIM = 200_000
@@ -105,41 +105,17 @@ def _sector_pieces(ab: np.ndarray) -> list[tuple[slice, np.ndarray]]:
     """(rows, band array) of each uncoupled piece of a sector, the block (s, 0), by first row.
 
     A zero coupling row w (g = 0) leaves a spin block per n, rows n w ..
-    n w + w - 1; a zero spin row 1 (v = 0) a chain per m_j, rows j, j + w, ....
+    n w + w - 1; a zero spin row 1 (v = 0) a chain per m_j, rows j, j + w,
+    ...; both leave no piece holding a level twice: one row each.
     """
     w = ab.shape[0] - 1
+    if not ab[1:].any():
+        return [(slice(c, c + 1), ab[:1, c : c + 1]) for c in range(ab.shape[1])]
     if not ab[w].any():
         return [(slice(c, c + w), ab[:2, c : c + w]) for c in range(0, ab.shape[1], w)]
     if not ab[1].any():
         return [(slice(j, None, w), ab[[0, w], j::w]) for j in range(w)]
     return [(slice(None), ab)]
-
-
-def _embed_block(p: ModelParams, M: int, s: int, r: int, rows, X: np.ndarray) -> np.ndarray:
-    """Vectors X on rows ``rows`` of the (s, r) block in the flat basis.
-
-    A row is |m>, or (|m> + r (-1)^n |-m>)/sqrt(2) and |0> where r != 0.
-    """
-    n, col = (a[rows] for a in symmetry_block_basis(p, M, s, r))
-    flat = n * (p.N + 1) + col
-    V = np.zeros(((M + 1) * (p.N + 1), X.shape[1]))
-    if r == 0:
-        V[flat] = X
-        return V
-    half = np.where(2 * col == p.N, 0.5, math.sqrt(0.5))[:, None] * X  # m = 0 gets both halves
-    V[flat] = half
-    V[flat + p.N - 2 * col] += r * (1 - 2 * (n % 2))[:, None] * half
-    return V
-
-
-def _odd_mirror(p: ModelParams, M: int, V: np.ndarray) -> np.ndarray:
-    """R V for flat-basis vectors V at odd N, R the joint parity of :func:`~dickelab.reference.symmetry_operator`.
-
-    R is a signed index flip: row n (N + 1) + col goes to n (N + 1) + N - col,
-    with sign (-1)^(S - 1/2) (-1)^n.
-    """
-    sign = (-1.0) ** ((p.N - 1) // 2 + np.arange(M + 1))
-    return (V.reshape(M + 1, p.N + 1, -1)[:, ::-1] * sign[:, None, None]).reshape(V.shape)
 
 
 def _blocks(p: ModelParams, M: int):
@@ -179,13 +155,7 @@ def _shift_floor(p: ModelParams) -> float:
 
 
 def lowest_levels(
-    p: ModelParams,
-    M: int,
-    k: int,
-    *,
-    seed: int = 0,
-    want_vectors: bool = False,
-    guess: float | None = None,
+    p: ModelParams, M: int, k: int, *, seed: int = 0, guess: float | None = None
 ) -> SpectrumResult:
     """Lowest k levels of the full model at Fock cutoff M, solved block by block.
 
@@ -199,12 +169,11 @@ def lowest_levels(
     (:func:`_sector_pieces`: g = 0 or v = 0); keeping
     degenerate and decoupled levels in separate solves keeps the Lanczos
     solve, which finds one copy of each level, from missing them.  For
-    odd N, R swaps the two sectors, so only s = 0 is
-    solved and each level is reported twice, the copy's vector being R
-    times the original: the odd-N doublet is exact by construction.  The
+    odd N, R swaps the two sectors, so only s = 0 is solved and each level
+    is reported twice: the odd-N doublet is exact by construction.  The
     result's ``labels`` give each level's (s, r), r = 0 where the solve
-    does not resolve R (odd N, g = 0, v = 0).  Vectors are in the flat
-    basis.  guess, an upper estimate of E0 such as E0 at a smaller cutoff,
+    does not resolve R (odd N, g = 0, v = 0).
+    guess, an upper estimate of E0 such as E0 at a smaller cutoff,
     goes to every :func:`~dickelab.solvers.solve_lowest` as its shift hint,
     and each block above ``DENSE_SOLVE_MAX_DIM`` rows gets
     :func:`_shift_floor` as its proved floor, where a solve without a
@@ -212,47 +181,47 @@ def lowest_levels(
     start vector; k outside [1, dim] or a negative seed raises
     ``ValidationError``.
     """
+    return _solve_blocks(p, M, k, seed=seed, guess=guess)[0]
+
+
+def _solve_blocks(
+    p: ModelParams, M: int, k: int, *, seed: int = 0, guess: float | None = None
+) -> tuple[SpectrumResult, list[tuple[tuple[int, int], slice, np.ndarray, np.ndarray]]]:
+    """:func:`lowest_levels`, and (label, rows, band array, levels) of each block it solved, in solve order.
+
+    The band arrays go to the callers that need a level's vector, never
+    onto the result, which every sweep row keeps.
+    """
     dim = (M + 1) * (p.N + 1)
     if k < 1 or k > dim:
         raise ValidationError(f"k must be in [1, {dim}], got {k}")
     odd = p.N % 2 == 1
     k_block = -(-k // 2) if odd else k
-    results: list[SpectrumResult] = []
-    labels: list[tuple[int, int]] = []
-    vectors: list[np.ndarray] = []
+    results, solved = [], []
     floor = None
     for label, rows, ab in _blocks(p, M):
         if not ab.shape[1]:
             continue  # the empty block (1, -1) of N = 2 at M = 0
         if floor is None and ab.shape[1] > solvers.DENSE_SOLVE_MAX_DIM:
             floor = _shift_floor(p)  # only the Lanczos path shifts
-        res = solve_lowest(
-            ab, min(k_block, ab.shape[1]), seed=seed,
-            want_vectors=want_vectors, guess=guess, floor=floor,
-        )
-        results.append(res)
-        labels += [label] * res.eigenvalues.size
-        if want_vectors:
-            vectors.append(_embed_block(p, M, *label, rows, res.eigenvectors))
-    values = [r.eigenvalues for r in results]
-    residuals = [r.residual_norms for r in results]
+        results.append(solve_lowest(ab, min(k_block, ab.shape[1]), seed=seed, guess=guess, floor=floor))
+        solved.append((label, rows, ab, results[-1].eigenvalues))
+    values = [levels for *_, levels in solved]
+    labels = [label for label, *_, levels in solved for _ in levels]
     if odd:  # the unsolved s = 1 sector holds the mirror images
-        values, residuals = values * 2, residuals * 2
+        values *= 2
         labels += [(1, 0)] * len(labels)
-        if want_vectors:
-            vectors += [_odd_mirror(p, M, V) for V in vectors]
 
     # stable sort: an odd-N mirror lands right after its original
     order = np.argsort(np.concatenate(values), kind="stable")[:k]
-    return SpectrumResult(
+    spectrum = SpectrumResult(
         eigenvalues=np.concatenate(values)[order],
-        eigenvectors=np.hstack(vectors)[:, order] if want_vectors else None,
         solver="+".join(dict.fromkeys(r.solver for r in results)),
         iterations=sum(r.iterations for r in results),
-        residual_norms=np.concatenate(residuals)[order],
         converged=all(r.converged for r in results),
         labels=tuple(labels[i] for i in order),
     )
+    return spectrum, solved
 
 
 @dataclass(frozen=True)
@@ -291,34 +260,32 @@ def initial_cutoff(p: ModelParams) -> int:
     return math.ceil(4.0 * (p.g * math.sqrt(sz2) / p.omega) ** 2) + 10
 
 
-def _temple_bound(p: ModelParams, M: int, res: SpectrumResult, k: int) -> float:
+def _temple_bound(p: ModelParams, M: int, res: SpectrumResult, blocks, k: int) -> float:
     """Kato-Temple bound on how far the k lowest levels of ``res``, the :func:`lowest_levels` solve at M, sit above the uncut model's.
 
-    Level E_i of block (s, r) (its label) has the block vector x, padded
-    with zeros past n = M.  In the uncut H its only residual is the
-    coupling out of the top level, rho_i = |g| sqrt(M + 1) ||m x(n = M)||,
-    with m the Sz value of each top-level row.  x comes from inverse
-    iteration on the rebuilt block, O(n b^2) with no eigensolve: one LAPACK
-    dgbtrf factor of H - (E_i - delta) I, delta = 1e-9 max(1, |E_i|), in
-    general band storage (kl = ku = b, the block's bandwidth), then two
-    dgbtrs solves from a vector of ones, normalised after each.  gap_i is
-    the next level of the same block in ``res``, or the highest level of
-    ``res`` where the block has none there (a lower value).  Temple's bound
-    (Proc. R. Soc. A 119, 276 (1928); Kato, J. Phys. Soc. Jpn. 4, 334
-    (1949)) then puts the uncut level within rho_i^2 / gap_i below E_i,
-    provided gap_i is no more than the exact next level's distance.  The
-    computed next level is only an upper bound on the exact one (Cauchy
-    interlacing), so the bound is stated, not proved.  Returns
-    max_i rho_i^2 / gap_i plus :func:`resolution_floor` of E0, the float64
-    rounding of the levels themselves; inf where some rho_i >= gap_i, where
-    a factor is singular, and on the g = 0 and v = 0 lines, whose blocks
-    (s, 0) are solved as pieces the labels do not name.  Odd-N mirrors,
-    label (1, 0), share their original's bound and are skipped.
+    res and blocks are as :func:`_solve_blocks` returns them.  Level E_i of
+    block (s, r) (its label) has the block vector x,
+    :func:`~dickelab.solvers.level_vector` on the block's band array, padded
+    with zeros past n = M.  In the uncut H its only residual is the coupling
+    out of the top level, rho_i = |g| sqrt(M + 1) ||m x(n = M)||, with m the
+    Sz value of each top-level row.  gap_i is the next level of the same
+    block in ``res``, or the highest level of ``res`` where the block has
+    none there (a lower value).  Temple's bound (Proc. R. Soc. A 119, 276
+    (1928); Kato, J. Phys. Soc. Jpn. 4, 334 (1949)) then puts the uncut
+    level within rho_i^2 / gap_i below E_i, provided gap_i is no more than
+    the exact next level's distance.  The computed next level is only an
+    upper bound on the exact one (Cauchy interlacing), so the bound is
+    stated, not proved.  Returns max_i rho_i^2 / gap_i plus
+    :func:`resolution_floor` of E0, the float64 rounding of the levels
+    themselves; inf where some rho_i >= gap_i, where a factor is singular,
+    and on the g = 0 and v = 0 lines, whose blocks (s, 0) are solved as
+    pieces the labels do not name.  Odd-N mirrors, label (1, 0), share their
+    original's bound and are skipped.
     """
     if p.g == 0 or p.v == 0:
         return math.inf
     e, labels = res.eigenvalues, res.labels
-    blocks: dict[tuple[int, int], tuple] = {}
+    bands = {label: ab for label, _, ab, _ in blocks}  # one block a label off the g = 0 and v = 0 lines
     bound = 0.0
     for i in range(min(k, e.size)):
         label, E = labels[i], float(e[i])
@@ -326,24 +293,13 @@ def _temple_bound(p: ModelParams, M: int, res: SpectrumResult, k: int) -> float:
             continue
         above = next((j for j in range(i + 1, e.size) if labels[j] == label), -1)
         gap = float(e[above]) - E
-        if label not in blocks:
-            blocks[label] = symmetry_block(p, M, *label), symmetry_block_basis(p, M, *label)
-        ab, (n, col) = blocks[label]
-        b, dim = ab.shape[0] - 1, ab.shape[1]
-        gb = np.zeros((3 * b + 1, dim), order="F")  # H[i, j] at row 2b + i - j; rows < b take the fill-in
-        gb[2 * b :] = ab
-        gb[2 * b] -= E - 1e-9 * max(1.0, abs(E))
-        for d in range(1, b + 1):
-            gb[2 * b - d, d:] = ab[d, : dim - d]
-        lu, piv, info = lapack.dgbtrf(gb, b, b, overwrite_ab=1)
-        if info:
+        try:
+            x = level_vector(bands[label], E)
+        except np.linalg.LinAlgError:
             return math.inf
-        x = np.ones((dim, 1))
-        for _ in range(2):
-            x, _ = lapack.dgbtrs(lu, b, b, x, piv, overwrite_b=1)
-            x /= np.linalg.norm(x)
+        n, col = symmetry_block_basis(p, M, *label)
         top = n == M
-        rho = abs(p.g) * math.sqrt(M + 1) * float(np.linalg.norm((col[top] - p.S) * x[top, 0]))
+        rho = abs(p.g) * math.sqrt(M + 1) * float(np.linalg.norm((col[top] - p.S) * x[top]))
         if not rho < gap:
             return math.inf
         bound = max(bound, rho**2 / gap)
@@ -397,7 +353,7 @@ def converge_cutoff(
             )
         guess = None if prev is None else float(prev.eigenvalues[0])
         try:
-            res = lowest_levels(p, M, min(max(k, 3, levels), dim), seed=seed, guess=guess)
+            res, blocks = _solve_blocks(p, M, min(max(k, 3, levels), dim), seed=seed, guess=guess)
         except ResourceError as exc:  # a block refused for its band entries
             exc.history = tuple(history)
             raise
@@ -414,7 +370,7 @@ def converge_cutoff(
                     tol=tol,
                     spectrum=prev,
                 )
-        bound = _temple_bound(p, M, res, k)
+        bound = _temple_bound(p, M, res, blocks, k)
         if bound < tol:
             return ConvergenceReport(
                 M_star=M,

@@ -15,22 +15,23 @@ none of them imports it.
   Lanczos with full reorthogonalization, run as Rayleigh-Ritz on its
   orthogonal block Krylov basis) take a scipy sparse matrix or a dense
   array, converted once by :func:`as_matrix`, and always return vectors.
-- :func:`ground_pair` is the lowest two eigenvectors of the solve path's
-  :func:`~dickelab.diagnostics.lowest_levels`, for the vector checks.
+- :func:`level_vectors` gives the vector checks the solve path's levels'
+  vectors in the flat basis, and :func:`ground_pair` the lowest two.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 
-from .diagnostics import lowest_levels
+from .diagnostics import _solve_blocks
 from .errors import ResourceError, ValidationError
-from .model import DEFAULT_MAX_NONZEROS, ModelParams
-from .solvers import SpectrumResult, check_request
+from .model import DEFAULT_MAX_NONZEROS, ModelParams, symmetry_block_basis
+from .solvers import SpectrumResult, check_request, level_vector
 
 DEFAULT_DENSE_THRESHOLD = 4000  # dense_spectrum's guard: larger matrices need a larger dense_threshold
 LANCZOS_BLOCK = 4  # lanczos_lowest's block width; >= 2 keeps degenerate doublets
@@ -338,12 +339,57 @@ def lanczos_lowest(H, k: int = 6, *, seed: int = 0, max_iterations: int | None =
     )
 
 
+def _embed_block(p: ModelParams, M: int, s: int, r: int, rows, X: np.ndarray) -> np.ndarray:
+    """Vectors X on rows ``rows`` of the (s, r) block in the flat basis.
+
+    A row is |m>, or (|m> + r (-1)^n |-m>)/sqrt(2) and |0> where r != 0.
+    """
+    n, col = (a[rows] for a in symmetry_block_basis(p, M, s, r))
+    flat = n * (p.N + 1) + col
+    V = np.zeros(((M + 1) * (p.N + 1), X.shape[1]))
+    if r == 0:
+        V[flat] = X
+        return V
+    half = np.where(2 * col == p.N, 0.5, math.sqrt(0.5))[:, None] * X  # m = 0 gets both halves
+    V[flat] = half
+    V[flat + p.N - 2 * col] += r * (1 - 2 * (n % 2))[:, None] * half
+    return V
+
+
+def _odd_mirror(p: ModelParams, M: int, V: np.ndarray) -> np.ndarray:
+    """R V for flat-basis vectors V at odd N, R the joint parity of :func:`symmetry_operator`.
+
+    R is a signed index flip: row n (N + 1) + col goes to n (N + 1) + N - col,
+    with sign (-1)^(S - 1/2) (-1)^n.
+    """
+    sign = (-1.0) ** ((p.N - 1) // 2 + np.arange(M + 1))
+    return (V.reshape(M + 1, p.N + 1, -1)[:, ::-1] * sign[:, None, None]).reshape(V.shape)
+
+
+def level_vectors(p: ModelParams, M: int, k: int, *, seed: int = 0) -> tuple[np.ndarray, SpectrumResult]:
+    """Orthonormal flat-basis vectors of the k lowest levels of ``diagnostics.lowest_levels``, and that solve.
+
+    Column i is level i's: ``solvers.level_vector`` on the band array it
+    was solved on, orthogonalized against its block's lower levels (they
+    overlap by up to about 3e-11) and mapped by :func:`_embed_block`.  At
+    odd N a level's copy in the sector s = 1 is R times the original.
+    """
+    res, blocks = _solve_blocks(p, M, k, seed=seed)
+    vectors = []
+    for label, rows, ab, levels in blocks:
+        Q, R = np.linalg.qr(np.column_stack([level_vector(ab, E) for E in levels]))
+        vectors.append(_embed_block(p, M, *label, rows, Q * np.sign(np.diag(R))))
+    values = [levels for *_, levels in blocks]
+    if p.N % 2:
+        vectors, values = vectors + [_odd_mirror(p, M, V) for V in vectors], values * 2
+    return np.hstack(vectors)[:, np.argsort(np.concatenate(values), kind="stable")[:k]], res
+
+
 def ground_pair(p: ModelParams, M: int) -> tuple[np.ndarray, np.ndarray, SpectrumResult]:
     """Lowest two eigenvectors of the full model at cutoff M, and the solve they come from.
 
-    That solve is :func:`~dickelab.diagnostics.lowest_levels` of the six
-    lowest levels.  For odd N the second vector is the mirror R x0 of the
-    first, so the pair spans the exact doublet.
+    They are the first two of :func:`level_vectors` of six levels; at odd N
+    the second is R x0, so the pair spans the exact doublet.
     """
-    res = lowest_levels(p, M, 6, want_vectors=True)
-    return res.eigenvectors[:, 0], res.eigenvectors[:, 1], res
+    V, res = level_vectors(p, M, 6)
+    return V[:, 0], V[:, 1], res

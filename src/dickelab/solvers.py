@@ -1,4 +1,4 @@
-"""Lowest-eigenpair solvers for real-symmetric operators.
+"""Lowest levels of real-symmetric band matrices, and the vector of one level.
 
 :func:`solve_lowest` is the production route.  It takes one symmetry
 block of the model (see ``diagnostics.lowest_levels``) as the lower band
@@ -10,10 +10,13 @@ just below a caller's estimate of the lowest level when there is one
 (the cutoff search passes the previous cutoff's E0), else at the caller's
 proved floor (``lowest_levels`` passes one from the spin model).
 
-The LAPACK and BLAS routines come from scipy's ``_flapack`` and ``_fblas``
-extension modules, loaded from their files so that the ``scipy.linalg``
-package, whose import costs about 0.3 s, is never imported; where that
-load fails they come from ``scipy.linalg.lapack`` and ``scipy.linalg.blas``.
+It returns levels only: :func:`level_vector` is the one way to a level's
+vector, by inverse iteration on the band array the level was solved on.
+
+The LAPACK routines come from scipy's ``_flapack`` extension module,
+loaded from its file so that the ``scipy.linalg`` package, whose import
+costs about 0.3 s, is never imported; where that load fails they come
+from ``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import importlib.util
 import os
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,46 +34,34 @@ from .errors import ValidationError
 
 
 def _load_lapack():
-    """scipy's ``_flapack`` and ``_fblas`` modules, loaded without importing ``scipy.linalg``.
+    """scipy's ``_flapack`` module, loaded without importing ``scipy.linalg``.
 
-    Each is loaded from its file under its own name, scipy.linalg._flapack
-    and scipy.linalg._fblas, and entered in ``sys.modules``, so a later
-    ``import scipy.linalg`` takes the same module objects.  Where scipy's
-    layout differs, ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` are
-    imported instead; they re-export the same routines.
+    It is loaded from its file under its own name and entered in
+    ``sys.modules``, so a later ``import scipy.linalg`` takes the same
+    module object.  Where scipy's layout differs, ``scipy.linalg.lapack``
+    is imported instead; it re-exports the same routines.
     """
-
-    def load(stem: str):
-        name = f"scipy.linalg.{stem}"
-        if name in sys.modules:
-            return sys.modules[name]
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(scipy_dir, "linalg", stem + suffix)
-            if os.path.isfile(path):
-                break
-        else:
-            raise ImportError(f"no extension file for {name} under {scipy_dir}")
-        loader = importlib.machinery.ExtensionFileLoader(name, path)
-        module = importlib.util.module_from_spec(
-            importlib.util.spec_from_file_location(name, path, loader=loader)
-        )
-        loader.exec_module(module)
-        sys.modules[name] = module
-        return module
-
-    spec = importlib.util.find_spec("scipy")
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    dirs = (scipy.submodule_search_locations or [])[:1] if scipy else []  # none where scipy is no package
+    suffixes = importlib.machinery.EXTENSION_SUFFIXES
+    files = [os.path.join(d, "linalg", "_flapack" + suffix) for d in dirs for suffix in suffixes]
     try:
-        if spec is None or not spec.submodule_search_locations:
-            raise ImportError("scipy is not installed as a package")
-        scipy_dir = spec.submodule_search_locations[0]
-        return load("_flapack"), load("_fblas")
-    except (ImportError, OSError):
-        from scipy.linalg import blas, lapack
+        path = next(f for f in files if os.path.isfile(f))
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(module)
+    except (StopIteration, ImportError, OSError):
+        from scipy.linalg import lapack
 
-        return lapack, blas
+        return lapack
+    sys.modules[name] = module
+    return module
 
 
-lapack, blas = _load_lapack()
+lapack = _load_lapack()
 
 DENSE_SOLVE_MAX_DIM = 400
 """Path choice, not a guard: :func:`solve_lowest` runs ``dsbevx`` up to this many rows, Lanczos above.
@@ -104,7 +95,7 @@ blocks, hinted solves near 300-400, so one constant of 400 serves both.
 """
 
 LANCZOS_MAX_STEPS = 400
-"""Lanczos steps :func:`solve_lowest` takes at most before it returns its best pairs unconverged."""
+"""Lanczos steps :func:`solve_lowest` takes at most before it returns its best values unconverged."""
 
 RITZ_CHECK_EVERY = 2
 """Lanczos steps between two Ritz checks of :func:`solve_lowest`."""
@@ -128,16 +119,17 @@ class SpectrumResult:
     (``diagnostics.lowest_levels`` fills them in).  For odd S this r is
     minus the eigenvalue of ``reference.symmetry_operator``, which carries
     the spin factor's sign (-1)^S: tables labelled by that operator show r
-    flipped at N = 14, 18, ....
+    flipped at N = 14, 18, ....  Only the reference solvers of ``reference``
+    set eigenvectors and their residual_norms.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
     solver: str
     iterations: int
-    residual_norms: np.ndarray = field(default_factory=lambda: np.zeros(0))
     converged: bool = True
     labels: tuple[tuple[int, int], ...] = ()
+    eigenvectors: np.ndarray | None = None
+    residual_norms: np.ndarray | None = None
 
 
 def _shift_and_factor(ab: np.ndarray, guess: float | None, floor: float) -> tuple[float, np.ndarray]:
@@ -171,10 +163,8 @@ def _shift_and_factor(ab: np.ndarray, guess: float | None, floor: float) -> tupl
     return floor, factor(floor)
 
 
-def _lanczos_largest(
-    apply, dim: int, k: int, rng: random.Random, want_vectors: bool
-) -> tuple[np.ndarray, np.ndarray | None, bool]:
-    """The k largest Ritz values (descending) and vectors of the positive definite operator ``apply``.
+def _lanczos_largest(apply, dim: int, k: int, rng: random.Random) -> tuple[np.ndarray, bool]:
+    """The k largest Ritz values (descending) of the positive definite operator ``apply``.
 
     Plain Lanczos from a random vector uniform on [-1, 1], drawn from rng,
     the standard library's generator (importing numpy's costs about 13 ms),
@@ -183,15 +173,14 @@ def _lanczos_largest(
     second pass leaves less than 0.717 of what the first left, the Krylov
     space is invariant: its coupling beta is set to 0, and, with fewer
     than k Ritz pairs, the recurrence goes on from a new random vector.
-    Every
-    ``RITZ_CHECK_EVERY`` steps from the k-th on, at an invariant space and
-    at the last step, LAPACK ``dstemr`` (MRRR, O(m k) for k of the m
-    levels, against O(m^3) for all of them by ``dstev``) finds the k
-    largest eigenpairs of the tridiagonal T; the
-    k largest Ritz values theta_i have converged once
-    |beta s_last,i| <= eps |theta_i|, the rule ARPACK applies at tol = 0.
+    Every ``RITZ_CHECK_EVERY`` steps from the k-th on, at an invariant
+    space and at the last step, LAPACK ``dstemr`` (MRRR, O(m k) for k of
+    the m levels, against O(m^3) for all of them by ``dstev``) finds the k
+    largest eigenpairs (theta_i, s_i) of the tridiagonal T; the Ritz
+    values have converged once |beta s_last,i| <= eps |theta_i|, the rule
+    ARPACK applies at tol = 0.
     At most min(``LANCZOS_MAX_STEPS``, dim) steps (one at least); if they
-    run out, the largest min(k, steps taken) pairs come back with
+    run out, the largest min(k, steps taken) values come back with
     converged False.
     """
     cap = max(1, min(LANCZOS_MAX_STEPS, dim))
@@ -205,15 +194,14 @@ def _lanczos_largest(
             q -= (basis @ q) @ basis
         return q / np.linalg.norm(q)
 
-    def ritz(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def ritz(m: int) -> tuple[np.ndarray, np.ndarray]:
         # dstemr overwrites its inputs and reads only the first m - 1 couplings
         found, theta, S, info = lapack.dstemr(
             alpha[:m].copy(), beta[:m].copy(), 2, 0.0, 0.0, max(m - k, 0) + 1, m, compute_v=1
         )
         if info:
             raise np.linalg.LinAlgError(f"dstemr failed on the Lanczos tridiagonal (info {info})")
-        theta, S = theta[found - 1 :: -1], S[:, found - 1 :: -1]
-        return theta, S, np.abs(beta[m - 1] * S[-1])
+        return theta[found - 1 :: -1], np.abs(beta[m - 1] * S[-1, found - 1 :: -1])
 
     Q[0] = fresh(Q[:0])
     m = 0  # steps taken
@@ -231,26 +219,25 @@ def _lanczos_largest(
             beta[m] = 0.0
         m += 1
         if m == cap or (m >= k and (invariant or (m - k) % RITZ_CHECK_EVERY == 0)):
-            theta, S, estimate = ritz(m)
+            theta, estimate = ritz(m)
             converged = m >= k and bool(np.all(estimate <= eps * theta))
             if converged or m == cap:
-                return theta, (basis.T @ S if want_vectors else None), converged
+                return theta, converged
         if m == Q.shape[0]:
             Q = np.concatenate([Q, np.empty((min(cap, 2 * m) - m, dim))])
         Q[m] = fresh(Q[:m]) if invariant else w / beta[m - 1]
 
 
 def solve_lowest(
-    ab: np.ndarray, k: int = 6, *, seed: int = 0,
-    want_vectors: bool = True, guess: float | None = None, floor: float | None = None,
+    ab: np.ndarray, k: int = 6, *, seed: int = 0, guess: float | None = None, floor: float | None = None
 ) -> SpectrumResult:
-    """Lowest k eigenpairs: LAPACK ``dsbevx`` up to ``DENSE_SOLVE_MAX_DIM`` rows, else shift-invert Lanczos.
+    """Lowest k eigenvalues: LAPACK ``dsbevx`` up to ``DENSE_SOLVE_MAX_DIM`` rows, else shift-invert Lanczos.
 
     ab is the lower band array ab[i, c] = H[c + i, c] of symmetric H.  The
     small blocks, and requests of k >= dim - 1 (for which Lanczos would
-    span nearly the whole space), go to ``dsbevx`` for the k lowest pairs
+    span nearly the whole space), go to ``dsbevx`` for the k lowest levels
     (solver "dense"), called with the arguments ``scipy.linalg.eig_banded``
-    passes it.  Above, Lanczos runs on (H - sigma)^-1 (solver
+    passes it for eigenvalues only.  Above, Lanczos runs on (H - sigma)^-1 (solver
     "shift-invert") around sigma from :func:`_shift_and_factor`, below the
     spectrum, so the k largest eigenvalues theta of the inverse give the
     k lowest levels sigma + 1/theta.  guess, an upper estimate of the
@@ -261,24 +248,22 @@ def solve_lowest(
     applied by LAPACK ``dpbtrs`` on the banded Cholesky factor of
     H - sigma I, as often as ``iterations`` counts, starting from a vector
     drawn from ``seed``, until the Ritz values are converged to machine
-    precision or ``LANCZOS_MAX_STEPS`` steps run out; then the best pairs
+    precision or ``LANCZOS_MAX_STEPS`` steps run out; then the best values
     come back with converged=False.  k outside [1, dim] or a negative seed
-    raises ``ValidationError`` on either path.  Residuals come from BLAS
-    ``dsbmv`` (zeros for eigenvalues without vectors).  Plain Lanczos keeps
-    one copy of each eigenvalue: pass one sector.
+    raises ``ValidationError`` on either path.  Plain Lanczos keeps one
+    copy of each eigenvalue: pass one sector.
     """
     ab = np.asarray(ab, dtype=float)
     dim = ab.shape[1]
     check_request(k, seed, dim)
     applied, converged = 0, True
     if dim <= DENSE_SOLVE_MAX_DIM or k >= dim - 1:
-        evals, evecs, found, _, info = lapack.dsbevx(
-            ab, 0.0, 1.0, 1, k, compute_v=int(want_vectors), mmax=k if want_vectors else 1,
-            range=2, lower=1, abstol=2 * lapack.dlamch("s"),
+        evals, _, found, _, info = lapack.dsbevx(
+            ab, 0.0, 1.0, 1, k, compute_v=0, mmax=1, range=2, lower=1, abstol=2 * lapack.dlamch("s")
         )
         if info:
             raise np.linalg.LinAlgError(f"dsbevx failed to converge ({info})")
-        evals, evecs = evals[:found], evecs[:, :found] if want_vectors else None
+        evals = evals[:found]
         solver = "dense"
     else:
         if floor is None:
@@ -293,22 +278,34 @@ def solve_lowest(
                 raise ValueError(f"illegal value in argument {-info} of dpbtrs")
             return y
 
-        theta, evecs, converged = _lanczos_largest(
-            apply_inverse, dim, k, random.Random(seed), want_vectors
-        )
+        theta, converged = _lanczos_largest(apply_inverse, dim, k, random.Random(seed))
         evals = sigma + 1.0 / theta
         solver = "shift-invert"
-    residuals = np.zeros(evals.size)
-    if evecs is not None:
-        Hv = np.empty_like(evecs)
-        for j, x in enumerate(evecs.T):
-            Hv[:, j] = blas.dsbmv(ab.shape[0] - 1, 1.0, ab, x, lower=1)
-        residuals = np.linalg.norm(Hv - evecs * evals, axis=0)
-    return SpectrumResult(
-        eigenvalues=evals,
-        eigenvectors=evecs,
-        solver=solver,
-        iterations=applied,
-        residual_norms=residuals,
-        converged=converged,
-    )
+    return SpectrumResult(eigenvalues=evals, solver=solver, iterations=applied, converged=converged)
+
+
+def level_vector(ab: np.ndarray, level: float) -> np.ndarray:
+    """The unit vector of ``level``, as :func:`solve_lowest` found it in the band array ab, by inverse iteration.
+
+    O(n b^2) with no eigensolve: one LAPACK ``dgbtrf`` factor of
+    H - (level - delta) I, delta = 1e-9 max(1, |level|), in general band
+    storage (kl = ku = b, the bandwidth), then two ``dgbtrs`` solves from a
+    vector of ones, normalised after each.  Each solve shrinks another
+    level's component by delta over its distance, so levels of ab a small
+    multiple of delta apart are not resolved.  A singular factor raises
+    ``numpy.linalg.LinAlgError``.
+    """
+    b, dim = ab.shape[0] - 1, ab.shape[1]
+    gb = np.zeros((3 * b + 1, dim), order="F")  # H[i, j] at row 2b + i - j; rows < b take the fill-in
+    gb[2 * b :] = ab
+    gb[2 * b] -= level - 1e-9 * max(1.0, abs(level))
+    for d in range(1, b + 1):
+        gb[2 * b - d, d:] = ab[d, : dim - d]
+    lu, piv, info = lapack.dgbtrf(gb, b, b, overwrite_ab=1)
+    if info:
+        raise np.linalg.LinAlgError(f"H - sigma is singular at pivot {info}")
+    x = np.ones((dim, 1))
+    for _ in range(2):
+        x, _ = lapack.dgbtrs(lu, b, b, x, piv, overwrite_b=1)
+        x /= np.linalg.norm(x)
+    return x[:, 0]

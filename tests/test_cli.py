@@ -11,6 +11,7 @@ import pytest
 from dickelab import ModelParams
 from dickelab.cli import main
 from dickelab.semiclassics import reduced_surface
+from dickelab.sweep import TABLE_FORMATS
 
 SWEEP_CFG = """
 [model]
@@ -139,6 +140,16 @@ def test_sweep_out_and_format_overrides(cfg_file, tmp_path):
     assert main(["sweep", str(path), "--out", str(target), "--format", "jsonl"]) == 0
     obj = json.loads(target.read_text().splitlines()[0])
     assert obj["N"] == 3
+
+
+def test_format_flag_takes_every_spelling_the_config_takes(cfg_file, tmp_path):
+    path, _ = cfg_file
+    written = {}
+    for fmt in TABLE_FORMATS:
+        target = tmp_path / f"rows.{fmt}"
+        assert main(["sweep", str(path), "--out", str(target), "--format", fmt]) == 0
+        written[fmt] = target.read_bytes()
+    assert written["json-lines"] == written["jsonl"] != written["csv"]
 
 
 def test_landscape_subcommand(cfg_file, tmp_path):

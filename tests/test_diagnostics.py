@@ -25,10 +25,10 @@ from dickelab import (
 import dickelab.diagnostics as diagnostics
 import dickelab.solvers as solvers
 from dickelab.diagnostics import initial_cutoff
-from dickelab.model import spin_sector, spin_sector_halves, spin_skeleton
-from dickelab.reference import ground_pair
+from dickelab.model import spin_sector, spin_sector_halves, spin_skeleton, symmetry_block
+from dickelab.reference import _embed_block, ground_pair, level_vectors
 from dickelab.sweep import CSV_HEADER, Budget, EngineConfig, evaluate_point
-from oracles import dense_spin_xz
+from oracles import dense_from_band, dense_spin_xz
 
 
 def test_splitting_from_polaron_levels():
@@ -462,9 +462,8 @@ def test_split_line_vectors_are_orthonormal_eigenvectors_of_full_h(extra, monkey
     _patch_solvers(monkeypatch, extra)
     for N, g, v in SPLIT_LINES:
         p = ModelParams(N=N, omega=1.0, g=g, v=v)
-        res = lowest_levels(p, M, k, seed=3, want_vectors=True)
+        V, res = level_vectors(p, M, k, seed=3)
         H = build_full_hamiltonian(p, M)
-        V = res.eigenvectors
         np.testing.assert_allclose(V.T @ V, np.eye(k), atol=1e-12)
         resid = np.linalg.norm(H @ V - V * res.eigenvalues, axis=0)
         assert np.all(resid <= 1e-10 * scipy.sparse.linalg.norm(H)), (N, g, v, resid)
@@ -493,9 +492,8 @@ def test_even_n_vectors_are_orthonormal_eigenvectors_of_full_h(extra, monkeypatc
     for N in (4, 6, 8):
         for ratio in (0.5, 0.9):
             p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(ratio)), v=1.0)
-            res = lowest_levels(p, M, k, want_vectors=True)  # ground_pair's solve: k = 6, seed 0
+            V, res = level_vectors(p, M, k)  # ground_pair's: k = 6, seed 0
             H = build_full_hamiltonian(p, M)
-            V = res.eigenvectors
             np.testing.assert_allclose(V.T @ V, np.eye(k), atol=1e-12)
             resid = np.linalg.norm(H @ V - V * res.eigenvalues, axis=0)
             assert np.all(resid <= 1e-10 * scipy.sparse.linalg.norm(H)), (N, ratio, resid)
@@ -522,11 +520,11 @@ def test_odd_n_mirror_vectors_are_the_joint_parity_images():
     for N in range(1, 16, 2):
         for g, v in MIRROR_GV:
             p = ModelParams(N=N, omega=1.0, g=g, v=v)
-            res = lowest_levels(p, M, k, seed=3, want_vectors=True)
+            V, res = level_vectors(p, M, k, seed=3)
             # the stable sort keeps each sector's vectors in one order, so the
             # i-th s = 1 vector is the mirror of the i-th s = 0 vector
             s = np.array([label[0] for label in res.labels])
-            V0, V1 = res.eigenvectors[:, s == 0], res.eigenvectors[:, s == 1]
+            V0, V1 = V[:, s == 0], V[:, s == 1]
             n = V1.shape[1]
             assert n >= 3, (N, g, v)
             np.testing.assert_array_equal(V1, symmetry_operator(p, M).op @ V0[:, :n])
@@ -538,10 +536,10 @@ def test_lowest_levels_at_the_smallest_cutoffs():
         for M in (0, 1, 2):
             p = ModelParams(N=N, omega=1.0, g=0.8, v=1.0)
             dim = (M + 1) * (N + 1)
-            res = lowest_levels(p, M, dim, want_vectors=True)
+            V, res = level_vectors(p, M, dim)
             ref = np.linalg.eigvalsh(build_full_hamiltonian(p, M).toarray())
             np.testing.assert_allclose(res.eigenvalues, ref, rtol=0, atol=1e-13 * max(1.0, abs(ref[0])))
-            np.testing.assert_allclose(res.eigenvectors.T @ res.eigenvectors, np.eye(dim), atol=1e-13)
+            np.testing.assert_allclose(V.T @ V, np.eye(dim), atol=1e-13)
 
 
 # the (s, r) blocks of the ground pair at the converged cutoff, and its d
@@ -709,7 +707,7 @@ def test_search_shift_hint_keeps_every_cutoff(monkeypatch):
     # each solve after the first cutoff takes the previous E0 as its shift
     # hint; the search must try and accept the same cutoffs as without it
     hints = []
-    solve, levels = diagnostics.solve_lowest, diagnostics.lowest_levels
+    solve, solve_blocks = diagnostics.solve_lowest, diagnostics._solve_blocks
 
     def spy(*args, guess=None, **kwargs):
         hints.append(guess)
@@ -725,7 +723,7 @@ def test_search_shift_hint_keeps_every_cutoff(monkeypatch):
             expected = [None] + [E0 for _, E0, _, _ in rep.history[:-1]]
             assert hints == [h for h in expected for _ in range(blocks)]
             with monkeypatch.context() as m:
-                m.setattr(diagnostics, "lowest_levels", lambda *a, guess=None, **kw: levels(*a, **kw))
+                m.setattr(diagnostics, "_solve_blocks", lambda *a, guess=None, **kw: solve_blocks(*a, **kw))
                 ref = converge_cutoff(p, 1e-10)
             assert rep.M_star == ref.M_star, (N, r)
             assert [h[0] for h in rep.history] == [h[0] for h in ref.history], (N, r)
@@ -766,15 +764,21 @@ def test_certified_search_accepts_what_the_doubling_alone_accepts(N, monkeypatch
 def _padded_residual_bound(p, M, k=3):
     """max_i ||r_i||^2 / gap_i + resolution_floor(E0) of lowest_levels at M, with r_i from the uncut H.
 
-    Each flat-basis vector is padded with the level n = M + 1, the only one
-    the uncut H reaches from n <= M, and r_i = (H - E_i) x_i there; gap_i as
-    in _temple_bound.  Computed for every level, odd-N mirrors included.
+    Level i's vector x_i is that of dense eigh on its expanded (s, r) block
+    (the j-th where it is the block's j-th level), in the flat basis and
+    padded with the level n = M + 1, the only one the uncut H reaches from
+    n <= M; r_i = (H - E_i) x_i there, and gap_i as in _temple_bound.
+    Computed for every level, odd-N mirrors included: their sector s = 1
+    is a block of its own.
     """
-    res = lowest_levels(p, M, 6, want_vectors=True)
-    X = np.zeros(((M + 2) * (p.N + 1), res.eigenvectors.shape[1]))
-    X[: res.eigenvectors.shape[0]] = res.eigenvectors
+    res = lowest_levels(p, M, 6)
     e, labels = res.eigenvalues, res.labels
-    rho = np.linalg.norm(build_full_hamiltonian(p, M + 1) @ X - X * e, axis=0)
+    X = np.zeros(((M + 2) * (p.N + 1), k))
+    for i, label in enumerate(labels[:k]):
+        j = labels[:i].count(label)
+        x = np.linalg.eigh(dense_from_band(symmetry_block(p, M, *label)))[1][:, j : j + 1]
+        X[: (M + 1) * (p.N + 1), i] = _embed_block(p, M, *label, slice(None), x)[:, 0]
+    rho = np.linalg.norm(build_full_hamiltonian(p, M + 1) @ X - X * e[:k], axis=0)
     bound = 0.0
     for i in range(k):
         later = [j for j in range(i + 1, e.size) if labels[j] == labels[i]]
@@ -791,13 +795,43 @@ def test_temple_bound_is_that_of_the_padded_vectors_residual(N):
     for r in (0.2, 0.5, 0.9, 1.5):
         p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(r)), v=1.0)
         M = initial_cutoff(p) // 2
-        got = diagnostics._temple_bound(p, M, lowest_levels(p, M, 6), 3)
+        got = diagnostics._temple_bound(p, M, *diagnostics._solve_blocks(p, M, 6), 3)
         want = _padded_residual_bound(p, M)
         if math.isinf(want):
             assert math.isinf(got), (p, got)
         else:
             assert want > 1e3 * diagnostics.resolution_floor(-p.u * p.S**2), p
             assert got == pytest.approx(want, rel=1e-6), p
+
+
+@pytest.mark.parametrize("M", [64, 68, 72])
+def test_temple_bound_is_that_of_the_padded_vectors_residual_on_shift_invert_blocks(M):
+    # N = 13, u/v = 0.9: the sector has 455 to 511 rows, past DENSE_SOLVE_MAX_DIM
+    p = ModelParams(N=13, omega=1.0, g=float(np.sqrt(0.9)), v=1.0)
+    res, blocks = diagnostics._solve_blocks(p, M, 6)
+    assert res.solver == "shift-invert"
+    got = diagnostics._temple_bound(p, M, res, blocks, 3)
+    want = _padded_residual_bound(p, M)
+    assert 1e-5 < want < 1e-1, want
+    assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_each_cutoff_builds_each_block_once(monkeypatch):
+    # the Temple bound takes its vectors from the blocks the solve built
+    built = []
+
+    def spy(p, M, s, r):
+        built.append((p, M, s, r))
+        return symmetry_block(p, M, s, r)
+
+    monkeypatch.setattr(diagnostics, "symmetry_block", spy)
+    for N in (6, 7, 12, 13, 16):
+        for ratio in (0.5, 0.9):
+            p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(ratio)), v=1.0)
+            built.clear()
+            rep = converge_cutoff(p, 1e-10)
+            blocks = 1 if N % 2 else 4
+            assert len(built) == len(set(built)) == blocks * len(rep.history), (N, ratio)
 
 
 def test_certified_cutoff_needs_no_room_for_twice_its_dimension():

@@ -1,9 +1,14 @@
 """What dickelab imports: the solve path loads LAPACK without scipy's packages, and never numpy.random.
 
+Also that every dickelab name the benchmark's child process uses still
+exists and runs, so a cleanup cannot silently break the benchmark.
+
 Each check runs in a fresh interpreter, since the test process has
 imported scipy.linalg and scipy.sparse long before.
 """
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -72,8 +77,8 @@ for N in (12, 13):
     p = ModelParams(N=N, omega=1.0, g=0.9487, v=1.0)
     rep = converge_cutoff(p, 1e-10)
     out["levels"] += [float(x) for x in rep.spectrum.eigenvalues] + [rep.bound]
-    res = lowest_levels(p, 60, 6, want_vectors=True)
-    out["levels"] += [float(x) for x in res.eigenvalues] + [float(x) for x in res.residual_norms]
+    res = lowest_levels(p, 60, 6)
+    out["levels"] += [float(x) for x in res.eigenvalues]
     out["solvers"] = out.get("solvers", []) + [rep.spectrum.solver, res.solver]
     out["levels"] += [float(x) for x in spin_model_spectrum(p)] + [float(x) for x in spin_model_spectrum(p, 3)]
 print(json.dumps(out))
@@ -102,7 +107,7 @@ def test_sweeps_load_no_scipy_package_and_nothing_new(tmp_path):
     assert out["applied"] > 0  # the full sweep ran the shift-invert solver
     # whatever the solve path needs loads with dickelab.cli, not inside a run
     assert out["new"] == []
-    assert out["scipy"] == ["scipy.linalg._fblas", "scipy.linalg._flapack"]
+    assert out["scipy"] == ["scipy.linalg._flapack"]
     assert not out["numpy.random"]  # Lanczos start vectors come from the stdlib generator
     assert (tmp_path / "full.csv").is_file() and (tmp_path / "spin.csv").is_file()
 
@@ -128,3 +133,28 @@ print(lanczos_lowest is reference.lanczos_lowest, build_full_hamiltonian is refe
 print(all(hasattr(dickelab, name) for name in dickelab.__all__), len(dickelab.__all__))
 """
     assert _run(code).splitlines() == ["False False", "True True", "True 54"]
+
+
+BENCH_CHILD = SRC.parent / "bench" / "child.py"
+
+
+def test_every_dickelab_name_the_bench_child_uses_runs(tmp_path, monkeypatch):
+    # the names come from the child's own imports, so a new one is checked too
+    tree = ast.parse(BENCH_CHILD.read_text(encoding="utf-8"))
+    names = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dickelab")
+        for alias in node.names
+    }
+    assert {("dickelab", "cli"), ("dickelab.errors", "DescentError"), ("dickelab.model", "ModelParams"),
+            ("dickelab.semiclassics", "find_minima"), ("dickelab.sweep", "parse_config")} <= names
+    found = {name: getattr(importlib.import_module(module), name) for module, name in names}
+    assert issubclass(found["DescentError"], Exception)
+    # the calls the child makes: parse a config, run the CLI on it, find minima with a seed
+    (tmp_path / "spin.cfg").write_text(SPIN_SWEEP)
+    found["parse_config"](SPIN_SWEEP).grid_points()
+    monkeypatch.chdir(tmp_path)
+    assert found["cli"].main(["sweep", "spin.cfg", "--workers", "2"]) == 0
+    p = found["ModelParams"](N=20, omega=1.0, g=float(0.5**0.5), v=1.0)
+    assert len(found["find_minima"](p, seed=12345)) == 2

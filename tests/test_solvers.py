@@ -207,7 +207,7 @@ def test_solve_lowest_checks_k_and_seed_on_both_paths():
     floor = _shift_floor(p)
     for M, solver in ((20, "dense"), (50, "shift-invert")):  # 189 and 459 rows
         ab = symmetry_block(p, M, 0, 0)
-        assert solve_lowest(ab, 6, want_vectors=False, floor=floor).solver == solver
+        assert solve_lowest(ab, 6, floor=floor).solver == solver
         bad = [(6, -1, "seed must be >= 0"), (0, 0, "k must be in"), (ab.shape[1] + 1, 0, "k must be in")]
         for k, seed, message in bad:
             with pytest.raises(ValidationError, match=message):
@@ -228,7 +228,7 @@ def test_shift_invert_nonconvergence_reports_best_effort(monkeypatch):
         assert res.solver == "shift-invert"
         assert not res.converged
         assert res.iterations == steps
-        assert res.eigenvalues.size == res.residual_norms.size == size
+        assert res.eigenvalues.size == size
         assert np.all(np.diff(res.eigenvalues) >= 0)
         assert np.all(res.eigenvalues >= ref[:size] - 1e-12 * abs(ref[0]))  # Ritz values: upper bounds
     monkeypatch.setattr(solvers, "LANCZOS_MAX_STEPS", cap)
@@ -356,58 +356,57 @@ BANDED_BLOCKS = [  # (N, u/v, M, s): 93 to 378 rows
 ]
 
 
-@pytest.mark.parametrize("want_vectors", [True, False])
-def test_banded_lapack_matches_dense_spectrum_of_the_expanded_block(want_vectors):
+def test_banded_lapack_matches_dense_spectrum_of_the_expanded_block():
     for N, r, M, s in BANDED_BLOCKS:
         p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(r)), v=1.0)
         ab = symmetry_block(p, M, s, 0)
         assert ab.shape[1] <= solvers.DENSE_SOLVE_MAX_DIM
-        res = solve_lowest(ab, 6, want_vectors=want_vectors)
+        res = solve_lowest(ab, 6)
         H = dense_from_band(ab)
         ref = dense_spectrum(H, 6)
         e0 = abs(ref.eigenvalues[0])
         assert res.solver == "dense" and res.converged and res.iterations == 0
+        assert res.eigenvectors is None and res.residual_norms is None
         assert np.max(np.abs(res.eigenvalues - ref.eigenvalues)) <= 1e-12 * e0, (N, r, M, s)
-        if want_vectors:
-            V = res.eigenvectors
-            np.testing.assert_allclose(V.T @ V, np.eye(6), atol=1e-12)
-            resid = np.linalg.norm(H @ V - V * res.eigenvalues, axis=0)
-            np.testing.assert_allclose(res.residual_norms, resid, rtol=0, atol=1e-12 * e0)
-            assert np.all(res.residual_norms <= 1e-10 * e0)
-        else:
-            assert res.eigenvectors is None
-            np.testing.assert_array_equal(res.residual_norms, np.zeros(6))
 
 
-@pytest.mark.parametrize("want_vectors", [True, False])
-def test_dense_path_is_eig_banded_bit_for_bit(want_vectors):
+def test_dense_path_is_eig_banded_bit_for_bit():
     # one dsbevx call with the arguments scipy.linalg.eig_banded passes it
     for N, r, M, s in BANDED_BLOCKS:
         p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(r)), v=1.0)
         ab = symmetry_block(p, M, s, 0)
-        res = solve_lowest(ab, 6, want_vectors=want_vectors)
-        ref = scipy.linalg.eig_banded(
-            ab, lower=True, eigvals_only=not want_vectors, select="i", select_range=(0, 5)
-        )
-        if want_vectors:
-            np.testing.assert_array_equal(res.eigenvalues, ref[0])
-            np.testing.assert_array_equal(res.eigenvectors, ref[1])
-        else:
-            np.testing.assert_array_equal(res.eigenvalues, ref)
+        res = solve_lowest(ab, 6)
+        ref = scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True, select="i", select_range=(0, 5))
+        np.testing.assert_array_equal(res.eigenvalues, ref)
 
 
-@pytest.mark.parametrize("want_vectors", [True, False])
-def test_banded_lapack_serves_requests_that_arpack_cannot(want_vectors, monkeypatch):
+def test_level_vector_is_the_eigenvector_of_the_expanded_block():
+    # inverse iteration against dense eigh, up to sign, on blocks of the dense and
+    # the shift-invert path: an (s, r) block at even N, a sector at odd N
+    for N, M, r, solver in ((16, 20, 1, "dense"), (16, 100, 1, "shift-invert"), (13, 64, 0, "shift-invert")):
+        p = ModelParams(N=N, omega=1.0, g=0.7, v=1.0)
+        ab = symmetry_block(p, M, 0, r)
+        res = solve_lowest(ab, 6, seed=1, floor=_shift_floor(p))
+        assert res.solver == solver
+        ref = np.linalg.eigh(dense_from_band(ab))[1][:, :6]
+        for x, y in zip((solvers.level_vector(ab, E) for E in res.eigenvalues), ref.T):
+            assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-15)
+            assert np.max(np.abs(x * np.sign(x @ y) - y)) <= 1e-10, (N, M)
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_banded_lapack_serves_requests_that_arpack_cannot(vectors, monkeypatch):
     p = ModelParams(N=5, omega=1.0, g=0.8, v=1.0)
     ab = symmetry_block(p, 3, 0, 0)  # 4 boson states x 3 spin states
     H = dense_from_band(ab)
     monkeypatch.setattr(solvers, "DENSE_SOLVE_MAX_DIM", 5)
     for k in (11, 12):  # k >= dim - 1
-        res = solve_lowest(ab, k, want_vectors=want_vectors)
+        res = solve_lowest(ab, k)
         ref = dense_spectrum(H, k).eigenvalues
         assert res.solver == "dense"
         assert np.max(np.abs(res.eigenvalues - ref)) <= 1e-12 * abs(ref[0])
-        if want_vectors:
-            assert np.all(res.residual_norms <= 1e-10 * abs(ref[0]))
+        if vectors:  # level_vector's, of every level, the top ones included
+            V = np.column_stack([solvers.level_vector(ab, E) for E in res.eigenvalues])
+            assert np.all(np.linalg.norm(H @ V - V * res.eigenvalues, axis=0) <= 1e-10 * abs(ref[0]))
     with pytest.raises(ValidationError):
         solve_lowest(ab, 13)
