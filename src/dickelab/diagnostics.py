@@ -414,7 +414,7 @@ def spin_model_spectrum(p: ModelParams, k: int | None = None) -> np.ndarray:
     that is the whole sector), and each level is reported twice: the
     odd-N doublets are exact by construction.  For even N the m -> -m
     exchange J maps each sector onto itself, so the four blocks are the J
-    halves of the two sectors (:func:`~dickelab.model.spin_sector_halves`),
+    halves of the two sectors (:func:`~dickelab.model.spin_blocks`),
     each about N/4 rows, joined into one tridiagonal matrix with a zero
     coupling between halves.  Its k lowest levels come from one dstebz
     call: for 6 levels a call took 0.21-0.28 ms against 0.65-0.68 ms with

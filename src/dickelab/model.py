@@ -9,20 +9,19 @@ with all energies in angular-frequency units (hbar = 1).  The product
 basis is boson-major: flat index = n * (N + 1) + (m + S), where n <= M is
 the boson occupation and m is the Sz eigenvalue, ascending from -S.  In
 this basis H is real symmetric, so everything here stays in real
-arithmetic; the one operator that is intrinsically complex for odd N (the
-parity operator) is stored as a real matrix plus a global phase.
+arithmetic.
 
 Both H and the spin model -u Sz^2 - v Sx^2 conserve the parity (-1)^(m+S),
-so they are built sector by sector (:func:`spin_sector`).  At even N the
-m -> -m exchange J also maps each spin-model sector onto itself, which
-splits the spin model into four tridiagonal blocks
-(:func:`spin_sector_halves`), and the joint parity R = (-1)^n J maps each
-sector of H onto itself, which splits H into four banded blocks (s, r) of
-about half the rows and half the bandwidth of a sector.
+so they are built sector by sector.  At even N the m -> -m exchange J
+also maps each spin-model sector onto itself, which splits it into two
+tridiagonal J halves; :func:`spin_blocks` gives a sector and its halves,
+each a :class:`SpinBlock`.  The joint parity R = (-1)^n J maps each sector
+of H onto itself, which splits H into four banded blocks (s, r) of about
+half the rows and half the bandwidth of a sector.
 :func:`symmetry_block` builds every block of H as a band array: the
 (s, +/-1) blocks from those halves, and a whole sector, at any N, as the
-block (s, 0).  :func:`spin_skeleton` caches what the spin model's blocks
-keep for every u at one (N, v).
+block (s, 0).  :func:`spin_skeleton` caches the spin model's blocks, joined,
+for every u at one (N, v).
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,128 +72,97 @@ class ModelParams:
         return self.g**2 / self.omega
 
 
-def spin_sector(
-    p: ModelParams, s: int, u: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sz values, diagonal and off-diagonal of -u Sz^2 - v Sx^2 on the sector m + S = s (mod 2).
-
-    In the ascending Sz basis the sector is tridiagonal: diagonal
-    -u m^2 - v (S(S+1) - m^2)/2 and (m, m+2) element
-    -v sqrt(S(S+1) - m(m+1)) sqrt(S(S+1) - (m+1)(m+2)) / 4.
-    """
-    m = -p.S + np.arange(s, p.N + 1, 2)
-    msq, vpart, off = _spin_parts(p, m)
-    return m, -u * msq - vpart, off
-
-
-def _spin_parts(p: ModelParams, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _spin_parts(S: float, v: float, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """m^2, the v part v (S(S+1) - m^2)/2 and the (m, m+2) off-diagonal of -u Sz^2 - v Sx^2, for m ascending by 2.
 
-    The diagonal at u is -u m^2 minus the v part.
+    The diagonal at u is -u m^2 minus the v part; the (m, m+2) element is
+    -v sqrt(S(S+1) - m(m+1)) sqrt(S(S+1) - (m+1)(m+2)) / 4.
     """
-    ss = p.S * (p.S + 1)
+    ss = S * (S + 1)
     msq = m**2
-    vpart = p.v * (ss - msq) / 2
+    vpart = v * (ss - msq) / 2
     lo = m[:-1]
-    off = -p.v * np.sqrt(ss - lo * (lo + 1)) * np.sqrt(ss - (lo + 1) * (lo + 2)) / 4
+    off = -v * np.sqrt(ss - lo * (lo + 1)) * np.sqrt(ss - (lo + 1) * (lo + 2)) / 4
     return msq, vpart, off
 
 
-def _unfolded_halves(p: ModelParams, s: int) -> tuple[tuple, tuple]:
-    """(m, m^2, v part, off-diagonal, fold) of each J half of :func:`spin_sector_halves`, (plus, minus).
+class SpinBlock(NamedTuple):
+    """One tridiagonal block of -u Sz^2 - v Sx^2, by its parts that do not depend on u.
 
-    fold, None or +/- O_{-1,1}, is added to the half's first diagonal
-    entry after -u m^2 - v part, the order the halves' diagonals take.
-    """
-    if p.N % 2:
-        raise ValidationError(f"J halves need even N (integer S), got N = {p.N}")
-    # the sector's Sz values from m = 0, or from m = -1 when it has no m = 0
-    m = np.arange(-((p.N // 2 + s) % 2), p.S + 1, 2)
-    msq, vpart, off = _spin_parts(p, m)
-    if m[0] < 0:  # fold O_{-1,1} into D_1
-        half = (m[1:], msq[1:], vpart[1:], off[1:])
-        return (*half, off[0]), (*half, -off[0])
-    minus = (m[1:], msq[1:], vpart[1:], off[1:], None)  # m = 0 belongs to the + half only
-    off[:1] *= math.sqrt(2.0)
-    return (m, msq, vpart, off, None), minus
-
-
-def spin_sector_halves(
-    p: ModelParams, s: int, u: float
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """The J = +1 and J = -1 halves of :func:`spin_sector` at even N, each as (m, diagonal, off-diagonal).
-
-    For integer S the m -> -m exchange J commutes with -u Sz^2 - v Sx^2
-    and maps the sector m + S = s (mod 2) onto itself, so the sector
-    splits into two halves, tridiagonal in the basis (|m> + r |-m>)/sqrt(2)
-    over the sector's m >= 0.  If the sector holds m = 0, the r = +1 half
-    also holds |0>, with sqrt(2) times the sector's (0, 2) off-diagonal,
-    and the r = -1 half starts at m = 2.  Otherwise both halves start at
-    m = 1, with D_1 + r O_{-1,1} in place of the diagonal D_1.  A half may
-    be empty (N = 2, s = 1, r = -1).
-    """
-    halves = []
-    for m, msq, vpart, off, fold in _unfolded_halves(p, s):
-        diag = -u * msq - vpart
-        if fold is not None:
-            diag[0] += fold
-        halves.append((m, diag, off))
-    return tuple(halves)
-
-
-@dataclass(frozen=True)
-class SpinSkeleton:
-    """The parts of the spin model's tridiagonal matrix that do not depend on u, for one (N, v).
-
-    msq holds m^2 and vpart v (S(S+1) - m^2)/2 of each row, off the
-    off-diagonal, and folds the (row, value) pairs added to the diagonal
-    last.  The arrays are read-only.
+    m holds each row's Sz value, msq m^2, vpart v (S(S+1) - m^2)/2, off
+    the off-diagonal, and folds the (row, value) pairs added to the
+    diagonal last.  A tuple, so the few built per (N, v) cost little.
     """
 
+    m: np.ndarray
     msq: np.ndarray
     vpart: np.ndarray
     off: np.ndarray
     folds: tuple[tuple[int, float], ...]
 
     def diagonal(self, u: float) -> np.ndarray:
-        """The diagonal at u: -u m^2 - vpart, then the folds, in the order of :func:`spin_sector_halves`.
-
-        So each entry is that of :func:`spin_sector` or
-        :func:`spin_sector_halves` bit for bit; adding a fold before
-        -u m^2 would round differently.
-        """
+        """The diagonal at u: -u m^2 - vpart, then the folds (adding a fold first would round differently)."""
         diag = -u * self.msq - self.vpart
         for row, value in self.folds:
             diag[row] += value
         return diag
 
 
-@functools.lru_cache(maxsize=64)
-def spin_skeleton(N: int, v: float, v_sign: float) -> SpinSkeleton:
-    """The u-free parts of the tridiagonal matrix of -u Sz^2 - v Sx^2 that ``spin_model_spectrum`` solves.
+def spin_blocks(N: int, v: float, s: int) -> dict[int, SpinBlock]:
+    """The tridiagonal blocks of -u Sz^2 - v Sx^2 on the parity sector m + S = s (mod 2), keyed by r.
 
-    At odd N that matrix is the sector m + S even of :func:`spin_sector`.
-    At even N it is the four J halves of :func:`spin_sector_halves`, the
-    sector s = 0's (plus, minus) then s = 1's, empty halves left out,
-    joined with a zero coupling between halves.  Cached by (N, v): a
-    sweep solves each (N, v) at several couplings u.  v_sign, which is
-    ``math.copysign(1.0, v)``, only keys the cache: v = -0.0 equals 0.0
-    but gives other signed zeros, so it gets an entry of its own.
+    r = 0 is the whole sector, Sz ascending from -S.  For integer S (even
+    N) the m -> -m exchange J commutes with the model and maps the sector
+    onto itself, so it splits into the J halves r = +/-1, tridiagonal in
+    the basis (|m> + r |-m>)/sqrt(2) over the sector's m >= 0: tail
+    slices of the sector's arrays.  If the sector holds m = 0, the r = +1
+    half also holds |0>, with sqrt(2) times the sector's (0, 2)
+    off-diagonal, and the r = -1 half starts at m = 2.  Otherwise both
+    halves start at m = 1 and fold r O_{-1,1} into their first diagonal
+    entry.  A half may be empty (N = 2, s = 1, r = -1).
     """
-    p = ModelParams(N=N, omega=1.0, g=0.0, v=v)
+    S = N / 2
+    m = -S + np.arange(s, N + 1, 2)
+    sector = SpinBlock(m, *_spin_parts(S, v, m), ())
     if N % 2:
-        msq, vpart, off = _spin_parts(p, -p.S + np.arange(0, N + 1, 2))
-        skeleton = SpinSkeleton(msq, vpart, off, ())
+        return {0: sector}
+    i = m.size // 2  # the sector's first m >= 0
+    tail = [a[i:] for a in (m, sector.msq, sector.vpart, sector.off)]
+    if m[i]:  # fold O_{-1,1} into D_1
+        fold = float(sector.off[i - 1])
+        return {0: sector, 1: SpinBlock(*tail, ((0, fold),)), -1: SpinBlock(*tail, ((0, -fold),))}
+    plus_off = tail[3].copy()
+    plus_off[:1] *= math.sqrt(2.0)
+    minus = SpinBlock(*[a[1:] for a in tail], ())  # m = 0 belongs to the + half only
+    return {0: sector, 1: SpinBlock(*tail[:3], plus_off, ()), -1: minus}
+
+
+@functools.lru_cache(maxsize=64)
+def spin_skeleton(N: int, v: float, v_sign: float) -> SpinBlock:
+    """The one tridiagonal matrix of -u Sz^2 - v Sx^2 that ``spin_model_spectrum`` solves, by its u-free parts.
+
+    At odd N it is the block r = 0 of :func:`spin_blocks` at s = 0.  At
+    even N it is the four J halves, sector s = 0's (r = +1, -1) then
+    s = 1's, empty halves left out, joined with a zero coupling between
+    halves.  Cached by (N, v): a sweep solves each (N, v) at several
+    couplings u.  v_sign, which is ``math.copysign(1.0, v)``, only keys
+    the cache: v = -0.0 equals 0.0 but gives other signed zeros, so it
+    gets an entry of its own.  The arrays are read-only.
+    """
+    if N % 2:
+        skeleton = spin_blocks(N, v, 0)[0]
     else:
-        halves = [h for s in (0, 1) for h in _unfolded_halves(p, s) if h[0].size]
-        starts = itertools.accumulate([h[0].size for h in halves], initial=0)
-        skeleton = SpinSkeleton(
-            msq=np.concatenate([h[1] for h in halves]),
-            vpart=np.concatenate([h[2] for h in halves]),
-            off=np.concatenate([a for h in halves for a in (h[3], (0.0,))])[:-1],
-            folds=tuple((row, float(h[4])) for row, h in zip(starts, halves) if h[4] is not None),
+        sectors = [spin_blocks(N, v, s) for s in (0, 1)]
+        halves = [blocks[r] for blocks in sectors for r in (1, -1) if blocks[r].m.size]
+        starts = itertools.accumulate([h.m.size for h in halves], initial=0)
+        skeleton = SpinBlock(
+            m=np.concatenate([h.m for h in halves]),
+            msq=np.concatenate([h.msq for h in halves]),
+            vpart=np.concatenate([h.vpart for h in halves]),
+            off=np.concatenate([a for h in halves for a in (h.off, (0.0,))])[:-1],
+            folds=tuple((start + row, value) for start, h in zip(starts, halves) for row, value in h.folds),
         )
-    for a in (skeleton.msq, skeleton.vpart, skeleton.off):
+    for a in (skeleton.m, skeleton.msq, skeleton.vpart, skeleton.off):
         a.flags.writeable = False
     return skeleton
 
@@ -202,23 +171,24 @@ def spin_skeleton(N: int, v: float, v_sign: float) -> SpinSkeleton:
 def _block_pair(p: ModelParams, s: int, r: int) -> tuple[np.ndarray, int, int]:
     """Boson levels n = 0 and 1 of the (s, r) block: rows m + S, spin diagonal, off-diagonal, g m, n.
 
-    Level n holds the J half r (-1)^n, or the whole sector where r = 0, so
-    the block's rows repeat with period w = w_even + w_odd over each pair
-    of levels (2k, 2k + 1); the cutoff search builds one point's blocks at
-    several M from this one pair.  Also returns w_even and w_odd.  The
-    array is read-only.
+    Level n holds the J half r (-1)^n of :func:`spin_blocks` at u = 0, or
+    the whole sector where r = 0, so the block's rows repeat with period
+    w = w_even + w_odd over each pair of levels (2k, 2k + 1); the cutoff
+    search builds one point's blocks at several M from this one pair.
+    Also returns w_even and w_odd.  The array is read-only.
     """
     if r not in (0, 1, -1):
         raise ValidationError(f"R eigenvalue r must be 1, -1 or 0, got {r!r}")
-    # the J halves are (plus, minus): level 0 takes minus first where r = -1
-    halves = [spin_sector(p, s, 0.0)] * 2 if r == 0 else spin_sector_halves(p, s, 0.0)[::r]
-    (m_a, diag_a, off_a), (m_b, diag_b, off_b) = halves
-    wa, wb = m_a.size, m_b.size
-    m = np.concatenate([m_a, m_b])
+    if r and p.N % 2:
+        raise ValidationError(f"J halves need even N (integer S), got N = {p.N}")
+    blocks = spin_blocks(p.N, p.v, s)
+    a, b = blocks[r], blocks[-r]
+    wa, wb = a.m.size, b.m.size
+    m = np.concatenate([a.m, b.m])
     pair = np.zeros((5, wa + wb))  # a level's last row has no off-diagonal
     pair[0] = m + p.S
-    pair[1] = np.concatenate([diag_a, diag_b])
-    pair[2, : off_a.size], pair[2, wa : wa + off_b.size] = off_a, off_b
+    pair[1] = np.concatenate([a.diagonal(0.0), b.diagonal(0.0)])
+    pair[2, : a.off.size], pair[2, wa : wa + b.off.size] = a.off, b.off
     pair[3] = p.g * m
     pair[4, wa:] = 1.0
     pair.flags.writeable = False
@@ -253,22 +223,22 @@ def symmetry_block(p: ModelParams, M: int, s: int, r: int) -> np.ndarray:
     """The block (s, r) of H, truncated at n <= M, as a lower band array ab[i, c] = H[c + i, c].
 
     s is the parity sector m + S = s (mod 2), which H conserves.  r = 0
-    takes the whole sector, at any N: boson level n holds the Sz values of
-    :func:`spin_sector`.  At even N the joint parity R = (-1)^n J, with
+    takes the whole sector, at any N: boson level n holds the block r = 0
+    of :func:`spin_blocks`.  At even N the joint parity R = (-1)^n J, with
     J|m> = |-m>, also maps each sector onto itself, and r = +/-1 takes its
-    eigenspace: level n holds the J half r (-1)^n of
-    :func:`spin_sector_halves` at u = 0, (|m> +/- |-m>)/sqrt(2) over m > 0
-    and |0> in the + half, so about half the rows and half the bandwidth
-    of a sector.  The levels follow each other, n ascending.  Row 0 holds
-    omega n plus the spin diagonal, row 1 the spin off-diagonal.  Sz maps
-    element m of one level to element m of the next, with value m, so the
-    coupling g sqrt(n+1) m from level n to n + 1 sits on the row of level
-    n + 1's width: w_odd from an even level, w_even from an odd one (both
-    the sector's width for r = 0).  Row 1 and a coupling row are one row
-    when a level has width 1; their entries never meet.  Entries past the
-    block's edge are 0, and a block may be empty (N = 2, s = 1, r = -1,
-    M = 0).  A band array of more than ``DEFAULT_MAX_NONZEROS`` entries
-    raises ResourceError.
+    eigenspace: level n holds the J half r (-1)^n of :func:`spin_blocks`
+    at u = 0, (|m> +/- |-m>)/sqrt(2) over m > 0 and |0> in the + half, so
+    about half the rows and half the bandwidth of a sector.  The levels
+    follow each other, n ascending.  Row 0 holds omega n plus the spin
+    diagonal, row 1 the spin off-diagonal.  Sz maps element m of one level
+    to element m of the next, with value m, so the coupling g sqrt(n+1) m
+    from level n to n + 1 sits on the row of level n + 1's width: w_odd
+    from an even level, w_even from an odd one (both the sector's width
+    for r = 0).  Row 1 and a coupling row are one row when a level has
+    width 1; their entries never meet.  Entries past the block's edge are
+    0, and a block may be empty (N = 2, s = 1, r = -1, M = 0).  A band
+    array of more than ``DEFAULT_MAX_NONZEROS`` entries raises
+    ResourceError.
     """
     pair, wa, wb, dim = _checked_pair(p, M, s, r)
     n = _block_levels(pair, M)

@@ -190,7 +190,7 @@ def parse_config(text: str) -> SweepConfig:
     if "format" in out_sec:
         fmt, lineno = out_sec["format"]
         if fmt not in TABLE_FORMATS:
-            raise ConfigError(f"format must be 'csv' or 'json-lines', got {fmt!r}", line=lineno)
+            raise ConfigError(f"format must be one of {', '.join(map(repr, TABLE_FORMATS))}, got {fmt!r}", line=lineno)
         outputs.format = TABLE_FORMATS[fmt]
     if "emit" in out_sec:
         val, lineno = out_sec["emit"]

@@ -25,7 +25,7 @@ from dickelab import (
 import dickelab.diagnostics as diagnostics
 import dickelab.solvers as solvers
 from dickelab.diagnostics import initial_cutoff
-from dickelab.model import spin_sector, spin_sector_halves, spin_skeleton, symmetry_block
+from dickelab.model import spin_blocks, spin_skeleton, symmetry_block
 from dickelab.reference import _embed_block, ground_pair, level_vectors
 from dickelab.sweep import CSV_HEADER, Budget, EngineConfig, evaluate_point
 from oracles import dense_from_band, dense_spin_xz
@@ -313,8 +313,8 @@ SPIN_UV = ((0.2, 1.0), (0.5, 1.0), (0.9, 1.0), (1.0, 1.0), (0.0, 1.0), (0.7, 0.0
 
 def _sector_levels(p, s):
     """All levels of the spin model's parity sector s, from the sector's own tridiagonal matrix."""
-    _, diag, off = spin_sector(p, s, p.u)
-    return diagnostics._tridiagonal_levels(diag, off)
+    sector = spin_blocks(p.N, p.v, s)[0]
+    return diagnostics._tridiagonal_levels(sector.diagonal(p.u), sector.off)
 
 
 def test_spin_model_sectors_match_dense_eigvalsh():
@@ -336,8 +336,8 @@ def test_spin_sector_levels_are_those_of_eigvalsh_tridiagonal_bit_for_bit():
         for u, v in SPIN_UV:
             p = ModelParams(N=N, omega=1.0, g=float(np.sqrt(u)), v=v)
             for s in (0, 1):
-                _, diag, off = spin_sector(p, s, p.u)
-                ref = scipy.linalg.eigvalsh_tridiagonal(diag, off)
+                sector = spin_blocks(N, v, s)[0]
+                ref = scipy.linalg.eigvalsh_tridiagonal(sector.diagonal(p.u), sector.off)
                 assert np.array_equal(_sector_levels(p, s), ref), (N, u, v, s)
 
 
@@ -375,12 +375,13 @@ def test_k_lowest_spin_levels_are_the_head_of_the_whole_spectrum():
 
 
 def _fresh_spin_levels(p, k):
-    """spin_model_spectrum's levels from the arrays of spin_sector and spin_sector_halves, built anew."""
+    """spin_model_spectrum's levels from the blocks of spin_blocks, built anew."""
     if p.N % 2:
-        _, diag, off = spin_sector(p, 0, p.u)
+        sector = spin_blocks(p.N, p.v, 0)[0]
         half = None if k is None else -(-k // 2)
-        return np.repeat(diagnostics._tridiagonal_levels(diag, off, half), 2)[:k]
-    halves = [(d, o) for s in (0, 1) for _, d, o in spin_sector_halves(p, s, p.u) if d.size]
+        return np.repeat(diagnostics._tridiagonal_levels(sector.diagonal(p.u), sector.off, half), 2)[:k]
+    blocks = [spin_blocks(p.N, p.v, s) for s in (0, 1)]
+    halves = [(b[r].diagonal(p.u), b[r].off) for b in blocks for r in (1, -1) if b[r].m.size]
     diag = np.concatenate([d for d, _ in halves])
     off = np.concatenate([np.append(o, 0.0) for _, o in halves])[:-1]
     return diagnostics._tridiagonal_levels(diag, off, k)

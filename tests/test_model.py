@@ -12,12 +12,7 @@ from dickelab import (
     polaron_spin_hamiltonian,
     symmetry_operator,
 )
-from dickelab.model import (
-    spin_sector,
-    spin_sector_halves,
-    symmetry_block,
-    symmetry_block_basis,
-)
+from dickelab.model import spin_blocks, symmetry_block, symmetry_block_basis
 from oracles import dense_from_band, dense_hamiltonian
 
 
@@ -181,13 +176,13 @@ def _tridiagonal(diag, off):
 def test_spin_sector_halves_are_the_j_projected_sector(u, v):
     eps = np.finfo(float).eps
     for N in range(2, 41, 2):
-        p = ModelParams(N=N, omega=1.0, g=0.3, v=v)
         for s in (0, 1):
-            m, diag, off = spin_sector(p, s, u)
-            T = _tridiagonal(diag, off)
+            blocks = spin_blocks(N, v, s)
+            m, off = blocks[0].m, blocks[0].off
+            T = _tridiagonal(blocks[0].diagonal(u), off)
             tol = 4 * eps * np.max(np.abs(T))
             col = {mj: j for j, mj in enumerate(m)}
-            halves = spin_sector_halves(p, s, u)
+            halves = [(blocks[r].m, blocks[r].diagonal(u), blocks[r].off) for r in (1, -1)]
             assert sum(h[0].size for h in halves) == m.size, (N, s)
             for r, (hm, hdiag, hoff) in zip((1, -1), halves):
                 assert np.all(hm >= 0) and np.all(np.diff(hm) == 2), (N, s, r)
@@ -201,14 +196,45 @@ def test_spin_sector_halves_are_the_j_projected_sector(u, v):
                         P[col[-mj], c] = r / np.sqrt(2)
                 dev = np.max(np.abs(_tridiagonal(hdiag, hoff) - P.T @ T @ P), initial=0.0)
                 assert dev <= tol, (N, u, v, s, r, dev)
-    p = ModelParams(N=2, omega=1.0, g=0.3, v=v)
-    (plus_m, *_), (minus_m, *_) = spin_sector_halves(p, 1, u)  # the sector m = 0 alone
+    blocks = spin_blocks(2, v, 1)  # the sector m = 0 alone
+    plus_m, minus_m = blocks[1].m, blocks[-1].m
     assert plus_m.tolist() == [0.0] and minus_m.size == 0
 
 
-def test_spin_sector_halves_need_even_n():
-    with pytest.raises(ValidationError):
-        spin_sector_halves(ModelParams(N=3, omega=1.0, g=0.3, v=1.0), 0, 0.09)
+def test_j_half_blocks_need_even_n():
+    p = ModelParams(N=3, omega=1.0, g=0.3, v=1.0)
+    for build in (symmetry_block, symmetry_block_basis):
+        for r in (1, -1):
+            with pytest.raises(ValidationError, match="even N"):
+                build(p, 2, 0, r)
+        # an invalid s is reported before an invalid r or an odd-N half
+        for r in (1, 5):
+            with pytest.raises(ValidationError, match="sector s"):
+                build(p, 2, 2, r)
+
+
+def test_symmetry_block_levels_hold_the_spin_blocks_bit_for_bit():
+    for N in range(2, 41, 2):
+        for g, v in ((0.7, 1.0), (0.3, 2.5), (0.0, 1.0), (0.7, 0.0)):
+            p = ModelParams(N=N, omega=1.3, g=g, v=v)
+            for s in (0, 1):
+                blocks = spin_blocks(N, v, s)
+                for r in (1, -1, 0):
+                    ab = symmetry_block(p, 1, s, r)
+                    _, col = symmetry_block_basis(p, 1, s, r)
+                    levels = (blocks[r], blocks[-r])  # level n holds the half r (-1)^n
+                    assert ab.shape[1] == sum(b.m.size for b in levels), (N, s, r)
+                    start = 0
+                    for n, b in enumerate(levels):
+                        rows = slice(start, start + b.m.size)
+                        assert np.array_equal(col[rows], b.m + p.S), (N, s, r, n)
+                        diag = p.omega * n + b.diagonal(0.0)
+                        assert ab[0, rows].tobytes() == diag.tobytes(), (N, g, v, s, r, n)
+                        # + 0.0 makes -0.0 into 0.0: at v = 0 a coupling row that is
+                        # row 1 adds its 0.0 to the off-diagonal's -0.0
+                        off = ab[1, start : start + b.off.size]
+                        assert (off + 0.0).tobytes() == (b.off + 0.0).tobytes(), (N, g, v, s, r, n)
+                        start = rows.stop
 
 
 def _block_projector(p, M, s, r):

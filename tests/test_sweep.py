@@ -170,6 +170,14 @@ def test_parse_format_alias_jsonl():
     assert cfg.outputs.format == "json-lines"
 
 
+def test_unknown_format_error_names_every_accepted_spelling():
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL + "[outputs]\nformat = xml\n")
+    assert err.value.line == 7
+    for name in ("xml", *sweep.TABLE_FORMATS):
+        assert repr(name) in str(err.value), name
+
+
 def test_parse_circuit_file_excludes_explicit_model():
     text = "[model]\ncircuit_file = dev.txt\nN_list = 3\n"
     with pytest.raises(ConfigError):
