@@ -9,7 +9,6 @@ full diagonalization against the displaced-frame spin model.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -135,7 +134,6 @@ def _blocks(p: ModelParams, M: int):
             yield (s, 0), rows, piece
 
 
-@functools.lru_cache(maxsize=8)
 def _shift_floor(p: ModelParams) -> float:
     """A shift below the spectrum of every block :func:`_blocks` yields, at any cutoff: eps0 - 1e-3 max(1, |eps0|).
 
@@ -148,15 +146,12 @@ def _shift_floor(p: ModelParams) -> float:
     each uncoupled piece) onto itself; so no block level lies below eps0.
     The bound is attained at g = 0, by the n = 0 piece that holds the spin
     ground state, hence the margin, which also covers eps0's rounding.
-    Computed once per point: the cutoff search asks at every cutoff.
     """
     eps0 = float(spin_model_spectrum(p, 1)[0])
     return eps0 - 1e-3 * max(1.0, abs(eps0))
 
 
-def lowest_levels(
-    p: ModelParams, M: int, k: int, *, seed: int = 0, guess: float | None = None
-) -> SpectrumResult:
+def lowest_levels(p: ModelParams, M: int, k: int, *, seed: int = 0) -> SpectrumResult:
     """Lowest k levels of the full model at Fock cutoff M, solved block by block.
 
     H conserves (-1)^(m+S), so each parity sector m + S = s (mod 2) is
@@ -173,15 +168,13 @@ def lowest_levels(
     is reported twice: the odd-N doublet is exact by construction.  The
     result's ``labels`` give each level's (s, r), r = 0 where the solve
     does not resolve R (odd N, g = 0, v = 0).
-    guess, an upper estimate of E0 such as E0 at a smaller cutoff,
-    goes to every :func:`~dickelab.solvers.solve_lowest` as its shift hint,
-    and each block above ``DENSE_SOLVE_MAX_DIM`` rows gets
-    :func:`_shift_floor` as its proved floor, where a solve without a
-    usable hint, such as a point's first, shifts.  seed draws each Lanczos
-    start vector; k outside [1, dim] or a negative seed raises
+    Each block above ``DENSE_SOLVE_MAX_DIM`` rows shifts at
+    :func:`_shift_floor`, a proved floor; this function takes no shift
+    hint (:func:`_solve_blocks` does).  seed draws each Lanczos start
+    vector; k outside [1, dim] or a negative seed raises
     ``ValidationError``.
     """
-    return _solve_blocks(p, M, k, seed=seed, guess=guess)[0]
+    return _solve_blocks(p, M, k, seed=seed)[0]
 
 
 def _solve_blocks(
@@ -189,8 +182,12 @@ def _solve_blocks(
 ) -> tuple[SpectrumResult, list[tuple[tuple[int, int], slice, np.ndarray, np.ndarray]]]:
     """:func:`lowest_levels`, and (label, rows, band array, levels) of each block it solved, in solve order.
 
-    The band arrays go to the callers that need a level's vector, never
-    onto the result, which every sweep row keeps.
+    guess, an upper estimate of E0 such as :func:`converge_cutoff`'s E0
+    at the previous cutoff, goes to every :func:`~dickelab.solvers.solve_lowest`
+    as its shift hint; a solve without a usable one, such as a point's
+    first, shifts at the floor, computed once a call.  The band arrays go
+    to the callers that need a level's vector, never onto the result,
+    which every sweep row keeps.
     """
     dim = (M + 1) * (p.N + 1)
     if k < 1 or k > dim:
@@ -238,9 +235,8 @@ class ConvergenceReport:
     M_star: int
     history: tuple[tuple[int, float, float, float], ...]
     converged: bool
-    tol: float
     spectrum: SpectrumResult
-    bound: float = math.nan
+    bound: float
 
 
 def initial_cutoff(p: ModelParams) -> int:
@@ -343,7 +339,6 @@ def converge_cutoff(
     history: list[tuple[int, float, float, float]] = []
     M = initial_cutoff(p)
     prev: SpectrumResult | None = None
-    prev_M = M
     while True:
         dim = (M + 1) * (p.N + 1)
         if dim > max_dim:
@@ -363,25 +358,17 @@ def converge_cutoff(
         if prev is not None:
             n_cmp = min(k, prev.eigenvalues.size, e.size)
             if n_cmp and np.max(np.abs(e[:n_cmp] - prev.eigenvalues[:n_cmp])) < tol:
-                return ConvergenceReport(
-                    M_star=prev_M,
-                    history=tuple(history),
-                    converged=res.converged,
-                    tol=tol,
-                    spectrum=prev,
-                )
+                M_star, spectrum, bound = M // 2, prev, math.nan
+                break
         bound = _temple_bound(p, M, res, blocks, k)
         if bound < tol:
-            return ConvergenceReport(
-                M_star=M,
-                history=tuple(history),
-                converged=res.converged,
-                tol=tol,
-                spectrum=res,
-                bound=bound,
-            )
-        prev, prev_M = res, M
+            M_star, spectrum = M, res
+            break
+        prev = res
         M *= 2
+    return ConvergenceReport(
+        M_star=M_star, history=tuple(history), converged=res.converged, spectrum=spectrum, bound=bound
+    )
 
 
 def _tridiagonal_levels(diag: np.ndarray, off: np.ndarray, k: int | None = None) -> np.ndarray:

@@ -62,6 +62,7 @@ def parse_number(val: str, key: str, line: int, kind=float, scale: float = 1.0):
 
     Finiteness is checked after scaling; inf, nan, 1e400 and a kind=int
     value more than 1e-9 from an integer are malformed, with their line.
+    A kind=int integer literal, unscaled, is read exactly, not via float.
     """
     try:
         f = float(val) * scale
@@ -69,7 +70,9 @@ def parse_number(val: str, key: str, line: int, kind=float, scale: float = 1.0):
         f = math.nan
     if not math.isfinite(f) or (kind is int and abs(f - round(f)) > 1e-9):
         raise ConfigError(f"malformed number for {key!r}: {val!r}", line=line)
-    return int(round(f)) if kind is int else f
+    if kind is not int:
+        return f
+    return int(val) if scale == 1.0 and val.strip().lstrip("+-").isdecimal() else int(round(f))
 
 
 class ResourceError(DickeLabError):

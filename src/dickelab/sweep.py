@@ -17,7 +17,7 @@ import pickle
 import signal
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,17 +46,18 @@ EMIT_CHOICES = ("spectrum", "splitting", "degeneracy", "landscape", "scaling-fit
 
 # A forked sweep first runs points serially and forks its workers only once
 # the mean time of the points done projects the rest of the grid above this
-# many seconds.  A fork costs 10-15 ms of CPU on a 2-vCPU VM, mostly
-# copy-on-write page faults in both processes, so on a grid of about 25 ms
-# (the full-parity benchmark) forking made the sweep up to 17 % slower.
+# many seconds.  Where two CPUs run at once the fork pays on long grids (a
+# 50-point full grid, N = 16..40: 0.31-0.36 s against 0.53-0.70 s serial on a
+# 2-vCPU VM).  A fork costs 10-15 ms of CPU, mostly copy-on-write page faults,
+# and where the CPUs are shared a forced fork slowed the 20 ms full-parity
+# benchmark grid in 6 of 6 runs; the projection keeps such grids serial.
 FORK_WORTH_S = 0.2
 
-_MODEL_KEYS = ("N_list", "omega", "g_list", "v_list", "circuit_file")
-_ENGINE_KEYS = ("mode", "k", "tol", "seed", "max_dim", "budget_dim_total")
-_OUTPUT_KEYS = ("path", "format", "emit", "landscape_theta_points", "landscape_phi_points")
 # the least value of each integer engine and output key
 _INT_MINIMUM = dict(k=1, seed=0, max_dim=1, budget_dim_total=1,
                     landscape_theta_points=2, landscape_phi_points=2)
+# the least value of each entry of a model axis that has one
+_AXIS_MINIMUM = dict(N_list=1, v_list=0)
 # each table format a config or the --format flag may name, and the format it names
 TABLE_FORMATS = {"csv": "csv", "json-lines": "json-lines", "jsonl": "json-lines"}
 
@@ -139,7 +140,8 @@ def parse_config(text: str) -> SweepConfig:
     values use commas.  Unknown sections or keys are errors with the
     offending line number (fail closed).
     """
-    sections = read_sections(text, {"model": _MODEL_KEYS, "engine": _ENGINE_KEYS, "outputs": _OUTPUT_KEYS})
+    sections = read_sections(text, {name: tuple(f.name for f in fields(cls)) for name, cls in (
+        ("model", ModelGrid), ("engine", EngineConfig), ("outputs", OutputConfig))})
     model_sec = sections["model"]
     engine_sec = sections.get("engine", {})
     out_sec = sections.get("outputs", {})
@@ -160,11 +162,16 @@ def parse_config(text: str) -> SweepConfig:
             val, lineno = model_sec[key]
             if key == "omega":
                 model.omega = parse_number(val, key, lineno)
+                if model.omega <= 0:
+                    raise ConfigError(f"omega must be > 0, got {model.omega}", lineno)
                 continue
             items = [s.strip() for s in val.split(",") if s.strip()]
             if not items:
                 raise ConfigError(f"empty sweep axis {key!r}", line=lineno)
-            setattr(model, key, tuple(parse_number(s, key, lineno, kind) for s in items))
+            values = tuple(parse_number(s, key, lineno, kind) for s in items)
+            if min(values) < _AXIS_MINIMUM.get(key, -math.inf):
+                raise ConfigError(f"{key} entries must be >= {_AXIS_MINIMUM[key]}, got {min(values)}", lineno)
+            setattr(model, key, values)
 
     engine, outputs = EngineConfig(), OutputConfig()
     if "mode" in engine_sec:

@@ -8,6 +8,7 @@ imported scipy.linalg and scipy.sparse long before.
 """
 
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -158,3 +159,26 @@ def test_every_dickelab_name_the_bench_child_uses_runs(tmp_path, monkeypatch):
     assert found["cli"].main(["sweep", "spin.cfg", "--workers", "2"]) == 0
     p = found["ModelParams"](N=20, omega=1.0, g=float(0.5**0.5), v=1.0)
     assert len(found["find_minima"](p, seed=12345)) == 2
+
+
+BENCH_TRACER = SRC.parent / "bench" / "tracer.py"
+
+
+def test_every_bench_patch_site_in_use_still_resolves():
+    # the tracer skips a site whose name is gone without a word, and its metrics read 0
+    tree = ast.parse(BENCH_TRACER.read_text(encoding="utf-8"))
+    sites = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PATCH_SITES"]
+    )
+    live = {("dickelab.cli", "run_sweep"), ("dickelab.cli", "emit_results"),
+            ("dickelab.sweep", "landscape_grid"), ("dickelab.sweep", "converge_cutoff"),
+            ("dickelab.sweep", "splitting_and_gap"), ("dickelab.sweep", "degeneracy_classes"),
+            ("dickelab.diagnostics", "solve_lowest")}
+    assert live <= {(module, attr) for module, attr, _ in sites}
+    for module, attr in sorted(live):
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    # the diagnostics.cutoff span reads these off the report converge_cutoff returns
+    names = {f.name for f in dataclasses.fields(dickelab.ConvergenceReport)}
+    assert {"history", "M_star"} <= names

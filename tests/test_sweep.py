@@ -153,6 +153,40 @@ def test_parse_rejects_negative_seed():
     assert err.value.line == 7
 
 
+@pytest.mark.parametrize("axes, key, line", [
+    (dict(N="4, 0"), "N_list", 2), (dict(N=-3), "N_list", 2), (dict(omega=0), "omega", 3),
+    (dict(omega=-1.5), "omega", 3), (dict(v="1.0, -0.5"), "v_list", 5),
+])
+def test_parse_rejects_out_of_range_model_values_on_their_line(axes, key, line):
+    text = "[model]\nN_list = {N}\nomega = {omega}\ng_list = 0.1\nv_list = {v}\n".format(**{
+        "N": 3, "omega": 1, "v": 1, **axes})
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert key in str(err.value)
+    assert err.value.line == line
+
+
+def test_parse_accepts_the_model_range_edges():
+    cfg = parse_config("[model]\nN_list = 1\nomega = 1e-300\ng_list = -2, 0\nv_list = 0, -0.0\n")
+    assert [(p.N, p.omega, p.g, p.v) for p in cfg.grid_points()] == [
+        (1, 1e-300, g, v) for g in (-2.0, 0.0) for v in (0.0, -0.0)]
+    with pytest.raises(ValidationError, match="N must be a positive integer"):
+        ModelParams(N=0, omega=1.0, g=0.1, v=1.0)  # library callers keep ModelParams' own check
+
+
+def test_parse_reads_integer_literals_exactly():
+    cfg = parse_config(MINIMAL + "[engine]\nseed = 9007199254740993\nbudget_dim_total = 12345678901234567891\n")
+    assert cfg.engine.seed == 2**53 + 1
+    assert cfg.engine.budget_dim_total == 12345678901234567891
+    # integers written as floats still read, fractions and non-finite values do not
+    for value, n in (("6.0", 6), ("1e3", 1000), ("+7", 7), (" 12 ", 12)):
+        assert parse_config(MINIMAL + f"[engine]\nk = {value}\n").engine.k == n
+    for value in ("6.5", "inf", "nan", "1e400"):
+        with pytest.raises(ConfigError, match="malformed number for 'k'") as err:
+            parse_config(MINIMAL + f"[engine]\nk = {value}\n")
+        assert err.value.line == 7
+
+
 def test_parse_duplicate_key_rejected():
     with pytest.raises(ConfigError):
         parse_config("[model]\nN_list = 3\nN_list = 4\nomega = 1\ng_list = 1\nv_list = 1\n")
