@@ -84,16 +84,11 @@ def _load_config(args) -> SweepConfig:
         cfg.engine.seed = args.seed
     if getattr(args, "format", None):
         cfg.outputs.format = TABLE_FORMATS[args.format]
+    if getattr(args, "out", None):
+        cfg.outputs.path = args.out
+    if hasattr(args, "out") and not cfg.outputs.path:  # a command that writes: fail before any solve
+        raise ValidationError("no output path configured (set outputs.path or --out)")
     return cfg
-
-
-def _single_point(cfg: SweepConfig):
-    points = cfg.grid_points()
-    if len(points) != 1:
-        raise ValidationError(
-            f"this command needs a single grid point, config has {len(points)}"
-        )
-    return points[0]
 
 
 def _freq(value: float, display: str) -> float:
@@ -102,7 +97,7 @@ def _freq(value: float, display: str) -> float:
 
 def _cmd_spectrum(args) -> int:
     cfg = _load_config(args)
-    p = _single_point(cfg)
+    p = cfg.single_point("this command")
     row = evaluate_point(p, cfg.engine, cfg.engine.seed, Budget(cfg.engine.budget_dim_total))
     print(
         f"# N={p.N} omega={_FMT(p.omega)} g={_FMT(p.g)} v={_FMT(p.v)} "
@@ -121,13 +116,16 @@ def _cmd_sweep(args) -> int:
         rows = run_sweep(cfg, args.workers)
     except SweepAborted as exc:
         if exc.rows:
-            written = emit_results(
-                exc.rows, cfg, include_timing=args.timing, out_override=args.out
-            )
+            try:
+                written = emit_results(exc.rows, cfg, include_timing=args.timing)
+            except ValidationError as err:  # a scaling fit the completed rows cannot support
+                print(f"not written: {err}", file=sys.stderr)
+                cfg.outputs.emit = tuple(tok for tok in cfg.outputs.emit if tok != "scaling-fit")
+                written = emit_results(exc.rows, cfg, include_timing=args.timing)
             for path in written:
                 print(f"wrote {path} ({len(exc.rows)} rows, partial)", file=sys.stderr)
         raise
-    written = emit_results(rows, cfg, include_timing=args.timing, out_override=args.out)
+    written = emit_results(rows, cfg, include_timing=args.timing)
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -135,12 +133,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_landscape(args) -> int:
     cfg = _load_config(args)
-    p = _single_point(cfg)
-    out = args.out or cfg.outputs.path
-    if not out:
-        raise ValidationError("no output path configured (set outputs.path or --out)")
-    write_landscape(p, cfg.outputs.landscape_theta_points, cfg.outputs.landscape_phi_points, out)
-    print(f"wrote {out}")
+    p = cfg.single_point("this command")
+    write_landscape(
+        p, cfg.outputs.landscape_theta_points, cfg.outputs.landscape_phi_points, cfg.outputs.path
+    )
+    print(f"wrote {cfg.outputs.path}")
     return 0
 
 

@@ -40,12 +40,7 @@ class SplittingGap:
 
 
 def _level_list(eigs) -> list[float]:
-    """eigs as a list of Python floats: a list of floats as it is, anything else through numpy.
-
-    The levels must be one-dimensional, else ValidationError.
-    """
-    if type(eigs) is list and all(type(x) is float for x in eigs):
-        return eigs
+    """eigs as a list of Python floats; they must be one-dimensional, else ValidationError."""
     e = np.asarray(eigs, dtype=float)
     if e.ndim != 1:
         raise ValidationError(f"eigenvalues must be one-dimensional, got shape {e.shape}")

@@ -342,7 +342,9 @@ def lanczos_lowest(H, k: int = 6, *, seed: int = 0, max_iterations: int | None =
 def _embed_block(p: ModelParams, M: int, s: int, r: int, rows, X: np.ndarray) -> np.ndarray:
     """Vectors X on rows ``rows`` of the (s, r) block in the flat basis.
 
-    A row is |m>, or (|m> + r (-1)^n |-m>)/sqrt(2) and |0> where r != 0.
+    A row is |m>, or (|m> + r (-1)^n |-m>)/sqrt(2) and |0> where r != 0:
+    the plain scatter plus r times its image under the joint parity R of
+    :func:`symmetry_operator`, whose ``spin_sign`` drops out.
     """
     n, col = (a[rows] for a in symmetry_block_basis(p, M, s, r))
     flat = n * (p.N + 1) + col
@@ -350,20 +352,9 @@ def _embed_block(p: ModelParams, M: int, s: int, r: int, rows, X: np.ndarray) ->
     if r == 0:
         V[flat] = X
         return V
-    half = np.where(2 * col == p.N, 0.5, math.sqrt(0.5))[:, None] * X  # m = 0 gets both halves
-    V[flat] = half
-    V[flat + p.N - 2 * col] += r * (1 - 2 * (n % 2))[:, None] * half
-    return V
-
-
-def _odd_mirror(p: ModelParams, M: int, V: np.ndarray) -> np.ndarray:
-    """R V for flat-basis vectors V at odd N, R the joint parity of :func:`symmetry_operator`.
-
-    R is a signed index flip: row n (N + 1) + col goes to n (N + 1) + N - col,
-    with sign (-1)^(S - 1/2) (-1)^n.
-    """
-    sign = (-1.0) ** ((p.N - 1) // 2 + np.arange(M + 1))
-    return (V.reshape(M + 1, p.N + 1, -1)[:, ::-1] * sign[:, None, None]).reshape(V.shape)
+    V[flat] = np.where(2 * col == p.N, 0.5, math.sqrt(0.5))[:, None] * X  # m = 0 gets both halves
+    R = symmetry_operator(p, M)
+    return V + r * R.spin_sign * (R.op @ V)
 
 
 def level_vectors(p: ModelParams, M: int, k: int, *, seed: int = 0) -> tuple[np.ndarray, SpectrumResult]:
@@ -372,7 +363,8 @@ def level_vectors(p: ModelParams, M: int, k: int, *, seed: int = 0) -> tuple[np.
     Column i is level i's: ``solvers.level_vector`` on the band array it
     was solved on, orthogonalized against its block's lower levels (they
     overlap by up to about 3e-11) and mapped by :func:`_embed_block`.  At
-    odd N a level's copy in the sector s = 1 is R times the original.
+    odd N a level's copy in the sector s = 1 is R times the original, R the
+    joint parity of :func:`symmetry_operator`.
     """
     res, blocks = _solve_blocks(p, M, k, seed=seed)
     vectors = []
@@ -381,7 +373,8 @@ def level_vectors(p: ModelParams, M: int, k: int, *, seed: int = 0) -> tuple[np.
         vectors.append(_embed_block(p, M, *label, rows, Q * np.sign(np.diag(R))))
     values = [levels for *_, levels in blocks]
     if p.N % 2:
-        vectors, values = vectors + [_odd_mirror(p, M, V) for V in vectors], values * 2
+        R = symmetry_operator(p, M).op
+        vectors, values = vectors + [R @ V for V in vectors], values * 2
     return np.hstack(vectors)[:, np.argsort(np.concatenate(values), kind="stable")[:k]], res
 
 

@@ -163,11 +163,20 @@ def _shift_and_factor(ab: np.ndarray, guess: float | None, floor: float) -> tupl
     return floor, factor(floor)
 
 
+def _uniform_vector(rng: random.Random, dim: int) -> np.ndarray:
+    """dim values uniform on [-1, 1) from rng, the standard library's generator.
+
+    Importing numpy's generator costs about 13 ms.  This is the start-vector
+    rule of both hand-written iterations: a fixed start such as all ones is
+    orthogonal to whole symmetry classes of vectors.
+    """
+    return np.frombuffer(rng.randbytes(8 * dim), np.uint64) * 2.0**-63 - 1.0
+
+
 def _lanczos_largest(apply, dim: int, k: int, rng: random.Random) -> tuple[np.ndarray, bool]:
     """The k largest Ritz values (descending) of the positive definite operator ``apply``.
 
-    Plain Lanczos from a random vector uniform on [-1, 1], drawn from rng,
-    the standard library's generator (importing numpy's costs about 13 ms),
+    Plain Lanczos from a random vector, :func:`_uniform_vector` of rng,
     each new vector orthogonalized twice against the whole basis
     (classical Gram-Schmidt twice, as ARPACK's dsaitr does).  Where the
     second pass leaves less than 0.717 of what the first left, the Krylov
@@ -189,7 +198,7 @@ def _lanczos_largest(apply, dim: int, k: int, rng: random.Random) -> tuple[np.nd
     alpha, beta = np.zeros(cap), np.zeros(cap)
 
     def fresh(basis: np.ndarray) -> np.ndarray:
-        q = np.frombuffer(rng.randbytes(8 * dim), np.uint64) * 2.0**-63 - 1.0
+        q = _uniform_vector(rng, dim)
         for _ in range(2):
             q -= (basis @ q) @ basis
         return q / np.linalg.norm(q)
@@ -289,10 +298,10 @@ def level_vector(ab: np.ndarray, level: float) -> np.ndarray:
 
     O(n b^2) with no eigensolve: one LAPACK ``dgbtrf`` factor of
     H - (level - delta) I, delta = 1e-9 max(1, |level|), in general band
-    storage (kl = ku = b, the bandwidth), then two ``dgbtrs`` solves from a
-    vector of ones, normalised after each.  Each solve shrinks another
-    level's component by delta over its distance, so levels of ab a small
-    multiple of delta apart are not resolved.  A singular factor raises
+    storage (kl = ku = b, the bandwidth), then two ``dgbtrs`` solves from
+    :func:`_uniform_vector` of a fixed seed, normalised after each.  Each
+    solve shrinks another level's component by delta over its distance, so
+    levels of ab a small multiple of delta apart are not resolved.  A singular factor raises
     ``numpy.linalg.LinAlgError``.
     """
     b, dim = ab.shape[0] - 1, ab.shape[1]
@@ -304,7 +313,7 @@ def level_vector(ab: np.ndarray, level: float) -> np.ndarray:
     lu, piv, info = lapack.dgbtrf(gb, b, b, overwrite_ab=1)
     if info:
         raise np.linalg.LinAlgError(f"H - sigma is singular at pivot {info}")
-    x = np.ones((dim, 1))
+    x = _uniform_vector(random.Random(0), dim)[:, None]
     for _ in range(2):
         x, _ = lapack.dgbtrs(lu, b, b, x, piv, overwrite_b=1)
         x /= np.linalg.norm(x)

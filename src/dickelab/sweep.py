@@ -107,10 +107,20 @@ class SweepConfig:
             )
         ]
 
+    def single_point(self, needs: str) -> ModelParams:
+        """The grid's one point; ValidationError, naming what ``needs`` it, for a grid of any other size."""
+        points = self.grid_points()
+        if len(points) != 1:
+            raise ValidationError(f"{needs} needs a single grid point, config has {len(points)}")
+        return points[0]
+
 
 @dataclass
 class SweepRow:
-    """One record of a sweep; field order matches the CSV header."""
+    """One record of a sweep; field order matches the CSV header.
+
+    The defaults are a failed point's: no cutoff, NaN levels, not converged.
+    """
 
     N: int
     S: float
@@ -118,16 +128,16 @@ class SweepRow:
     g: float
     v: float
     u: float
-    M_star: int
-    E0: float
-    E1: float
-    E2: float
-    d: float
-    Delta: float
-    pairing_ok: bool
-    oracle_deviation: float | None
-    converged: bool
-    wall_time_seconds: float
+    M_star: int = 0
+    E0: float = math.nan
+    E1: float = math.nan
+    E2: float = math.nan
+    d: float = math.nan
+    Delta: float = math.nan
+    pairing_ok: bool = False
+    oracle_deviation: float | None = None
+    converged: bool = False
+    wall_time_seconds: float = 0.0
     eigenvalues: tuple[float, ...] = field(default=(), repr=False)  # for spectrum emit
     solver: str = field(default="", repr=False)  # for the spectrum command, not the table
     convergence: ConvergenceReport | None = field(default=None, repr=False)  # full mode only
@@ -257,18 +267,11 @@ class Budget:
         self.used += amount
 
 
-def _point_row(
-    p: ModelParams, wall_time_seconds: float, *, M_star: int = 0,
-    E0: float = math.nan, E1: float = math.nan, E2: float = math.nan,
-    d: float = math.nan, Delta: float = math.nan, pairing_ok: bool = False,
-    oracle_deviation: float | None = None, converged: bool = False, **extra,
-) -> SweepRow:
-    """A row for point p; fields left out read as a failed point's (NaN levels, not converged)."""
+def _point_row(p: ModelParams, wall_time_seconds: float, **values) -> SweepRow:
+    """A row for point p; fields left out take :class:`SweepRow`'s defaults, a failed point's."""
     return SweepRow(
-        N=p.N, S=p.S, omega=p.omega, g=p.g, v=p.v, u=p.u, M_star=M_star,
-        E0=E0, E1=E1, E2=E2, d=d, Delta=Delta, pairing_ok=pairing_ok,
-        oracle_deviation=oracle_deviation, converged=converged,
-        wall_time_seconds=wall_time_seconds, **extra,
+        N=p.N, S=p.S, omega=p.omega, g=p.g, v=p.v, u=p.u,
+        wall_time_seconds=wall_time_seconds, **values,
     )
 
 
@@ -606,24 +609,33 @@ def write_landscape(
         out.writelines((t + t.join(tails)) % tuple(row) for t, row in zip(thetas, energy_rows))
 
 
-def emit_results(
-    rows: list[SweepRow],
-    cfg: SweepConfig,
-    *,
-    include_timing: bool = False,
-    out_override: str | None = None,
-) -> list[Path]:
-    """Write the main table plus any extra emit targets; returns the paths.
+def emit_results(rows: list[SweepRow], cfg: SweepConfig, *, include_timing: bool = False) -> list[Path]:
+    """Write the main table to ``cfg.outputs.path`` plus any extra emit targets; returns the paths.
 
-    Timing is zeroed in the files unless include_timing is set, so that
-    identical configs reproduce byte-identical output.
+    The landscape and scaling-fit targets are checked before the first
+    write, so an emit that fails writes nothing.  Timing is zeroed in the
+    files unless include_timing is set, so that identical configs
+    reproduce byte-identical output.
     """
     if not rows:
         raise ValidationError("no rows to emit")
-    path_str = out_override or cfg.outputs.path
-    if not path_str:
+    if not cfg.outputs.path:
         raise ValidationError("no output path configured (set outputs.path or --out)")
-    main = Path(path_str)  # unwritable paths surface as OSError from write_text
+    main = Path(cfg.outputs.path)  # unwritable paths surface as OSError from write_text
+    if "landscape" in cfg.outputs.emit:
+        point = cfg.single_point("landscape emit")
+    if "scaling-fit" in cfg.outputs.emit:
+        even = [
+            row for row in rows if row.converged and row.N % 2 == 0 and not math.isnan(row.d)
+        ]
+        # a d at or below the floor (0 included) is not resolved, as for pairing_ok
+        pts = [(row.N, row.d) for row in even if row.d > resolution_floor(row.E0)]
+        if len(pts) < 3:
+            raise ValidationError(
+                f"scaling-fit needs at least 3 even-N splittings above the resolution "
+                f"floor, got {len(pts)} ({len(even) - len(pts)} dropped as below the floor)"
+            )
+        fit = splitting_scaling_fit(pts)
 
     written: list[Path] = []
     main.write_text(
@@ -645,29 +657,13 @@ def emit_results(
         written.append(path)
 
     if "landscape" in cfg.outputs.emit:
-        points = cfg.grid_points()
-        if len(points) != 1:
-            raise ValidationError(
-                f"landscape emit needs a single grid point, config has {len(points)}"
-            )
         path = _extra_path(main, "landscape")
         write_landscape(
-            points[0], cfg.outputs.landscape_theta_points, cfg.outputs.landscape_phi_points, path
+            point, cfg.outputs.landscape_theta_points, cfg.outputs.landscape_phi_points, path
         )
         written.append(path)
 
     if "scaling-fit" in cfg.outputs.emit:
-        even = [
-            row for row in rows if row.converged and row.N % 2 == 0 and not math.isnan(row.d)
-        ]
-        # a d at or below the floor (0 included) is not resolved, as for pairing_ok
-        pts = [(row.N, row.d) for row in even if row.d > resolution_floor(row.E0)]
-        if len(pts) < 3:
-            raise ValidationError(
-                f"scaling-fit needs at least 3 even-N splittings above the resolution "
-                f"floor, got {len(pts)} ({len(even) - len(pts)} dropped as below the floor)"
-            )
-        fit = splitting_scaling_fit(pts)
         lines = ["N,d,ln_d"]
         for N, d in fit.points:
             lines.append(f"{N},{_fmt_float(d)},{_fmt_float(math.log(d))}")

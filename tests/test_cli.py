@@ -430,6 +430,77 @@ def test_sweep_missing_output_path(tmp_path, capsys):
     assert "output path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "landscape"])
+def test_out_flag_writes_what_the_configured_path_writes(tmp_path, command):
+    cfg = tmp_path / "one.cfg"
+    body = (
+        "[model]\nN_list = 5\nomega = 1\ng_list = 0.6\nv_list = 1\n[engine]\nmode = spin-only\n"
+        "[outputs]\nemit = splitting, spectrum\nlandscape_theta_points = 5\nlandscape_phi_points = 8\n"
+    )
+    cfg.write_text(body)
+    (tmp_path / "flag").mkdir()
+    (tmp_path / "conf").mkdir()
+    assert main([command, str(cfg), "--out", str(tmp_path / "flag" / "rows.csv")]) == 0
+    cfg.write_text(body + f"path = {tmp_path / 'conf' / 'rows.csv'}\n")
+    assert main([command, str(cfg)]) == 0
+    flag = sorted(path.name for path in (tmp_path / "flag").iterdir())
+    assert flag == sorted(path.name for path in (tmp_path / "conf").iterdir())
+    assert len(flag) == (2 if command == "sweep" else 1)
+    for name in flag:
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "conf" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["sweep", "landscape"])
+def test_missing_output_path_fails_before_any_point_is_solved(tmp_path, monkeypatch, capsys, command):
+    def no_solve(*args):
+        raise AssertionError("a point was solved")
+
+    monkeypatch.setattr("dickelab.sweep.evaluate_point", no_solve)
+    monkeypatch.setattr("dickelab.cli.write_landscape", no_solve)
+    cfg = tmp_path / "nopath.cfg"
+    cfg.write_text(
+        "[model]\nN_list = 3\nomega = 1\ng_list = 0.3\nv_list = 1\n"
+        "[engine]\nbudget_dim_total = 300\n"
+    )
+    assert main([command, str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: no output path configured (set outputs.path or --out)\n"
+
+
+# spin-only at u/v = 0.2 with the fit requested: N = 40..50 resolve no splitting
+EMIT_FIT_CFG = (
+    "[model]\nN_list = {N_list}\nomega = 1\ng_list = 0.44721359549995793\nv_list = 1\n"
+    "[engine]\nmode = spin-only\nbudget_dim_total = {budget}\n"
+    "[outputs]\npath = {out}\nemit = splitting, spectrum, scaling-fit\n"
+)
+
+
+def test_failed_emit_writes_no_file(tmp_path, capsys):
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(EMIT_FIT_CFG.format(N_list="40, 44, 48, 50", budget=5000000, out=tmp_path / "rows.csv"))
+    assert main(["sweep", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: scaling-fit needs at least 3 even-N splittings")
+    assert captured.out == ""
+    assert [path.name for path in tmp_path.iterdir()] == ["fit.cfg"]
+
+
+def test_partial_flush_skips_an_unsupported_fit_and_keeps_the_breach(tmp_path, capsys):
+    # spin-only charges N + 1: N = 4 and 6 fit in 14, N = 8 breaches it
+    out = tmp_path / "rows.csv"
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(EMIT_FIT_CFG.format(N_list="4, 6, 8, 10", budget=14, out=out))
+    assert main(["sweep", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("not written: scaling-fit needs at least 3 even-N splittings")
+    assert err[1:] == [
+        f"wrote {out} (2 rows, partial)",
+        f"wrote {tmp_path / 'rows.spectrum.csv'} (2 rows, partial)",
+        "error: global dimension budget exceeded (21 > 14)",
+    ]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["fit.cfg", "rows.csv", "rows.spectrum.csv"]
+    assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["N", "4", "6"]
+
+
 def test_sweep_budget_breach_flushes_partial_rows(tmp_path, capsys):
     out = tmp_path / "partial.csv"
     cfg = tmp_path / "budget.cfg"

@@ -459,15 +459,17 @@ def test_lowest_levels_match_unsplit_dense(extra, monkeypatch):
 
 @pytest.mark.parametrize("extra", FORCE_ARPACK)
 def test_split_line_vectors_are_orthonormal_eigenvectors_of_full_h(extra, monkeypatch):
-    M, k = 30, 6
     _patch_solvers(monkeypatch, extra)
-    for N, g, v in SPLIT_LINES:
+    cases = [(N, g, v, 30, 6) for N, g, v in SPLIT_LINES]
+    # every level at g = 0, even N: the J-odd vectors of the J-symmetric pieces among them
+    cases += [(4, 0.0, 1.0, 0, 5), (6, 0.0, 1.0, 0, 7), (8, 0.0, 1.0, 1, 18), (6, 0.0, 0.7, 2, 21)]
+    for N, g, v, M, k in cases:
         p = ModelParams(N=N, omega=1.0, g=g, v=v)
         V, res = level_vectors(p, M, k, seed=3)
         H = build_full_hamiltonian(p, M)
         np.testing.assert_allclose(V.T @ V, np.eye(k), atol=1e-12)
         resid = np.linalg.norm(H @ V - V * res.eigenvalues, axis=0)
-        assert np.all(resid <= 1e-10 * scipy.sparse.linalg.norm(H)), (N, g, v, resid)
+        assert np.all(resid <= 1e-10 * scipy.sparse.linalg.norm(H)), (N, g, v, M, k, resid)
 
 
 @pytest.mark.parametrize("extra", FORCE_ARPACK)
